@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .rates import bound_constant, reference_solve, verify_rates
 
 CERTIFY_TOL = 1e-7
 VERIFY_TOL = 1e-9
+MANIFEST_KEYS = ("map", "rho", "policy", "iters", "p", "z0", "y0", "mu", "mode")
 
 
 def env_tol(default):
@@ -37,24 +37,6 @@ def env_tol(default):
         return float(raw)
     except ValueError:
         raise ConfigError(f"FLAGOPT_TOL is not a number: {raw!r}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved solve flags (mirrors the solve/verify manifest)."""
-
-    problem_path: str
-    kind: str
-    policy: str
-    scale: float
-    margin: float
-    alpha: float | None
-    mode: str
-    mu: float | None
-    rho: float
-    iters: int
-    out_path: str
-    seed: int = 0
 
 
 def _write_json(path, doc):
@@ -173,6 +155,9 @@ def cmd_certify(args):
 
 
 def _verify_report(prob, traj, manifest, tol):
+    for key in MANIFEST_KEYS:
+        if key not in manifest:
+            raise DataError(f"manifest is missing key {key!r}")
     cfg = make_config(
         manifest["map"],
         prob,

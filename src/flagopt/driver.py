@@ -246,7 +246,10 @@ def trajectory_from_csv(path):
     header = lines[0].split(",")
     if tuple(header) != CSV_COLUMNS:
         raise DataError(f"{path}: unexpected columns {header}")
-    body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    try:
+        body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed trajectory rows ({exc})") from None
     if body.ndim != 2 or body.shape[1] != len(CSV_COLUMNS):
         raise DataError(f"{path}: malformed trajectory rows")
     cols = {name: body[:, i] for i, name in enumerate(CSV_COLUMNS)}

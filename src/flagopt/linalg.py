@@ -24,19 +24,19 @@ def check_symmetric(M, name="matrix", tol=SYM_TOL):
     return 0.5 * (M + M.T)
 
 
-def lambda_min(M):
+def _spectrum(M):
+    # the whole spectrum: LAPACK's index-subset drivers fail ("Internal Error")
+    # on some matrices whose extreme eigenvalue is repeated
     M = check_symmetric(M)
-    if M.shape[0] == 0:
-        return 0.0
-    return float(scipy.linalg.eigvalsh(M, subset_by_index=(0, 0))[0])
+    return np.linalg.eigvalsh(M) if M.shape[0] else np.zeros(1)
+
+
+def lambda_min(M):
+    return float(_spectrum(M)[0])
 
 
 def lambda_max(M):
-    M = check_symmetric(M)
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    return float(scipy.linalg.eigvalsh(M, subset_by_index=(n - 1, n - 1))[0])
+    return float(_spectrum(M)[-1])
 
 
 def check_psd(M, name="matrix", tol=PSD_TOL):

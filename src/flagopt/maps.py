@@ -7,50 +7,46 @@ A primal map takes (z, lambda) to z+ under the schedule (rho_t, tau_t) and is
         <= tau_t Delta_P(xi, z, z+) - (tau_t/2) ||z+ - z||_Q^2
            - (sigma/2) ||xi - z+||^2 - (delta rho_t / 2) ||A z+ - b||^2.
 
-Two-block maps use the block form of the inequality: the alternating
-(Gauss-Seidel) family weights only the second block by tau_t and exploits
-only sigma_g, while the symmetric family (Jacobi-style and fully linearized
-maps) weights both blocks by tau_t and keeps both sigma terms. nice_residual
+Every map kind is one row of KINDS: its blocks, their update order, and its
+certificate formula. One generic step updates block i of z = (z_1, z_2) by
+
+    z_i+ = argmin_x  f_i(x) + <g_i, x> + 0.5 x'V_i x,
+    V_i  = w_i M_i [+ rho_t A_i'A_i] [+ H],
+    g_i  = A_i'(lambda + rho_t r_i) - w_i M_i z_i [+ q | + grad h(z)],
+
+with w_i = tau_t on accelerated blocks and 1 otherwise, and r_i the constraint
+residual at the newest (Gauss-Seidel) or old (Jacobi) values of the other
+blocks, plus the block's own old term when the block linearizes the penalty.
+A single-block map folds a smooth part h = 0.5 x'Hx + q'x into V exactly, or
+linearizes it through grad h(z). Two-block maps use the block form of the
+inequality: accelerated blocks are weighted by tau_t and contribute their
+strong convexity, the others carry weight 1 and no sigma term. nice_residual
 evaluates left minus right numerically; certificates are produced exactly per
-each map's closed-form (delta, P, Q) with every spectral margin recorded.
+each kind's closed-form (delta, P, Q) with every spectral margin recorded.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import ConfigError, NotNiceError
 from .lagrangian import delta_P, eval_aug_lagrangian, quad_norm
 from .problems import (
     BlockProblem,
-    ConstrainedProblem,
+    SmoothTerm,
     constraint_map,
-    flatten_block,
     nonsmooth_parts,
-    scipy_block_diag,
+    single_problem,
 )
 from .prox import argmin_composite
 
-SINGLE_KINDS = ("prox-al", "prox-lin-al", "smooth-prox-al", "smooth-lin-al")
-ADMM_KINDS = ("prox-admm", "prox-lin-admm", "chambolle-pock")
-SYMMETRIC_KINDS = ("prox-jacobi", "pcpm", "full-lin-admm")
-MAP_KINDS = SINGLE_KINDS + ADMM_KINDS + SYMMETRIC_KINDS
-SMOOTH_KINDS = ("smooth-prox-al", "smooth-lin-al")
 PSD_TOL = 1e-10
-
-
-def residual_family(kind):
-    if kind in SINGLE_KINDS:
-        return "single"
-    if kind in ADMM_KINDS:
-        return "admm"
-    if kind in SYMMETRIC_KINDS:
-        return "symmetric"
-    raise ConfigError(f"unknown map kind {kind!r} (choose from {', '.join(MAP_KINDS)})")
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ class MapConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        residual_family(self.kind)
+        _spec(self.kind)
         if self.rho <= 0:
             raise ConfigError("base penalty rho must be positive")
         for name in ("M", "M1", "M2"):
@@ -128,33 +124,217 @@ class NiceCertificate:
     Q2: np.ndarray | None = None
 
     @property
-    def family(self):
-        return residual_family(self.kind)
+    def block_P(self):
+        """P per block of the map (one entry for single-block maps)."""
+        return (self.P,) if self.P1 is None else (self.P1, self.P2)
+
+    @property
+    def block_Q(self):
+        return (self.Q,) if self.Q1 is None else (self.Q1, self.Q2)
 
 
-def _single_problem(prob):
-    if isinstance(prob, BlockProblem):
-        return flatten_block(prob)
-    if isinstance(prob, ConstrainedProblem):
-        return prob
-    raise ConfigError(f"unsupported problem type {type(prob).__name__}")
+@dataclass(frozen=True)
+class Block:
+    """One block of a map's primal step.
+
+    exact: V_i gets rho_t A_i'A_i and the residual leaves out the block's own
+    term; otherwise the penalty is linearized at the old point.
+    accelerated: M_i is scaled by tau_t, the block is weighted by tau_t in the
+    niceness inequality, and its strong convexity is exploited.
+    """
+
+    exact: bool
+    accelerated: bool = True
 
 
-def _block_problem(prob, kind):
+@dataclass(frozen=True)
+class Kind:
+    """One row of KINDS.
+
+    certify(cfg, view, M, G, L) -> (delta, P_i list, Q_i list, conditions),
+    from the weights M_i, the Grams G_i = A_i'A_i and the Lipschitz constant L
+    of a linearized smooth part (else 0). floor: the auto policy's M_i is
+    (floor_i rho lambda_max(G_i) [+ L] + margin) I. jacobi: each block reads
+    the others' old values. smooth_linearized: the single block requires h and
+    steps on grad h(z). alpha: M1 = 0 and M2 = I / alpha from the step alpha.
+    """
+
+    blocks: tuple
+    certify: object
+    floor: tuple
+    jacobi: bool = False
+    smooth_linearized: bool = False
+    alpha: bool = False
+
+
+class _View(NamedTuple):
+    """A problem as the blocks of a map kind: operators A_i, terms f_i, strong
+    convexity sigma_i, right-hand side b, smooth part (single block only)."""
+
+    ops: tuple
+    terms: tuple
+    sigmas: tuple
+    b: np.ndarray
+    smooth: SmoothTerm | None = None
+
+    @property
+    def dims(self):
+        return [A.shape[1] for A in self.ops]
+
+    def split(self, z):
+        n1 = self.ops[0].shape[1]
+        return [z] if len(self.ops) == 1 else [z[:n1], z[n1:]]
+
+
+def _nonneg(name, X):
+    return Condition(name, linalg.lambda_min(X), strict=False)
+
+
+def _dominance(cfg, M, G, i, factor=1):
+    """(lambda_min(M_i), rho lambda_max(A_i'A_i), condition that M_i dominates
+    factor * rho A_i'A_i)."""
+    lam, rl = linalg.lambda_min(M[i]), cfg.rho * linalg.lambda_max(G[i])
+    op = "AB"[i]
+    coef = "rho" if factor == 1 else f"{factor} rho"
+    name = f"lambda_min(M{i + 1}) - {coef} lambda_max({op}'{op}) > 0"
+    return lam, rl, Condition(name, lam - factor * rl)
+
+
+def _single_cert(cfg, view, M, G, L):
+    # P = M, less rho A'A when the penalty is linearized; Q = P, less L I
+    # when the smooth part is linearized
+    spec = KINDS[cfg.kind]
+    P, name = M[0], "M"
+    if not spec.blocks[0].exact:
+        P, name = P - cfg.rho * G[0], name + " - rho A'A"
+    Q = P
+    if spec.smooth_linearized:
+        Q, name = P - L * np.eye(P.shape[0]), name + " - L I"
+    return 1.0, [P], [Q], [_nonneg(f"lambda_min({name}) >= 0", Q)]
+
+
+def _prox_admm_cert(cfg, view, M, G, L):
+    lam2 = linalg.lambda_min(M[1])
+    rl2 = cfg.rho * linalg.lambda_max(G[1])
+    delta = 1.0 - rl2 / (rl2 + lam2) if lam2 > 0 else 0.0
+    conds = [_nonneg("lambda_min(M1) >= 0", M[0]), Condition("lambda_min(M2) > 0", lam2)]
+    return delta, [M[0], M[1] + cfg.rho * G[1]], [M[0], np.zeros_like(M[1])], conds
+
+
+def _lin_admm_cert(cfg, view, M, G, L):
+    # Gauss-Seidel with a linearized second block; P1 = Q1 = M1 [- rho A'A
+    # when the first block linearizes the penalty too]
+    P1, name = M[0], "M1"
+    if not KINDS[cfg.kind].blocks[0].exact:
+        P1, name = P1 - cfg.rho * G[0], name + " - rho A'A"
+    lam2, rl2, cond2 = _dominance(cfg, M, G, 1)
+    delta = 1.0 - rl2 / lam2 if lam2 > 0 else 0.0
+    conds = [_nonneg(f"lambda_min({name}) >= 0", P1), cond2]
+    return delta, [P1, M[1]], [P1, np.zeros_like(M[1])], conds
+
+
+def _chambolle_pock_cert(cfg, view, M, G, L):
+    A, m = view.ops[0], view.b.shape[0]
+    if A.shape[1] != m or np.max(np.abs(A - np.eye(m)), initial=0.0) > 1e-12:
+        raise ConfigError("chambolle-pock requires the first block map A = I")
+    delta = 1.0 - cfg.rho * cfg.alpha * linalg.lambda_max(G[1])
+    conds = [Condition("1 - rho alpha lambda_max(B'B) > 0", delta)]
+    return delta, list(M), [M[0], np.zeros_like(M[1])], conds
+
+
+def _prox_jacobi_cert(cfg, view, M, G, L):
+    doms = [_dominance(cfg, M, G, i) for i in (0, 1)]
+    delta = 1.0 - 2.0 * max(rl / (rl + lam) if rl + lam > 0 else 1.0 for lam, rl, _ in doms)
+    P = [M[i] + cfg.rho * G[i] for i in (0, 1)]
+    return delta, P, [np.zeros_like(X) for X in P], [c for _, _, c in doms]
+
+
+def _pcpm_cert(cfg, view, M, G, L):
+    if (view.sigmas[0] > 0) != (view.sigmas[1] > 0):
+        raise ConfigError(
+            "pcpm treats both blocks the same: sigma_f and sigma_g must "
+            "share the regime (both zero or both positive)"
+        )
+    doms = [_dominance(cfg, M, G, i, factor=2) for i in (0, 1)]
+    delta = 1.0 - 2.0 * max(rl / lam if lam > 0 else 1.0 for lam, rl, _ in doms)
+    return delta, list(M), [np.zeros_like(X) for X in M], [c for _, _, c in doms]
+
+
+EXACT = Block(exact=True)
+LINEARIZED = Block(exact=False)
+ADMM_FIRST = Block(exact=True, accelerated=False)
+
+KINDS = {
+    "prox-al": Kind((EXACT,), _single_cert, floor=(0,)),
+    "prox-lin-al": Kind((LINEARIZED,), _single_cert, floor=(1,)),
+    "smooth-prox-al": Kind((EXACT,), _single_cert, floor=(0,), smooth_linearized=True),
+    "smooth-lin-al": Kind((LINEARIZED,), _single_cert, floor=(1,), smooth_linearized=True),
+    "prox-admm": Kind((ADMM_FIRST, EXACT), _prox_admm_cert, floor=(0, 0)),
+    "prox-lin-admm": Kind((ADMM_FIRST, LINEARIZED), _lin_admm_cert, floor=(0, 1)),
+    "chambolle-pock": Kind(
+        (ADMM_FIRST, LINEARIZED), _chambolle_pock_cert, floor=(0, 1), alpha=True
+    ),
+    "prox-jacobi": Kind((EXACT, EXACT), _prox_jacobi_cert, floor=(1, 1), jacobi=True),
+    "pcpm": Kind((LINEARIZED, LINEARIZED), _pcpm_cert, floor=(2, 2), jacobi=True),
+    "full-lin-admm": Kind((LINEARIZED, LINEARIZED), _lin_admm_cert, floor=(1, 1)),
+}
+MAP_KINDS = tuple(KINDS)
+
+
+def _spec(kind):
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise ConfigError(
+            f"unknown map kind {kind!r} (choose from {', '.join(MAP_KINDS)})"
+        ) from None
+
+
+def _view(kind, prob):
+    """(table row, _View) of prob for the map kind."""
+    spec = _spec(kind)
+    if len(spec.blocks) == 1:
+        sp = single_problem(prob)
+        return spec, _View((sp.A,), (sp.f,), (sp.sigma,), sp.b, sp.smooth)
     if not isinstance(prob, BlockProblem):
         raise ConfigError(f"{kind} requires a two-block problem")
-    return prob
+    bp = prob
+    return spec, _View((bp.A, bp.B), (bp.f_term, bp.g_term), (bp.sigma_f, bp.sigma_g), bp.b)
 
 
-def _weight(cfg, name, dim):
-    M = getattr(cfg, name)
-    if M is None:
-        raise ConfigError(f"{cfg.kind} requires weight matrix {name}")
-    if M.shape[0] != dim:
-        raise ConfigError(
-            f"{cfg.kind}: {name} has dimension {M.shape[0]}, expected {dim}"
-        )
-    return M
+def _weight_names(blocks):
+    return ("M",) if blocks == 1 else ("M1", "M2")
+
+
+def _weights(cfg, spec, view):
+    dims = view.dims
+    if spec.alpha:
+        if cfg.alpha is None:
+            raise ConfigError(f"{cfg.kind} requires alpha")
+        return [np.zeros((dims[0], dims[0])), (1.0 / cfg.alpha) * np.eye(dims[1])]
+    out = []
+    for name, dim in zip(_weight_names(len(dims)), dims):
+        M = getattr(cfg, name)
+        if M is None:
+            raise ConfigError(f"{cfg.kind} requires weight matrix {name}")
+        if M.shape[0] != dim:
+            raise ConfigError(f"{cfg.kind}: {name} has dimension {M.shape[0]}, expected {dim}")
+        out.append(M)
+    return out
+
+
+def _block_name(kind, i, blocks):
+    return kind if blocks == 1 else f"{kind} {('first', 'second')[i]} block"
+
+
+def _hessian(spec, view, i, rho_t, w, M_i, G_i):
+    """V_i = w M_i [+ rho_t G_i] [+ H], G_i = A_i'A_i read on exact blocks only."""
+    V = w * M_i
+    if spec.blocks[i].exact:
+        V = rho_t * G_i + V
+    if view.smooth is not None and not spec.smooth_linearized:
+        V = V + view.smooth.term.H
+    return V
 
 
 def _check_exact_solvable(term, pattern, context):
@@ -171,10 +351,6 @@ def _check_exact_solvable(term, pattern, context):
             )
 
 
-def _gram(M):
-    return M.T @ M
-
-
 def certificate(cfg, prob):
     """Exact (delta, P, Q) certificate of the map on this problem.
 
@@ -182,158 +358,29 @@ def certificate(cfg, prob):
     cannot be certified with the given weights and base rho.
     """
     kind = cfg.kind
-    rho = cfg.rho
-    conds = []
-
-    if kind in SINGLE_KINDS:
-        sp = _single_problem(prob)
-        n = sp.n
-        M = _weight(cfg, "M", n)
-        AtA = _gram(sp.A)
-        if kind in SMOOTH_KINDS:
-            if sp.smooth is None:
-                raise ConfigError(f"{kind} requires a smooth objective part")
-            if sp.smooth.term.strong_convexity != 0.0:
-                raise ConfigError(
-                    f"{kind} handles the smooth part by gradient linearization; "
-                    "its declared strong-convexity contribution must be zero"
-                )
-            L = sp.smooth.lipschitz_grad
-        if kind == "prox-al":
-            conds.append(Condition("lambda_min(M) >= 0", linalg.lambda_min(M), strict=False))
-            P, Q = M, M
-            pattern = rho * AtA + M
-            if sp.smooth is not None:
-                pattern = pattern + sp.smooth.term.H
-            _check_exact_solvable(sp.f, pattern, kind)
-        elif kind == "prox-lin-al":
-            P = M - rho * AtA
-            conds.append(
-                Condition("lambda_min(M - rho A'A) >= 0", linalg.lambda_min(P), strict=False)
-            )
-            Q = P
-        elif kind == "smooth-prox-al":
-            P = M
-            Q = M - L * np.eye(n)
-            conds.append(
-                Condition("lambda_min(M - L I) >= 0", linalg.lambda_min(Q), strict=False)
-            )
-            _check_exact_solvable(sp.f, rho * AtA + M, kind)
-        else:  # smooth-lin-al
-            P = M - rho * AtA
-            Q = P - L * np.eye(n)
-            conds.append(
-                Condition(
-                    "lambda_min(M - rho A'A - L I) >= 0", linalg.lambda_min(Q), strict=False
-                )
-            )
-        delta = 1.0
-        cert = NiceCertificate(kind=kind, delta=delta, P=P, Q=Q, conditions=tuple(conds))
-        return _validated(cert)
-
-    bp = _block_problem(prob, kind)
-    n1, n2 = bp.n1, bp.n2
-    AtA = _gram(bp.A)
-    BtB = _gram(bp.B)
-    lamA = linalg.lambda_max(AtA)
-    lamB = linalg.lambda_max(BtB)
-
-    if kind == "chambolle-pock":
-        if n1 != bp.m or np.max(np.abs(bp.A - np.eye(bp.m)), initial=0.0) > 1e-12:
-            raise ConfigError("chambolle-pock requires the first block map A = I")
-        if cfg.alpha is None:
-            raise ConfigError("chambolle-pock requires alpha")
-        alpha = cfg.alpha
-        delta = 1.0 - rho * alpha * lamB
-        conds.append(Condition("1 - rho alpha lambda_max(B'B) > 0", delta))
-        P1 = np.zeros((n1, n1))
-        Q1 = np.zeros((n1, n1))
-        P2 = np.eye(n2) / alpha
-        Q2 = np.zeros((n2, n2))
-        _check_exact_solvable(bp.f_term, rho * np.eye(n1), kind + " first block")
-    elif kind == "prox-admm":
-        M1 = _weight(cfg, "M1", n1)
-        M2 = _weight(cfg, "M2", n2)
-        lam2 = linalg.lambda_min(M2)
-        conds.append(Condition("lambda_min(M1) >= 0", linalg.lambda_min(M1), strict=False))
-        conds.append(Condition("lambda_min(M2) > 0", lam2))
-        delta = 1.0 - rho * lamB / (rho * lamB + lam2) if lam2 > 0 else 0.0
-        P1, Q1 = M1, M1
-        P2 = M2 + rho * BtB
-        Q2 = np.zeros((n2, n2))
-        _check_exact_solvable(bp.f_term, rho * AtA + M1, kind + " first block")
-        _check_exact_solvable(bp.g_term, rho * BtB + M2, kind + " second block")
-    elif kind == "prox-lin-admm":
-        M1 = _weight(cfg, "M1", n1)
-        M2 = _weight(cfg, "M2", n2)
-        lam2 = linalg.lambda_min(M2)
-        conds.append(Condition("lambda_min(M1) >= 0", linalg.lambda_min(M1), strict=False))
-        conds.append(Condition("lambda_min(M2) - rho lambda_max(B'B) > 0", lam2 - rho * lamB))
-        delta = 1.0 - rho * lamB / lam2 if lam2 > 0 else 0.0
-        P1, Q1 = M1, M1
-        P2 = M2
-        Q2 = np.zeros((n2, n2))
-        _check_exact_solvable(bp.f_term, rho * AtA + M1, kind + " first block")
-    elif kind == "prox-jacobi":
-        M1 = _weight(cfg, "M1", n1)
-        M2 = _weight(cfg, "M2", n2)
-        lam1 = linalg.lambda_min(M1)
-        lam2 = linalg.lambda_min(M2)
-        conds.append(Condition("lambda_min(M1) - rho lambda_max(A'A) > 0", lam1 - rho * lamA))
-        conds.append(Condition("lambda_min(M2) - rho lambda_max(B'B) > 0", lam2 - rho * lamB))
-        a1 = rho * lamA / (rho * lamA + lam1) if rho * lamA + lam1 > 0 else 1.0
-        a2 = rho * lamB / (rho * lamB + lam2) if rho * lamB + lam2 > 0 else 1.0
-        delta = 1.0 - 2.0 * max(a1, a2)
-        P1 = M1 + rho * AtA
-        P2 = M2 + rho * BtB
-        Q1 = np.zeros((n1, n1))
-        Q2 = np.zeros((n2, n2))
-        _check_exact_solvable(bp.f_term, rho * AtA + M1, kind + " first block")
-        _check_exact_solvable(bp.g_term, rho * BtB + M2, kind + " second block")
-    elif kind == "pcpm":
-        M1 = _weight(cfg, "M1", n1)
-        M2 = _weight(cfg, "M2", n2)
-        if (bp.sigma_f > 0) != (bp.sigma_g > 0):
+    spec, view = _view(kind, prob)
+    M = _weights(cfg, spec, view)
+    L = 0.0
+    if spec.smooth_linearized:
+        if view.smooth is None:
+            raise ConfigError(f"{kind} requires a smooth objective part")
+        if view.smooth.term.strong_convexity != 0.0:
             raise ConfigError(
-                "pcpm treats both blocks the same: sigma_f and sigma_g must "
-                "share the regime (both zero or both positive)"
+                f"{kind} handles the smooth part by gradient linearization; "
+                "its declared strong-convexity contribution must be zero"
             )
-        lam1 = linalg.lambda_min(M1)
-        lam2 = linalg.lambda_min(M2)
-        conds.append(Condition("lambda_min(M1) - 2 rho lambda_max(A'A) > 0", lam1 - 2 * rho * lamA))
-        conds.append(Condition("lambda_min(M2) - 2 rho lambda_max(B'B) > 0", lam2 - 2 * rho * lamB))
-        a1 = rho * lamA / lam1 if lam1 > 0 else 1.0
-        a2 = rho * lamB / lam2 if lam2 > 0 else 1.0
-        delta = 1.0 - 2.0 * max(a1, a2)
-        P1, P2 = M1, M2
-        Q1 = np.zeros((n1, n1))
-        Q2 = np.zeros((n2, n2))
-    else:  # full-lin-admm: both blocks linearize the penalty, Gauss-Seidel order
-        M1 = _weight(cfg, "M1", n1)
-        M2 = _weight(cfg, "M2", n2)
-        lam2 = linalg.lambda_min(M2)
-        P1 = M1 - rho * AtA
-        conds.append(
-            Condition("lambda_min(M1 - rho A'A) >= 0", linalg.lambda_min(P1), strict=False)
-        )
-        conds.append(Condition("lambda_min(M2) - rho lambda_max(B'B) > 0", lam2 - rho * lamB))
-        delta = 1.0 - rho * lamB / lam2 if lam2 > 0 else 0.0
-        Q1 = P1
-        P2 = M2
-        Q2 = np.zeros((n2, n2))
-
-    cert = NiceCertificate(
-        kind=kind,
-        delta=delta,
-        P=scipy_block_diag([P1, P2]),
-        Q=scipy_block_diag([Q1, Q2]),
-        conditions=tuple(conds),
-        P1=P1,
-        P2=P2,
-        Q1=Q1,
-        Q2=Q2,
-    )
-    return _validated(cert)
+        L = view.smooth.lipschitz_grad
+    G = [A.T @ A for A in view.ops]
+    delta, P, Q, conds = spec.certify(cfg, view, M, G, L)
+    for i, block in enumerate(spec.blocks):
+        if block.exact:
+            pattern = _hessian(spec, view, i, cfg.rho, 1.0, M[i], G[i])
+            _check_exact_solvable(view.terms[i], pattern, _block_name(kind, i, len(M)))
+    if len(P) == 1:
+        return _validated(NiceCertificate(kind, delta, P[0], Q[0], tuple(conds)))
+    blocks = dict(P1=P[0], P2=P[1], Q1=Q[0], Q2=Q[1])
+    P, Q = scipy.linalg.block_diag(*P), scipy.linalg.block_diag(*Q)
+    return _validated(NiceCertificate(kind, delta, P, Q, tuple(conds), **blocks))
 
 
 def _validated(cert):
@@ -356,96 +403,26 @@ def _validated(cert):
 
 def prim_step(cfg, sched, z, lam, prob):
     """One primal update z+ from (z, lambda) under the given schedule."""
-    kind = cfg.kind
-    rho_t, tau_t = sched.rho_t, sched.tau_t
+    spec, view = _view(cfg.kind, prob)
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
-
-    if kind in SINGLE_KINDS:
-        sp = _single_problem(prob)
-        if z.shape != (sp.n,) or lam.shape != (sp.m,):
-            raise ConfigError("prim_step dimension mismatch")
-        A, b = sp.A, sp.b
-        M = _weight(cfg, "M", sp.n)
-        if kind == "prox-al":
-            V = rho_t * _gram(A) + tau_t * M
-            g = A.T @ lam - rho_t * (A.T @ b) - tau_t * (M @ z)
-            if sp.smooth is not None:
-                V = V + sp.smooth.term.H
-                g = g + sp.smooth.term.q
-        elif kind == "prox-lin-al":
-            V = tau_t * M
-            g = A.T @ (lam + rho_t * (A @ z - b)) - tau_t * (M @ z)
-            if sp.smooth is not None:
-                V = V + sp.smooth.term.H
-                g = g + sp.smooth.term.q
-        elif kind == "smooth-prox-al":
-            V = rho_t * _gram(A) + tau_t * M
-            g = A.T @ lam - rho_t * (A.T @ b) + sp.grad_smooth(z) - tau_t * (M @ z)
-        else:  # smooth-lin-al
-            V = tau_t * M
-            g = A.T @ (lam + rho_t * (A @ z - b)) + sp.grad_smooth(z) - tau_t * (M @ z)
-        return argmin_composite(sp.f, g, V, name=kind)
-
-    bp = _block_problem(prob, kind)
-    if z.shape != (bp.n1 + bp.n2,) or lam.shape != (bp.m,):
+    if z.shape != (sum(view.dims),) or lam.shape != view.b.shape:
         raise ConfigError("prim_step dimension mismatch")
-    u, v = bp.split(z)
-    A, B, b = bp.A, bp.B, bp.b
-
-    if kind == "chambolle-pock":
-        V1 = rho_t * np.eye(bp.n1)
-        g1 = lam + rho_t * (B @ v - b)
-        u_new = argmin_composite(bp.f_term, g1, V1, name=kind + " first block")
-        W2 = (tau_t / cfg.alpha) * np.eye(bp.n2)
-        g2 = B.T @ (lam + rho_t * (u_new + B @ v - b)) - W2 @ v
-        v_new = argmin_composite(bp.g_term, g2, W2, name=kind + " second block")
-    elif kind == "prox-admm":
-        M1 = _weight(cfg, "M1", bp.n1)
-        M2 = _weight(cfg, "M2", bp.n2)
-        V1 = rho_t * _gram(A) + M1
-        g1 = A.T @ lam + rho_t * (A.T @ (B @ v - b)) - M1 @ u
-        u_new = argmin_composite(bp.f_term, g1, V1, name=kind + " first block")
-        V2 = rho_t * _gram(B) + tau_t * M2
-        g2 = B.T @ lam + rho_t * (B.T @ (A @ u_new - b)) - tau_t * (M2 @ v)
-        v_new = argmin_composite(bp.g_term, g2, V2, name=kind + " second block")
-    elif kind == "prox-lin-admm":
-        M1 = _weight(cfg, "M1", bp.n1)
-        M2 = _weight(cfg, "M2", bp.n2)
-        V1 = rho_t * _gram(A) + M1
-        g1 = A.T @ lam + rho_t * (A.T @ (B @ v - b)) - M1 @ u
-        u_new = argmin_composite(bp.f_term, g1, V1, name=kind + " first block")
-        W2 = tau_t * M2
-        g2 = B.T @ (lam + rho_t * (A @ u_new + B @ v - b)) - W2 @ v
-        v_new = argmin_composite(bp.g_term, g2, W2, name=kind + " second block")
-    elif kind == "prox-jacobi":
-        M1 = _weight(cfg, "M1", bp.n1)
-        M2 = _weight(cfg, "M2", bp.n2)
-        V1 = rho_t * _gram(A) + tau_t * M1
-        g1 = A.T @ lam + rho_t * (A.T @ (B @ v - b)) - tau_t * (M1 @ u)
-        u_new = argmin_composite(bp.f_term, g1, V1, name=kind + " first block")
-        V2 = rho_t * _gram(B) + tau_t * M2
-        g2 = B.T @ lam + rho_t * (B.T @ (A @ u - b)) - tau_t * (M2 @ v)
-        v_new = argmin_composite(bp.g_term, g2, V2, name=kind + " second block")
-    elif kind == "pcpm":
-        M1 = _weight(cfg, "M1", bp.n1)
-        M2 = _weight(cfg, "M2", bp.n2)
-        lam_hat = lam + rho_t * (A @ u + B @ v - b)
-        u_new = argmin_composite(
-            bp.f_term, A.T @ lam_hat - tau_t * (M1 @ u), tau_t * M1, name=kind + " first block"
-        )
-        v_new = argmin_composite(
-            bp.g_term, B.T @ lam_hat - tau_t * (M2 @ v), tau_t * M2, name=kind + " second block"
-        )
-    else:  # full-lin-admm
-        M1 = _weight(cfg, "M1", bp.n1)
-        M2 = _weight(cfg, "M2", bp.n2)
-        g1 = A.T @ (lam + rho_t * (A @ u + B @ v - b)) - tau_t * (M1 @ u)
-        u_new = argmin_composite(bp.f_term, g1, tau_t * M1, name=kind + " first block")
-        g2 = B.T @ (lam + rho_t * (A @ u_new + B @ v - b)) - tau_t * (M2 @ v)
-        v_new = argmin_composite(bp.g_term, g2, tau_t * M2, name=kind + " second block")
-
-    return np.concatenate([u_new, v_new])
+    M = _weights(cfg, spec, view)
+    rho_t, tau_t = sched.rho_t, sched.tau_t
+    old = view.split(z)
+    new = list(old)
+    for i, (block, A) in enumerate(zip(spec.blocks, view.ops)):
+        src = old if spec.jacobi else new
+        parts = [B @ src[j] for j, B in enumerate(view.ops) if j != i or not block.exact]
+        r = sum(parts, -view.b)
+        w = tau_t if block.accelerated else 1.0
+        V = _hessian(spec, view, i, rho_t, w, M[i], A.T @ A if block.exact else None)
+        g = A.T @ (lam + rho_t * r) - w * (M[i] @ old[i])
+        if view.smooth is not None:
+            g = g + (view.smooth.term.grad(z) if spec.smooth_linearized else view.smooth.term.q)
+        new[i] = argmin_composite(view.terms[i], g, V, name=_block_name(cfg.kind, i, len(M)))
+    return new[0] if len(new) == 1 else np.concatenate(new)
 
 
 def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None):
@@ -472,32 +449,17 @@ def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None)
     feas_next = float(np.linalg.norm(A @ z_next - b))
     pen_term = 0.5 * delta * rho_t * feas_next**2
 
-    family = cert.family
-    if family == "single":
-        sp = _single_problem(prob)
-        bregman = tau_t * delta_P(cert.P, xi, z, z_next)
-        q_term = 0.5 * tau_t * quad_norm(cert.Q, z_next - z)
-        sc_term = 0.5 * sp.sigma * float(np.sum((xi - z_next) ** 2))
-    else:
-        bp = prob
-        u, v = bp.split(z)
-        un, vn = bp.split(z_next)
-        xu, xv = bp.split(xi)
-        if family == "admm":
-            bregman = delta_P(cert.P1, xu, u, un) + tau_t * delta_P(cert.P2, xv, v, vn)
-            q_term = 0.5 * quad_norm(cert.Q1, un - u) + 0.5 * tau_t * quad_norm(
-                cert.Q2, vn - v
-            )
-            sc_term = 0.5 * bp.sigma_g * float(np.sum((xv - vn) ** 2))
-        else:  # symmetric
-            bregman = tau_t * (delta_P(cert.P1, xu, u, un) + delta_P(cert.P2, xv, v, vn))
-            q_term = 0.5 * tau_t * (
-                quad_norm(cert.Q1, un - u) + quad_norm(cert.Q2, vn - v)
-            )
-            sc_term = 0.5 * (
-                bp.sigma_f * float(np.sum((xu - un) ** 2))
-                + bp.sigma_g * float(np.sum((xv - vn) ** 2))
-            )
+    spec, view = _view(cert.kind, prob)
+    bregman = q_term = sc_term = 0.0
+    points = (view.split(xi), view.split(z), view.split(z_next))
+    for block, sigma, P, Q, xi_i, z_i, zn_i in zip(
+        spec.blocks, view.sigmas, cert.block_P, cert.block_Q, *points
+    ):
+        w = tau_t if block.accelerated else 1.0
+        bregman += w * delta_P(P, xi_i, z_i, zn_i)
+        q_term += 0.5 * w * quad_norm(Q, zn_i - z_i)
+        if block.accelerated:
+            sc_term += 0.5 * sigma * float(np.sum((xi_i - zn_i) ** 2))
 
     rhs = bregman - q_term - sc_term - pen_term
     residual = lhs - rhs
@@ -536,15 +498,16 @@ def feasible_sampler(prob, seed=0, scale=1.0):
             yield x_part + null_basis @ w
 
 
+def block_sigmas(kind, prob):
+    """(accelerated, sigma_i) for each block of the map kind on prob; the
+    analysis exploits sigma_i on accelerated blocks only."""
+    spec, view = _view(kind, prob)
+    return [(block.accelerated, s) for block, s in zip(spec.blocks, view.sigmas)]
+
+
 def default_p(cfg, prob):
     """Regime implied by the strong convexity the map's analysis exploits."""
-    family = residual_family(cfg.kind)
-    if family == "single":
-        return 2 if _single_problem(prob).sigma > 0 else 1
-    bp = _block_problem(prob, cfg.kind)
-    if family == "admm":
-        return 2 if bp.sigma_g > 0 else 1
-    return 2 if min(bp.sigma_f, bp.sigma_g) > 0 else 1
+    return 2 if all(s > 0 for acc, s in block_sigmas(cfg.kind, prob) if acc) else 1
 
 
 def sample_niceness(
@@ -572,9 +535,7 @@ def sample_niceness(
         t_values = (1.0,)
     rng = np.random.default_rng(seed)
     xi_gen = feasible_sampler(prob, seed=seed + 1, scale=xi_scale)
-    A = constraint_map(prob)
-    n = A.shape[1]
-    m = A.shape[0]
+    m, n = constraint_map(prob).shape
     center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
     t_cycle = itertools.cycle(t_values)
 
@@ -613,49 +574,19 @@ def make_config(kind, prob, rho, policy="auto", scale=1.0, margin=1.0, alpha=Non
     defaults to 1/scale). auto: the minimal scaled identity satisfying each
     certificate condition with absolute slack `margin`.
     """
-    residual_family(kind)
+    spec, view = _view(kind, prob)
     if policy not in ("identity-scaled", "auto"):
         raise ConfigError(f"unknown matrix policy {policy!r}")
-    if kind in SINGLE_KINDS:
-        sp = _single_problem(prob)
-        n = sp.n
-        if policy == "identity-scaled":
-            return MapConfig(kind=kind, rho=rho, M=scale * np.eye(n))
-        lamA = linalg.lambda_max(_gram(sp.A))
-        L = sp.smooth.lipschitz_grad if (sp.smooth is not None and kind in SMOOTH_KINDS) else 0.0
-        if kind == "prox-al":
-            s = margin
-        elif kind == "prox-lin-al":
-            s = rho * lamA + margin
-        elif kind == "smooth-prox-al":
-            s = L + margin
-        else:
-            s = rho * lamA + L + margin
-        return MapConfig(kind=kind, rho=rho, M=s * np.eye(n))
-
-    bp = _block_problem(prob, kind)
-    lamA = linalg.lambda_max(_gram(bp.A))
-    lamB = linalg.lambda_max(_gram(bp.B))
-    if kind == "chambolle-pock":
-        if alpha is None:
-            alpha = 1.0 / scale if policy == "identity-scaled" else 1.0 / (rho * lamB + margin)
-        return MapConfig(kind=kind, rho=rho, alpha=alpha)
     if policy == "identity-scaled":
-        s1 = s2 = scale
-    elif kind == "prox-admm":
-        s1 = s2 = margin
-    elif kind == "prox-lin-admm":
-        s1 = margin
-        s2 = rho * lamB + margin
-    elif kind == "prox-jacobi":
-        s1 = rho * lamA + margin
-        s2 = rho * lamB + margin
-    elif kind == "pcpm":
-        s1 = 2 * rho * lamA + margin
-        s2 = 2 * rho * lamB + margin
-    else:  # full-lin-admm
-        s1 = rho * lamA + margin
-        s2 = rho * lamB + margin
-    return MapConfig(
-        kind=kind, rho=rho, M1=s1 * np.eye(bp.n1), M2=s2 * np.eye(bp.n2)
-    )
+        s = [scale] * len(view.ops)
+    else:
+        linearized = view.smooth is not None and spec.smooth_linearized
+        L = view.smooth.lipschitz_grad if linearized else 0.0
+        s = [
+            (c * rho * linalg.lambda_max(A.T @ A) if c else 0.0) + L + margin
+            for c, A in zip(spec.floor, view.ops)
+        ]
+    if spec.alpha:
+        return MapConfig(kind=kind, rho=rho, alpha=1.0 / s[1] if alpha is None else alpha)
+    weights = zip(_weight_names(len(s)), s, view.dims)
+    return MapConfig(kind=kind, rho=rho, **{name: c * np.eye(n) for name, c, n in weights})

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import ConfigError, DataError
@@ -243,22 +244,11 @@ def quadratic_data(term):
         datas = [quadratic_data(p) for p in term.parts]
         if any(d is None for d in datas):
             return None
-        H = scipy_block_diag([d[0] for d in datas])
+        H = scipy.linalg.block_diag(*[d[0] for d in datas])
         q = np.concatenate([d[1] for d in datas])
         r = float(sum(d[2] for d in datas))
         return H, q, r
     return None
-
-
-def scipy_block_diag(blocks):
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    start = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[start : start + k, start : start + k] = b
-        start += k
-    return out
 
 
 def nonsmooth_parts(term):
@@ -476,6 +466,15 @@ def flatten_block(bp):
         sigma=min(bp.sigma_f, bp.sigma_g),
         feasible_point=bp.feasible_point,
     )
+
+
+def single_problem(p):
+    """p as a single-variable problem (block problems are flattened)."""
+    if isinstance(p, BlockProblem):
+        return flatten_block(p)
+    if isinstance(p, ConstrainedProblem):
+        return p
+    raise ConfigError(f"unsupported problem type {type(p).__name__}")
 
 
 def constraint_map(p):

@@ -1,8 +1,8 @@
 """Closed-form proximal subproblem solvers.
 
 Every map step reduces to  argmin_x  term(x) + <g, x> + 0.5 x'Vx  for a PSD
-weight V assembled by the caller; prox_weighted exposes the anchored form
-argmin_x term(x) + <linear, x> + 0.5 ||x - anchor||_W^2. Non-quadratic terms
+weight V assembled by the caller (the anchored form term(x) + <linear, x> +
+0.5 ||x - anchor||_W^2 is g = linear - W anchor, V = W). Non-quadratic terms
 require a strictly positive diagonal weight so the minimizer stays closed
 form; configurations without one are rejected with a pointer to the
 linearized map variants.
@@ -11,18 +11,8 @@ linearized map variants.
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DegenerateSubproblemError, NumericalError
+from .errors import ConfigError, DegenerateSubproblemError
 from .problems import Box, L1, Quadratic, Separable, Zero
-
-STATIONARITY_TOL = 1e-8
-
-
-def validate_weight(W, n=None, name="weight"):
-    """Check the weight-matrix invariant: symmetric within 1e-10, PSD."""
-    W = linalg.check_psd(W, name)
-    if n is not None and W.shape[0] != n:
-        raise ConfigError(f"{name} has dimension {W.shape[0]}, expected {n}")
-    return W
 
 
 def soft_threshold(w, t):
@@ -32,16 +22,6 @@ def soft_threshold(w, t):
         raise ConfigError("soft_threshold requires t > 0")
     w = np.asarray(w, dtype=float)
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
-
-
-def solve_regularized_quadratic(H, q, W, anchor):
-    """Minimize 0.5 x'Hx + q'x + 0.5 ||x - anchor||_W^2, i.e. solve
-    (H + W) x = W anchor - q."""
-    H = linalg.check_symmetric(H, "H")
-    W = linalg.check_symmetric(W, "W")
-    q = np.asarray(q, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    return linalg.solve_spd(H + W, W @ anchor - q, name="regularized quadratic")
 
 
 def _diag_of(V, context):
@@ -94,32 +74,3 @@ def argmin_composite(term, g, V, name="subproblem"):
             x[s] = argmin_composite(part, g[s], V[s, s], name=f"{name}[{i}]")
         return x
     raise ConfigError(f"{name}: unsupported term {type(term).__name__}")
-
-
-def prox_residual(term, x, linear, V, anchor=None):
-    """Stationarity residual: distance from the implied negative gradient of
-    the smooth part to the subdifferential of term at x."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(linear, dtype=float) + V @ x
-    if anchor is not None:
-        g = g - V @ np.asarray(anchor, dtype=float)
-    return term.subgrad_dist(x, -g)
-
-
-def prox_weighted(term, linear, W, anchor, sigma=0.0):
-    """Minimize term(x) + <linear, x> + 0.5 ||x - anchor||_W^2.
-
-    W must be symmetric PSD; with sigma = 0 and a non-quadratic term, W must
-    be strictly positive definite for uniqueness. The returned point satisfies
-    a stationarity residual <= 1e-8 * (1 + ||anchor||).
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    linear = np.asarray(linear, dtype=float)
-    W = validate_weight(W, term.dim, "W")
-    x = argmin_composite(term, linear - W @ anchor, W, name="weighted prox")
-    resid = prox_residual(term, x, linear, W, anchor)
-    if resid > STATIONARITY_TOL * (1.0 + float(np.linalg.norm(anchor))):
-        raise NumericalError(
-            f"weighted prox stationarity residual {resid:.3e} exceeds tolerance"
-        )
-    return x

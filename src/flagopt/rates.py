@@ -24,18 +24,16 @@ from . import linalg
 from .driver import RunParams, flag_iterate, initial_state, resolve_params
 from .errors import ConfigError, NumericalError, UnreliableReferenceError
 from .lagrangian import quad_norm
-from .maps import make_config
+from .maps import block_sigmas, make_config
 from .problems import (
     Box,
-    BlockProblem,
-    ConstrainedProblem,
     L1,
     Quadratic,
     Separable,
     Zero,
     eval_objective,
-    flatten_block,
     quadratic_data,
+    single_problem,
 )
 
 REF_TOL = 1e-9
@@ -59,18 +57,10 @@ class ReferenceSolution:
             raise ConfigError("c must be >= 0")
 
 
-def _single(prob):
-    if isinstance(prob, BlockProblem):
-        return flatten_block(prob)
-    if isinstance(prob, ConstrainedProblem):
-        return prob
-    raise ConfigError(f"unsupported problem type {type(prob).__name__}")
-
-
 def kkt_residual(prob, x, y):
     """max of the feasibility norm and the distance of -A'y to the
     subdifferential of Psi at x."""
-    sp = _single(prob)
+    sp = single_problem(prob)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     stat = sp.subgrad_dist(x, -(sp.A.T @ y))
@@ -312,7 +302,7 @@ def _long_run_route(sp, cap=60000):
 
 def reference_solve(prob, c=None):
     """Verified reference solution; c defaults to exactly 2 ||y*||."""
-    sp = _single(prob)
+    sp = single_problem(prob)
     if quadratic_data(sp.f) is not None:
         x, y = _quadratic_reference(sp)
     else:
@@ -351,21 +341,12 @@ def bound_constant(P, x_star, z0, y0, mu, rho, c, p):
 
 
 def p2_condition(cert, prob):
-    """Fast-rate eligibility: P <= (sigma/2) I blockwise for the strong
-    convexity the map's family exploits."""
-    tol = 1e-9
-    if cert.family == "single":
-        sp = _single(prob)
-        return linalg.lambda_max(cert.P) <= 0.5 * sp.sigma + tol
-    bp = prob
-    if cert.family == "admm":
-        return (
-            linalg.lambda_max(cert.P1) <= tol
-            and linalg.lambda_max(cert.P2) <= 0.5 * bp.sigma_g + tol
-        )
-    return (
-        linalg.lambda_max(cert.P1) <= 0.5 * bp.sigma_f + tol
-        and linalg.lambda_max(cert.P2) <= 0.5 * bp.sigma_g + tol
+    """Fast-rate eligibility: P_i <= (sigma_i/2) I on every block, where
+    sigma_i is the strong convexity the map exploits there (none on blocks it
+    does not accelerate)."""
+    return all(
+        linalg.lambda_max(P) <= (0.5 * sigma if accelerated else 0.0) + 1e-9
+        for P, (accelerated, sigma) in zip(cert.block_P, block_sigmas(cert.kind, prob))
     )
 
 

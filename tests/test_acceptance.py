@@ -38,11 +38,11 @@ from flagopt.problems import (
     constraint_map,
     eval_objective,
     flatten_block,
+    single_problem,
 )
 from flagopt.rates import (
     _long_run_route,
     _penalty_route,
-    _single,
     bound_constant,
     fit_slope,
     kkt_residual,
@@ -363,7 +363,7 @@ def test_criterion_7_reference_oracle_integrity(qp_cases, lasso_cases, announce)
         worst_kkt = max(worst_kkt, res)
     worst_gap = -np.inf
     for case in lasso_cases:
-        sp = _single(case["prob"])
+        sp = single_problem(case["prob"])
         xa, _ = polish(sp, _penalty_route(sp)[0])
         xb, _ = polish(sp, _long_run_route(sp))
         gap = float(np.linalg.norm(xa - xb))

@@ -137,6 +137,26 @@ class TestCertify:
         assert "margin" in out
         assert "certified: yes" in out
 
+    @pytest.mark.parametrize(
+        "family,n,m,seed,kind",
+        [
+            ("eq-qp", 20, 5, 2, "prox-lin-al"),
+            ("smooth-composite", 12, 4, 8, "smooth-lin-al"),
+            ("smooth-composite", 12, 4, 15, "smooth-lin-al"),
+        ],
+    )
+    def test_repeated_extreme_eigenvalue(self, tmp_path, capsys, family, n, m, seed, kind):
+        # P = M - rho A'A of these instances has a repeated top eigenvalue,
+        # where LAPACK's index-subset eigenvalue drivers fail
+        path = str(tmp_path / "p.json")
+        rc = main(
+            ["gen", family, "--n", str(n), "--m", str(m), "--seed", str(seed), "--out", path]
+        )
+        assert rc == 0
+        rc = main(["certify", "--problem", path, "--map", kind, "--states", "10", "--xis", "4"])
+        assert rc == 0, capsys.readouterr().err
+        assert "certified: yes" in capsys.readouterr().out
+
     def test_failed_condition_named(self, lasso_path, capsys):
         rc = main(
             [
@@ -190,6 +210,39 @@ class TestVerify:
         err = capsys.readouterr().err
         assert rc == 4
         assert "96" in err and "101" in err
+
+    def test_non_numeric_cell_is_io_error(self, qp_path, tmp_path, capsys):
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
+        assert rc == 0
+        text = open(traj).read().splitlines()
+        text[-1] = "abc" + text[-1][text[-1].index(","):]
+        with open(traj, "w") as fh:
+            fh.write("\n".join(text) + "\n")
+        rc = main(
+            [
+                "verify", "--problem", qp_path, "--traj", str(traj),
+                "--manifest", str(traj) + ".manifest.json",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_manifest_missing_key_is_io_error(self, qp_path, tmp_path, capsys):
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
+        assert rc == 0
+        manifest_path = str(traj) + ".manifest.json"
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        del manifest["mu"]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        rc = main(
+            ["verify", "--problem", qp_path, "--traj", str(traj), "--manifest", manifest_path]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.count("\n") == 1 and "'mu'" in err
 
     def test_tampered_trajectory_fails_then_env_tol_loosens(
         self, qp_path, tmp_path, monkeypatch, capsys

@@ -12,8 +12,11 @@ from flagopt import (
     SmoothTerm,
     Zero,
 )
+from flagopt.driver import RunParams, run
+from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_aug_lagrangian
 from flagopt.maps import (
+    KINDS,
     MAP_KINDS,
     MapConfig,
     ScheduleParams,
@@ -23,10 +26,10 @@ from flagopt.maps import (
     make_config,
     nice_residual,
     prim_step,
-    residual_family,
     sample_niceness,
     schedule_at,
 )
+from flagopt.problems import flatten_block
 
 
 def one_d_problem(sigma=1.0, b=1.0):
@@ -195,7 +198,7 @@ class TestCertificates:
                 prob = smooth_p
             elif kind == "chambolle-pock":
                 prob = cp_block
-            elif residual_family(kind) == "single":
+            elif len(KINDS[kind].blocks) == 1:
                 prob = single
             else:
                 prob = block
@@ -372,5 +375,72 @@ class TestDefaults:
         assert default_p(make_config("prox-jacobi", bp, 1.0), bp) == 1
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            residual_family("gradient-descent")
+        for build in (
+            lambda: MapConfig(kind="gradient-descent", rho=1.0),
+            lambda: make_config("gradient-descent", small_qp(), rho=1.0),
+        ):
+            with pytest.raises(ConfigError, match="choose from prox-al, prox-lin-al"):
+                build()
+
+
+# Final (psi_x, feas_x) after 300 iterations from z0 = feasible point, auto
+# policy, rho = 1, recorded from the implementation that spelled out each kind
+# in its own branch, before the generic block step of the KINDS table.
+PINNED_FINALS = {
+    ("prox-al", "eq-qp", "classic"): (-0.5413503711771597, 0.0030258583262852295),
+    ("prox-al", "eq-qp", "fast"): (-0.5359390657811929, 3.9418546432051904e-05),
+    ("prox-lin-al", "eq-qp", "classic"): (-0.5412199018143222, 0.003025858326285241),
+    ("prox-lin-al", "eq-qp", "fast"): (-0.5353162497553305, 3.952593851121028e-05),
+    ("prox-lin-al", "lasso-flat", "classic"): (0.8169697333376377, 0.0005775043788225326),
+    ("smooth-prox-al", "smooth", "classic"): (16.424205488030076, 0.011213885868633141),
+    ("smooth-prox-al", "smooth", "fast"): (16.498556953938227, 0.00014608553267925878),
+    ("smooth-lin-al", "smooth", "classic"): (16.42455645541687, 0.011213885868633285),
+    ("smooth-lin-al", "smooth", "fast"): (16.506728075950246, 0.00014573967252343167),
+    ("prox-admm", "block", "classic"): (-1.4962991853824752, 0.002071858125175325),
+    ("prox-admm", "block", "fast"): (-1.494872346129167, 2.6990186078950924e-05),
+    ("prox-admm", "lasso", "classic"): (0.8138667228713612, 0.000770005811626431),
+    ("prox-lin-admm", "block", "classic"): (-1.4957978242196828, 0.002071858125174931),
+    ("prox-lin-admm", "block", "fast"): (-1.4732988883475313, 2.7270783812702204e-05),
+    ("prox-lin-admm", "lasso", "classic"): (0.8138667228713603, 0.0007700058116260718),
+    ("chambolle-pock", "block-id", "classic"): (6.318781611151639, 0.012814049413586453),
+    ("chambolle-pock", "block-id", "fast"): (6.405535990940083, 0.00016724304690987938),
+    ("prox-jacobi", "block", "classic"): (-1.4957885730665075, 0.0021932843267137205),
+    ("prox-jacobi", "block", "fast"): (-1.4673627708146766, 2.8059293940554744e-05),
+    ("prox-jacobi", "lasso", "classic"): (0.8152920826853056, 0.0010395078457299855),
+    ("pcpm", "block", "classic"): (-1.494438574267667, 0.002193284326713942),
+    ("pcpm", "block", "fast"): (-1.267328778306809, 2.944873728345286e-05),
+    ("full-lin-admm", "block", "classic"): (-1.4957657284066976, 0.002071858125174947),
+    ("full-lin-admm", "block", "fast"): (-1.4728242813991534, 2.6988284457220084e-05),
+    ("full-lin-admm", "lasso", "classic"): (0.8143814134333126, 0.0007700058116256376),
+}
+
+
+def pin_problem(name):
+    lasso = GenSpec(family="lasso-split", n=10, m=6, sigma=0.0, seed=3)
+    if name == "eq-qp":
+        return generate(GenSpec(family="eq-qp", n=12, m=4, sigma=1.0, seed=0))
+    if name == "smooth":
+        return generate(GenSpec(family="smooth-composite", n=12, m=4, sigma=1.0, seed=0))
+    if name == "lasso":
+        return generate(lasso)
+    if name == "lasso-flat":
+        return flatten_block(generate(lasso))
+    if name == "block":
+        return small_block()
+    return generate(GenSpec(family="block-qp", n=12, m=4, sigma=1.0, seed=0, a_identity=True))
+
+
+def test_pinned_finals_cover_every_kind():
+    assert {kind for kind, _, _ in PINNED_FINALS} == set(MAP_KINDS)
+
+
+@pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS}))
+def test_pinned_finals(kind, name):
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    modes = ["classic"] + (["fast"] if default_p(cfg, prob) == 2 else [])
+    assert {key[2] for key in PINNED_FINALS if key[:2] == (kind, name)} == set(modes)
+    for mode in modes:
+        traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=300))
+        for got, want in zip((traj.psi_x[-1], traj.feas_x[-1]), PINNED_FINALS[kind, name, mode]):
+            assert abs(got - want) <= 1e-9 * max(abs(want), 1e-6), (mode, got, want)

@@ -4,13 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from flagopt import Box, ConfigError, DegenerateSubproblemError, L1, Quadratic, Separable, Zero
-from flagopt.prox import (
-    argmin_composite,
-    prox_residual,
-    prox_weighted,
-    soft_threshold,
-    solve_regularized_quadratic,
-)
+from flagopt.prox import argmin_composite, soft_threshold
 
 
 class TestSoftThreshold:
@@ -29,26 +23,27 @@ class TestSoftThreshold:
 
 
 class TestSolveRegularizedQuadratic:
+    """argmin 0.5 x'Hx + q'x + 0.5 ||x - anchor||_W^2: argmin_composite of
+    Quadratic(H, q) with g = -W anchor, V = W."""
+
     def test_scalar_balance(self):
-        x = solve_regularized_quadratic([[1.0]], [0.0], [[1.0]], [2.0])
+        x = argmin_composite(Quadratic([[1.0]], [0.0]), [-2.0], [[1.0]])
         assert_allclose(x, [1.0])
 
     def test_identity_weight_returns_anchor(self):
         anchor = np.array([0.3, -1.2, 4.0])
-        x = solve_regularized_quadratic(np.zeros((3, 3)), np.zeros(3), np.eye(3), anchor)
+        x = argmin_composite(Quadratic(np.zeros((3, 3)), np.zeros(3)), -anchor, np.eye(3))
         assert_allclose(x, anchor, atol=1e-12)
 
     def test_pure_quadratic(self):
-        x = solve_regularized_quadratic(
-            [[2.0, 0.0], [0.0, 2.0]], [-2.0, -2.0], np.zeros((2, 2)), np.zeros(2)
-        )
+        t = Quadratic([[2.0, 0.0], [0.0, 2.0]], [-2.0, -2.0])
+        x = argmin_composite(t, np.zeros(2), np.zeros((2, 2)))
         assert_allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_singular_system_is_rejected(self):
+        t = Quadratic(np.zeros((2, 2)), np.ones(2))
         with pytest.raises(DegenerateSubproblemError):
-            solve_regularized_quadratic(
-                np.zeros((2, 2)), np.ones(2), np.zeros((2, 2)), np.zeros(2)
-            )
+            argmin_composite(t, np.zeros(2), np.zeros((2, 2)))
 
     def test_solution_residual_is_small(self):
         rng = np.random.default_rng(3)
@@ -57,46 +52,45 @@ class TestSolveRegularizedQuadratic:
         W = np.eye(8)
         q = rng.standard_normal(8)
         anchor = rng.standard_normal(8)
-        x = solve_regularized_quadratic(H, q, W, anchor)
+        x = argmin_composite(Quadratic(H, q), -W @ anchor, W)
         resid = np.linalg.norm((H + W) @ x - (W @ anchor - q))
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(q))
 
 
 class TestProxWeighted:
+    """argmin term(x) + <linear, x> + 0.5 ||x - anchor||_W^2: argmin_composite
+    with g = linear - W anchor, V = W."""
+
     def test_scalar_quadratic(self):
         t = Quadratic(np.eye(1), np.zeros(1))
-        x = prox_weighted(t, [-1.0], [[1.0]], [0.0])
-        assert_allclose(x, [0.5])
+        assert_allclose(argmin_composite(t, [-1.0], [[1.0]]), [0.5])
 
     def test_zero_term_identity(self):
-        t = Zero(2)
         w = np.array([1.5, -2.0])
-        assert_allclose(prox_weighted(t, np.zeros(2), np.eye(2), w), w, atol=1e-12)
+        assert_allclose(argmin_composite(Zero(2), -w, np.eye(2)), w, atol=1e-12)
 
     def test_l1_soft_threshold(self):
-        t = L1(1.0, 1)
-        assert_allclose(prox_weighted(t, [0.0], np.eye(1), [3.0]), [2.0])
+        assert_allclose(argmin_composite(L1(1.0, 1), [-3.0], np.eye(1)), [2.0])
 
     def test_box_clip(self):
         t = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
-        assert_allclose(prox_weighted(t, np.zeros(2), np.eye(2), [2.0, -0.5]), [1.0, 0.0])
+        assert_allclose(argmin_composite(t, [-2.0, 0.5], np.eye(2)), [1.0, 0.0])
 
     def test_separable_dispatch(self):
         t = Separable((Quadratic(np.eye(1), np.zeros(1)), L1(1.0, 1)))
-        x = prox_weighted(t, [-1.0, 0.0], np.eye(2), [0.0, 3.0])
+        x = argmin_composite(t, [-1.0, -3.0], np.eye(2))
         assert_allclose(x, [0.5, 2.0])
 
     def test_separable_rejects_coupling_weight(self):
         t = Separable((Quadratic(np.eye(1), np.zeros(1)), L1(1.0, 1)))
         W = np.array([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ConfigError, match="linearized"):
-            prox_weighted(t, np.zeros(2), W, np.zeros(2))
+            argmin_composite(t, np.zeros(2), W)
 
     def test_l1_rejects_dense_weight(self):
-        t = L1(1.0, 2)
         W = np.array([[2.0, 0.5], [0.5, 2.0]])
         with pytest.raises(ConfigError, match="linearized"):
-            prox_weighted(t, np.zeros(2), W, np.zeros(2))
+            argmin_composite(L1(1.0, 2), np.zeros(2), W)
 
     def test_stationarity_residual(self):
         rng = np.random.default_rng(4)
@@ -106,7 +100,7 @@ class TestProxWeighted:
             anchor = rng.standard_normal(4)
             W = np.diag(rng.uniform(0.5, 2.0, 4))
             x = argmin_composite(t, linear - W @ anchor, W)
-            resid = prox_residual(t, x, linear, W, anchor)
+            resid = t.subgrad_dist(x, -(linear + W @ (x - anchor)))
             assert resid <= 1e-8 * (1.0 + np.linalg.norm(anchor))
 
 
@@ -130,7 +124,7 @@ def test_composite_prox_inequality(seed):
     w = rng.standard_normal(n)
     linear = rng.standard_normal(n)
     xi = rng.standard_normal(n)
-    wp = prox_weighted(phi, linear, W, w)
+    wp = argmin_composite(phi, linear - W @ w, W)
     sig = phi.strong_convexity  # 0: the l1 part kills the modulus
     lhs = phi.value(wp) - phi.value(xi) + linear @ (wp - xi)
     dW = lambda a, b: float((a - b) @ W @ (a - b))
@@ -149,7 +143,7 @@ def test_composite_prox_inequality_strongly_convex(seed):
     w = rng.standard_normal(n)
     linear = rng.standard_normal(n)
     xi = rng.standard_normal(n)
-    wp = prox_weighted(phi, linear, W, w)
+    wp = argmin_composite(phi, linear - W @ w, W)
     lhs = phi.value(wp) - phi.value(xi) + linear @ (wp - xi)
     dW = lambda a, b: float((a - b) @ W @ (a - b))
     rhs = 0.5 * (dW(xi, w) - dW(xi, wp) - dW(wp, w)) - 0.5 * sigma * np.sum((xi - wp) ** 2)
@@ -166,8 +160,8 @@ def test_prox_nonexpansive_in_weight_norm(seed):
     linear = rng.standard_normal(n)
     a1 = rng.standard_normal(n)
     a2 = rng.standard_normal(n)
-    p1 = prox_weighted(phi, linear, W, a1)
-    p2 = prox_weighted(phi, linear, W, a2)
+    p1 = argmin_composite(phi, linear - W @ a1, W)
+    p2 = argmin_composite(phi, linear - W @ a2, W)
     nW = lambda v: float(np.sqrt(v @ W @ v))
     assert nW(p1 - p2) <= nW(a1 - a2) + 1e-8
 
@@ -179,5 +173,6 @@ def test_soft_threshold_matches_weighted_prox(seed, t):
     n = 3
     w = rng.standard_normal(n) * 3
     term = L1(1.0, n)
-    via_prox = prox_weighted(term, np.zeros(n), np.eye(n) / t, w)
+    W = np.eye(n) / t
+    via_prox = argmin_composite(term, -W @ w, W)
     assert np.max(np.abs(via_prox - soft_threshold(w, t))) <= 1e-10
