@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .driver import RunParams, run, trajectory_from_csv
+from .driver import MAX_ITERS, RunParams, run, trajectory_from_csv
 from .errors import ConfigError, DataError, FlagoptError
 from .gen import FAMILIES, GenSpec, generate
 from .maps import MAP_KINDS, certificate, make_config, sample_niceness
@@ -27,7 +27,6 @@ from .rates import bound_constant, reference_solve, verify_rates
 CERTIFY_TOL = 1e-7
 VERIFY_TOL = 1e-9
 MANIFEST_KEYS = ("map", "rho", "policy", "iters", "p", "z0", "y0", "mu", "mode")
-
 
 def env_tol(default):
     raw = os.environ.get("FLAGOPT_TOL")
@@ -96,11 +95,6 @@ def cmd_solve(args):
     traj = run(prob, params)
     traj.to_csv(args.out)
     manifest_path = args.manifest or args.out + ".manifest.json"
-    z0 = (
-        prob.feasible_point
-        if prob.feasible_point is not None
-        else np.zeros(constraint_map(prob).shape[1])
-    )
     manifest = {
         "map": args.map,
         "policy": args.policy,
@@ -113,8 +107,9 @@ def cmd_solve(args):
         "rho": args.rho,
         "iters": args.iters,
         "delta": traj.meta["delta"],
-        "z0": z0.tolist(),
-        "y0": [0.0] * constraint_map(prob).shape[0],
+        "z0": traj.meta["z0"],
+        "y0": traj.meta["y0"],
+        "subproblems": traj.meta["subproblems"],
     }
     _write_json(manifest_path, manifest)
     print(f"wrote {args.out} ({traj.records} rows) and {manifest_path}")
@@ -154,10 +149,37 @@ def cmd_certify(args):
     return 0 if ok else 3
 
 
-def _verify_report(prob, traj, manifest, tol):
-    for key in MANIFEST_KEYS:
+def _num(v):
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _vector(size):
+    return lambda v: type(v) is list and len(v) == size and all(map(_num, v))
+
+
+def _check_manifest(manifest, prob):
+    """DataError unless every manifest field has its JSON type, numbers are
+    finite, iters lies in [1, MAX_ITERS] and z0 / y0 fit the problem."""
+    if type(manifest) is not dict:
+        raise DataError("manifest must be a JSON object")
+    m, n = constraint_map(prob).shape
+    checks = {key: lambda v: type(v) is str for key in ("map", "policy", "mode")}
+    checks.update(
+        rho=_num, mu=_num, scale=_num, margin=_num, alpha=lambda v: v is None or _num(v),
+        p=lambda v: type(v) is int, iters=lambda v: type(v) is int and 1 <= v <= MAX_ITERS,
+        z0=_vector(n), y0=_vector(m),
+    )
+    for key, ok in checks.items():
         if key not in manifest:
-            raise DataError(f"manifest is missing key {key!r}")
+            if key in MANIFEST_KEYS:
+                raise DataError(f"manifest is missing key {key!r}")
+        elif not ok(manifest[key]):
+            value = f"{manifest[key]!r:.60}"
+            raise DataError(f"manifest {key!r} has a wrong type, size or value: {value}")
+
+
+def _verify_report(prob, traj, manifest, tol):
+    _check_manifest(manifest, prob)
     cfg = make_config(
         manifest["map"],
         prob,
@@ -233,16 +255,11 @@ def cmd_sweep(args):
                 if ref is None:
                     ref = reference_solve(prob)
                 p = traj.meta["p"]
-                z0 = (
-                    prob.feasible_point
-                    if prob.feasible_point is not None
-                    else np.zeros(constraint_map(prob).shape[1])
-                )
                 B = bound_constant(
                     cert.P,
                     ref.x_star,
-                    z0,
-                    np.zeros(constraint_map(prob).shape[0]),
+                    traj.meta["z0"],
+                    traj.meta["y0"],
                     traj.meta["mu"],
                     args.rho,
                     ref.c,

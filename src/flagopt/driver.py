@@ -21,12 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .lagrangian import eval_lagrangian
-from .maps import MapConfig, ScheduleParams, certificate, default_p, prim_step
-from .problems import constraint_map, eval_objective
+from .maps import MapConfig, ScheduleParams, StepPlan, certificate, default_p, prim_step
+from .problems import eval_objective
 
 MODES = ("fast", "classic", "ergodic")
+# a run preallocates 11 (iters + 1) floats: 88 MB at the bound
+MAX_ITERS = 1_000_000
 
 CSV_COLUMNS = (
     "k",
@@ -78,8 +80,8 @@ class RunParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (choose from {', '.join(MODES)})")
-        if self.iters < 1:
-            raise ConfigError("iters must be >= 1")
+        if not 1 <= self.iters <= MAX_ITERS:
+            raise ConfigError(f"iters must lie in [1, {MAX_ITERS}]")
         for name in ("z0", "y0"):
             val = getattr(self, name)
             if val is not None:
@@ -94,11 +96,14 @@ class ResolvedParams:
     p: int
     mu: float
     rho: float
+    plan: StepPlan
 
 
 def resolve_params(prob, params):
-    """Certify the map and fix (p, mu) for the requested mode."""
-    cert = certificate(params.cfg, prob)
+    """Build the map's step plan, certify the map and fix (p, mu) for the
+    requested mode."""
+    plan = StepPlan(params.cfg, prob)
+    cert = certificate(params.cfg, prob, plan=plan)
     dp = default_p(params.cfg, prob)
     if params.mode == "fast":
         if dp != 2:
@@ -121,7 +126,7 @@ def resolve_params(prob, params):
         if not 0.0 < mu <= cert.delta + 1e-12:
             raise ConfigError(f"mu must lie in (0, delta] = (0, {cert.delta:.6g}]")
     return ResolvedParams(
-        cfg=params.cfg, cert=cert, mode=params.mode, p=p, mu=mu, rho=params.cfg.rho
+        cfg=params.cfg, cert=cert, mode=params.mode, p=p, mu=mu, rho=params.cfg.rho, plan=plan
     )
 
 
@@ -138,8 +143,7 @@ class FlagState:
 def initial_state(prob, params, resolved=None):
     if resolved is None:
         resolved = resolve_params(prob, params)
-    A = constraint_map(prob)
-    n, m = A.shape[1], A.shape[0]
+    m, n = resolved.plan.A.shape
     z0 = params.z0
     if z0 is None:
         z0 = prob.feasible_point.copy() if prob.feasible_point is not None else np.zeros(n)
@@ -164,7 +168,7 @@ def flag_iterate(state, params, prob, resolved=None):
     if resolved is None:
         resolved = params if isinstance(params, ResolvedParams) else resolve_params(prob, params)
     p, mu, rho = resolved.p, resolved.mu, resolved.rho
-    A = constraint_map(prob)
+    A = resolved.plan.A
     b = prob.b
     t_k = state.t
     rho_k = rho * t_k ** (p - 1)
@@ -173,7 +177,7 @@ def flag_iterate(state, params, prob, resolved=None):
     else:
         lam = compute_lambda(state.y, rho_k, t_k, A @ state.x - b)
     sched = ScheduleParams(rho_t=rho_k, tau_t=t_k ** (p - 1), p=p)
-    z_new = prim_step(resolved.cfg, sched, state.z, lam, prob)
+    z_new = prim_step(resolved.cfg, sched, state.z, lam, prob, plan=resolved.plan)
     w = A @ z_new - b
     y_new = state.y + mu * rho_k * w
     if resolved.mode == "ergodic":
@@ -265,11 +269,13 @@ def run(prob, params, reference=None, bound=None):
     reference) fills bound_fn = B / (2 k^p) and bound_feas = B / (c k^p).
     """
     resolved = resolve_params(prob, params)
-    state = initial_state(prob, params, resolved)
+    state = start = initial_state(prob, params, resolved)
     p, mode = resolved.p, resolved.mode
     N = params.iters
-    A = constraint_map(prob)
+    A = resolved.plan.A
     b = prob.b
+    # columns every row fills; s_k and the bounds are NaN where not computed
+    guarded = CSV_COLUMNS[1:8] + (("s_k",) if reference is not None and mode != "ergodic" else ())
 
     out = {c: np.full(N + 1, np.nan) for c in CSV_COLUMNS}
     out["k"] = np.arange(N + 1)
@@ -298,12 +304,17 @@ def run(prob, params, reference=None, bound=None):
             out["bound_fn"][i] = bound / (2.0 * float(i) ** p)
             if reference.c > 0:
                 out["bound_feas"][i] = bound / (reference.c * float(i) ** p)
+        for c in guarded:
+            if not math.isfinite(out[c][i]):
+                raise NumericalError(f"iteration {i}: {c} is not finite ({out[c][i]})")
 
-    record(0, state, 0.0)
-    for _ in range(N):
-        t_used = state.t
-        state = flag_iterate(state, resolved, prob)
-        record(state.k, state, t_used)
+    # the finiteness guard in record() reports any overflow as a NumericalError
+    with np.errstate(all="ignore"):
+        record(0, state, 0.0)
+        for _ in range(N):
+            t_used = state.t
+            state = flag_iterate(state, resolved, prob)
+            record(state.k, state, t_used)
 
     meta = {
         "kind": resolved.cfg.kind,
@@ -313,6 +324,9 @@ def run(prob, params, reference=None, bound=None):
         "rho": resolved.rho,
         "delta": resolved.cert.delta,
         "iters": N,
+        "z0": start.z.tolist(),
+        "y0": start.y.tolist(),
+        "subproblems": resolved.plan.stats(),
     }
     if mode == "ergodic":
         meta["gamma_min"] = (1.0 + resolved.cert.delta - resolved.mu) * resolved.rho

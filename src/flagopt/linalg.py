@@ -8,6 +8,9 @@ from .errors import ConfigError, DegenerateSubproblemError, NumericalError
 SYM_TOL = 1e-10
 PSD_TOL = 1e-10
 SINGULAR_FLOOR = 1e-12
+PENCIL_COND = 1e10
+ROUTES = ("cholesky", "pencil-eigh", "per-step")
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def as_array(a, dtype=float):
@@ -49,7 +52,18 @@ def check_psd(M, name="matrix", tol=PSD_TOL):
 
 def is_diagonal(M):
     M = np.asarray(M)
-    return np.count_nonzero(M - np.diag(np.diag(M))) == 0
+    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
+
+
+def _refined(inv, apply, rhs, name):
+    """inv(rhs) plus one refinement step; NumericalError when the residual
+    ||rhs - apply(x)|| exceeds 1e-10 * (1 + ||rhs||)."""
+    x = inv(rhs)
+    x = x + inv(rhs - apply(x))
+    resid = float(np.linalg.norm(rhs - apply(x)))
+    if resid > 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
+        raise NumericalError(f"{name}: linear solve residual {resid:.3e} too large")
+    return x
 
 
 def solve_spd(V, rhs, name="subproblem"):
@@ -72,10 +86,56 @@ def solve_spd(V, rhs, name="subproblem"):
             ) from None
         x = scipy.linalg.solve(V, rhs, assume_a="sym", check_finite=False)
         return x
-    x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    r = rhs - V @ x
-    x = x + scipy.linalg.cho_solve(factor, r, check_finite=False)
-    resid = float(np.linalg.norm(rhs - V @ x))
-    if resid > 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
-        raise NumericalError(f"{name}: linear solve residual {resid:.3e} too large")
-    return x
+    return _refined(
+        lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False), V.__matmul__, rhs, name
+    )
+
+
+class Pencil:
+    """Solves (H0 + c K0) x = rhs, H0 and K0 symmetric, for the values of c
+    that one run brings.
+
+    While c keeps one value, one Cholesky factor of V(c) serves every solve.
+    At a second value the pencil is diagonalized once and for good (Golub &
+    Van Loan 8.7): K0 positive definite gives W'K0W = I, W'H0W = diag(lam)
+    and V(c)^-1 = W diag(1 / (lam + c)) W'; else H0 positive definite gives
+    the mirrored W'H0W = I, W'K0W = diag(lam) and W diag(1 / (1 + c lam)) W'.
+    An end counts as definite when ||W||_F^2 ||end||_F = trace(end^-1)
+    ||end||_F <= PENCIL_COND. With neither, each solve is a solve_spd of V(c).
+    Both cached routes keep solve_spd's refinement step and residual gate.
+    """
+
+    def __init__(self, H0, K0, name="subproblem"):
+        self.H0, self.K0 = H0, K0
+        self.name, self.route = name, None
+        self.counts = dict.fromkeys(ROUTES, 0)
+
+    def _factor(self, c):
+        if self.route is None:
+            self.V = self.H0 + c * self.K0
+            self.chol, info = _potrf(self.V, lower=1)
+            self.route, self.c = ("per-step", None) if info else ("cholesky", c)
+        else:
+            self.route, self.V, self.chol = "per-step", None, None
+            for mirrored, (X, Y) in enumerate(((self.H0, self.K0), (self.K0, self.H0))):
+                try:
+                    lam, W = scipy.linalg.eigh(X, Y, check_finite=False)
+                except scipy.linalg.LinAlgError:
+                    continue
+                if np.sum(W * W) * np.linalg.norm(Y) <= PENCIL_COND:
+                    self.route, self.lam, self.W, self.mirrored = "pencil-eigh", lam, W, mirrored
+                    break
+        self.counts[self.route] += self.route != "per-step"
+
+    def solve(self, rhs, c):
+        if self.route is None or (self.route == "cholesky" and c != self.c):
+            self._factor(c)
+        if self.route == "per-step":
+            self.counts["per-step"] += 1
+            return solve_spd(self.H0 + c * self.K0, rhs, self.name)
+        if self.route == "cholesky":
+            inv, apply = (lambda r: _potrs(self.chol, r, lower=1)[0]), self.V.__matmul__
+        else:
+            W, d = self.W, 1.0 / (1.0 + c * self.lam if self.mirrored else self.lam + c)
+            inv, apply = (lambda r: W @ (d * (W.T @ r))), (lambda x: self.H0 @ x + c * (self.K0 @ x))
+        return _refined(inv, apply, rhs, self.name)

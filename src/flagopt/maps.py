@@ -10,15 +10,21 @@ A primal map takes (z, lambda) to z+ under the schedule (rho_t, tau_t) and is
 Every map kind is one row of KINDS: its blocks, their update order, and its
 certificate formula. One generic step updates block i of z = (z_1, z_2) by
 
-    z_i+ = argmin_x  f_i(x) + <g_i, x> + 0.5 x'V_i x,
-    V_i  = w_i M_i [+ rho_t A_i'A_i] [+ H],
+    z_i+ = argmin_x  f_i(x) + <g_i, x> + 0.5 x'V_i(c) x,
     g_i  = A_i'(lambda + rho_t r_i) - w_i M_i z_i [+ q | + grad h(z)],
 
 with w_i = tau_t on accelerated blocks and 1 otherwise, and r_i the constraint
 residual at the newest (Gauss-Seidel) or old (Jacobi) values of the other
 blocks, plus the block's own old term when the block linearizes the penalty.
-A single-block map folds a smooth part h = 0.5 x'Hx + q'x into V exactly, or
-linearizes it through grad h(z). Two-block maps use the block form of the
+As rho_t = rho tau_t, V_i moves only with c = tau_t: it is the pencil
+
+    V_i(c) = H0_i + c K0_i,  H0_i = [M_i] [+ H],  K0_i = [M_i] [+ rho A_i'A_i],
+
+with M_i in K0_i on accelerated blocks and in H0_i otherwise, rho A_i'A_i on
+blocks that keep the penalty exactly, and H the smooth part h = 0.5 x'Hx +
+q'x that a single-block map folds in (else it steps on grad h(z)); a
+quadratic f_i adds its own Hessian to H0_i. A StepPlan builds the pencils
+once per run. Two-block maps use the block form of the
 inequality: accelerated blocks are weighted by tau_t and contribute their
 strong convexity, the others carry weight 1 and no sigma term. nice_residual
 evaluates left minus right numerically; certificates are produced exactly per
@@ -37,14 +43,8 @@ import scipy.linalg
 from . import linalg
 from .errors import ConfigError, NotNiceError
 from .lagrangian import delta_P, eval_aug_lagrangian, quad_norm
-from .problems import (
-    BlockProblem,
-    SmoothTerm,
-    constraint_map,
-    nonsmooth_parts,
-    single_problem,
-)
-from .prox import argmin_composite
+from .problems import BlockProblem, SmoothTerm, constraint_map, single_problem
+from .prox import Subproblem
 
 PSD_TOL = 1e-10
 
@@ -327,39 +327,74 @@ def _block_name(kind, i, blocks):
     return kind if blocks == 1 else f"{kind} {('first', 'second')[i]} block"
 
 
-def _hessian(spec, view, i, rho_t, w, M_i, G_i):
-    """V_i = w M_i [+ rho_t G_i] [+ H], G_i = A_i'A_i read on exact blocks only."""
-    V = w * M_i
+def _pencil(spec, view, i, rho, M_i):
+    """(H0, K0) of block i's V_i(c) = H0 + c K0 at c = tau_t; a single term
+    is shared, not copied."""
+    H0, K0 = ([], [M_i]) if spec.blocks[i].accelerated else ([M_i], [])
     if spec.blocks[i].exact:
-        V = rho_t * G_i + V
+        K0.append(rho * (view.ops[i].T @ view.ops[i]))
     if view.smooth is not None and not spec.smooth_linearized:
-        V = V + view.smooth.term.H
-    return V
+        H0.append(view.smooth.term.H)
+    return tuple(sum(X[1:], X[0]) if X else np.zeros_like(M_i) for X in (H0, K0))
 
 
-def _check_exact_solvable(term, pattern, context):
-    """Exact-minimization subproblems with nonsmooth terms need a diagonal
-    effective Hessian on the nonsmooth coordinates (and no cross coupling)."""
-    for part, s in nonsmooth_parts(term):
-        block = pattern[s, s]
-        coupling = pattern[s, :].copy()
-        coupling[:, s] = 0.0
-        if not linalg.is_diagonal(block) or np.count_nonzero(coupling) != 0:
-            raise ConfigError(
-                f"{context}: exact minimization needs a diagonal effective "
-                "Hessian on the nonsmooth coordinates; use the linearized map variant"
+class StepPlan:
+    """Per-run constants of a map's step on one problem: block view, weights
+    M_i, stacked constraint map A, and a prox.Subproblem per block for its
+    pencil V_i(c), checked once and factored as needed. The Grams A_i'A_i
+    enter K0_i on exact blocks and are not kept."""
+
+    def __init__(self, cfg, prob):
+        self.cfg, self.prob = cfg, prob
+        self.spec, self.view = spec, view = _view(cfg.kind, prob)
+        self.M = _weights(cfg, spec, view)
+        self.A = constraint_map(prob)
+        self.solvers = [
+            Subproblem(
+                view.terms[i],
+                *_pencil(spec, view, i, cfg.rho, self.M[i]),
+                name=_block_name(cfg.kind, i, len(self.M)),
             )
+            for i in range(len(self.M))
+        ]
+
+    def step(self, sched, z, lam):
+        spec, view = self.spec, self.view
+        z = np.asarray(z, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        if z.shape != (self.A.shape[1],) or lam.shape != view.b.shape:
+            raise ConfigError("prim_step dimension mismatch")
+        c, rho_t = sched.tau_t, sched.rho_t
+        if abs(rho_t - self.cfg.rho * c) > 1e-12 * rho_t:
+            raise ConfigError("prim_step needs the schedule rho_t = rho tau_t")
+        old = view.split(z)
+        new = list(old)
+        for i, (block, A, solver) in enumerate(zip(spec.blocks, view.ops, self.solvers)):
+            src = old if spec.jacobi else new
+            parts = [B @ src[j] for j, B in enumerate(view.ops) if j != i or not block.exact]
+            r = sum(parts, -view.b)
+            w = c if block.accelerated else 1.0
+            g = A.T @ (lam + rho_t * r) - w * (self.M[i] @ old[i])
+            if view.smooth is not None:
+                g = g + (view.smooth.term.grad(z) if spec.smooth_linearized else view.smooth.term.q)
+            new[i] = solver.solve(g, c)
+        return new[0] if len(new) == 1 else np.concatenate(new)
+
+    def stats(self):
+        """Per block: its factorization route and counts (prox.Subproblem.stats)."""
+        return [solver.stats() for solver in self.solvers]
 
 
-def certificate(cfg, prob):
-    """Exact (delta, P, Q) certificate of the map on this problem.
+def certificate(cfg, prob, plan=None):
+    """Exact (delta, P, Q) certificate of the map on this problem, read from
+    its StepPlan (built here unless given).
 
     Raises NotNiceError naming the violated spectral condition when the map
     cannot be certified with the given weights and base rho.
     """
     kind = cfg.kind
-    spec, view = _view(kind, prob)
-    M = _weights(cfg, spec, view)
+    plan = StepPlan(cfg, prob) if plan is None else plan
+    spec, view = plan.spec, plan.view
     L = 0.0
     if spec.smooth_linearized:
         if view.smooth is None:
@@ -371,11 +406,7 @@ def certificate(cfg, prob):
             )
         L = view.smooth.lipschitz_grad
     G = [A.T @ A for A in view.ops]
-    delta, P, Q, conds = spec.certify(cfg, view, M, G, L)
-    for i, block in enumerate(spec.blocks):
-        if block.exact:
-            pattern = _hessian(spec, view, i, cfg.rho, 1.0, M[i], G[i])
-            _check_exact_solvable(view.terms[i], pattern, _block_name(kind, i, len(M)))
+    delta, P, Q, conds = spec.certify(cfg, view, plan.M, G, L)
     if len(P) == 1:
         return _validated(NiceCertificate(kind, delta, P[0], Q[0], tuple(conds)))
     blocks = dict(P1=P[0], P2=P[1], Q1=Q[0], Q2=Q[1])
@@ -401,28 +432,14 @@ def _validated(cert):
     return cert
 
 
-def prim_step(cfg, sched, z, lam, prob):
-    """One primal update z+ from (z, lambda) under the given schedule."""
-    spec, view = _view(cfg.kind, prob)
-    z = np.asarray(z, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if z.shape != (sum(view.dims),) or lam.shape != view.b.shape:
-        raise ConfigError("prim_step dimension mismatch")
-    M = _weights(cfg, spec, view)
-    rho_t, tau_t = sched.rho_t, sched.tau_t
-    old = view.split(z)
-    new = list(old)
-    for i, (block, A) in enumerate(zip(spec.blocks, view.ops)):
-        src = old if spec.jacobi else new
-        parts = [B @ src[j] for j, B in enumerate(view.ops) if j != i or not block.exact]
-        r = sum(parts, -view.b)
-        w = tau_t if block.accelerated else 1.0
-        V = _hessian(spec, view, i, rho_t, w, M[i], A.T @ A if block.exact else None)
-        g = A.T @ (lam + rho_t * r) - w * (M[i] @ old[i])
-        if view.smooth is not None:
-            g = g + (view.smooth.term.grad(z) if spec.smooth_linearized else view.smooth.term.q)
-        new[i] = argmin_composite(view.terms[i], g, V, name=_block_name(cfg.kind, i, len(M)))
-    return new[0] if len(new) == 1 else np.concatenate(new)
+def prim_step(cfg, sched, z, lam, prob, plan=None):
+    """One primal update z+ from (z, lambda) under the given schedule; plan
+    (a StepPlan of cfg on prob) carries the factorizations across calls."""
+    if plan is None:
+        plan = StepPlan(cfg, prob)
+    elif plan.cfg is not cfg or plan.prob is not prob:
+        raise ConfigError("prim_step: the plan was built for another map or problem")
+    return plan.step(sched, z, lam)
 
 
 def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None):
@@ -528,7 +545,8 @@ def sample_niceness(
     state, and returns the worst residual both raw and relative to
     scale = 1 + sum of absolute inequality terms.
     """
-    cert = certificate(cfg, prob)
+    plan = StepPlan(cfg, prob)
+    cert = certificate(cfg, prob, plan=plan)
     if p is None:
         p = default_p(cfg, prob)
     if p == 1:
@@ -546,7 +564,7 @@ def sample_niceness(
         z = center + state_scale * rng.standard_normal(n)
         lam = state_scale * rng.standard_normal(m)
         sched = schedule_at(cfg.rho, next(t_cycle), p)
-        z_next = prim_step(cfg, sched, z, lam, prob)
+        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
         for _ in range(xis):
             xi = next(xi_gen)
             residual, scale = nice_parts(

@@ -251,16 +251,6 @@ def quadratic_data(term):
     return None
 
 
-def nonsmooth_parts(term):
-    """Yield (part, slice) pairs for the non-quadratic pieces of a term."""
-    if isinstance(term, Separable):
-        for p, s in zip(term.parts, term.slices()):
-            if not isinstance(p, (Quadratic, Zero)):
-                yield p, s
-    elif not isinstance(term, (Quadratic, Zero)):
-        yield term, slice(0, term.dim)
-
-
 @dataclass(frozen=True)
 class SmoothTerm:
     """Differentiable quadratic h with declared gradient Lipschitz constant L."""
@@ -365,11 +355,6 @@ class ConstrainedProblem:
         if self.smooth is not None:
             v += self.smooth.term.value(x)
         return v
-
-    def grad_smooth(self, x):
-        if self.smooth is None:
-            return np.zeros(self.n)
-        return self.smooth.term.grad(x)
 
     def subgrad_dist(self, x, g):
         """Distance from g to the subdifferential of Psi at x."""

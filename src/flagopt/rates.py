@@ -76,22 +76,14 @@ def _smooth_parts(sp):
     q = np.zeros(n)
     r = 0.0
     nonsmooth = []
-
-    def fill(term, offset):
-        nonlocal r
-        if isinstance(term, Separable):
-            for p, s in zip(term.parts, term.slices()):
-                fill(p, offset + s.start)
-            return
+    separable = isinstance(sp.f, Separable)
+    for term, s in zip(sp.f.parts, sp.f.slices()) if separable else [(sp.f, slice(0, n))]:
         if isinstance(term, Quadratic):
-            s = slice(offset, offset + term.dim)
             H[s, s] = term.H
             q[s] = term.q
             r += term.r
         elif not isinstance(term, Zero):
-            nonsmooth.append((term, slice(offset, offset + term.dim)))
-
-    fill(sp.f, 0)
+            nonsmooth.append((term, s))
     if sp.smooth is not None:
         H[:, :] += sp.smooth.term.H
         q[:] += sp.smooth.term.q

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flagopt.cli import main
-from flagopt.driver import trajectory_from_csv
+from flagopt.driver import MAX_ITERS, trajectory_from_csv
 
 
 def sha256(path):
@@ -126,6 +126,34 @@ class TestSolve:
         assert rc == 0
 
 
+    def test_overflowing_dual_norm_is_numerical_error(self, tmp_path, capsys):
+        # y stays finite but ||y|| overflows from the first iteration on
+        prob = str(tmp_path / "p.json")
+        rc = main(
+            ["gen", "block-qp", "--n", "12", "--m", "4", "--sigma", "1", "--seed", "1",
+             "--out", prob]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "t.csv"
+        rc = main(
+            ["solve", "--problem", prob, "--map", "prox-lin-al", "--mode", "classic",
+             "--rho", "1e200", "--iters", "50", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: iteration 1: y_norm") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_iters_above_bound_rejected(self, qp_path, tmp_path, capsys):
+        rc = main(
+            ["solve", "--problem", qp_path, "--map", "prox-al",
+             "--iters", str(MAX_ITERS + 1), "--out", str(tmp_path / "t.csv")]
+        )
+        assert rc == 2
+        assert "iters" in capsys.readouterr().err
+
+
 class TestCertify:
     def test_pass_prints_certificate(self, qp_path, capsys):
         rc = main(["certify", "--problem", qp_path, "--map", "prox-lin-al"])
@@ -243,6 +271,40 @@ class TestVerify:
         err = capsys.readouterr().err
         assert rc == 4
         assert err.count("\n") == 1 and "'mu'" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("z0", [0.0]),
+            ("y0", [0.0] * 6),
+            ("iters", "20"),
+            ("iters", MAX_ITERS + 1),
+            ("p", True),
+            ("mu", None),
+            ("rho", float("nan")),
+            ("z0", ["0"] * 20),
+            ("alpha", "1"),
+        ],
+    )
+    def test_manifest_bad_value_is_io_error(self, qp_path, tmp_path, capsys, key, value):
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
+        assert rc == 0
+        manifest_path = str(traj) + ".manifest.json"
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        assert manifest["subproblems"] == [
+            {"route": "pencil-eigh", "factorizations": {"cholesky": 1, "pencil-eigh": 1, "per-step": 0}}
+        ]
+        manifest[key] = value
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        rc = main(
+            ["verify", "--problem", qp_path, "--traj", str(traj), "--manifest", manifest_path]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.count("\n") == 1 and repr(key) in err
 
     def test_tampered_trajectory_fails_then_env_tol_loosens(
         self, qp_path, tmp_path, monkeypatch, capsys

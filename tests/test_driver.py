@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from flagopt import ConfigError, ConstrainedProblem, Quadratic
 from flagopt.driver import (
+    MAX_ITERS,
     FlagState,
     RunParams,
     Trajectory,
@@ -18,6 +19,7 @@ from flagopt.driver import (
     run,
     trajectory_from_csv,
 )
+from flagopt.gen import GenSpec, generate
 from flagopt.maps import MapConfig, make_config
 
 
@@ -104,6 +106,14 @@ class TestResolve:
         p = make_qp()
         with pytest.raises(ConfigError, match="mode"):
             RunParams(cfg=make_config("prox-al", p, rho=1.0), mode="turbo")
+
+    def test_iters_bound(self):
+        # checked before run() preallocates 11 (iters + 1) floats
+        cfg = make_config("prox-al", make_qp(), rho=1.0)
+        assert RunParams(cfg=cfg, iters=MAX_ITERS).iters == MAX_ITERS
+        for iters in (0, MAX_ITERS + 1):
+            with pytest.raises(ConfigError, match="iters"):
+                RunParams(cfg=cfg, iters=iters)
 
 
 class TestIteration:
@@ -213,6 +223,27 @@ class TestRun:
         for col in ("k", "t", "rho_k", "psi_x", "feas_x", "psi_z", "feas_z", "y_norm"):
             assert_allclose(getattr(back, col), getattr(traj, col), rtol=1e-15)
         assert np.isnan(back.s_k).all()
+
+    @pytest.mark.parametrize(
+        "kind,spec,blocks",
+        [
+            ("prox-lin-al", GenSpec(family="eq-qp", n=100, m=40, sigma=1.0, seed=0), 1),
+            ("prox-admm", GenSpec(family="block-qp", n=20, m=6, sigma=1.0, seed=0), 2),
+        ],
+    )
+    def test_factorizations_per_block(self, kind, spec, blocks):
+        # classic mode keeps one value of c: one Cholesky per block; fast mode
+        # moves c every step: one Cholesky, then one pencil decomposition
+        prob = generate(spec)
+        cfg = make_config(kind, prob, rho=1.0)
+        once = {"cholesky": 1, "pencil-eigh": 0, "per-step": 0}
+        for mode, route, counts in (
+            ("classic", "cholesky", once),
+            ("fast", "pencil-eigh", dict(once, **{"pencil-eigh": 1})),
+        ):
+            traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=30))
+            stats = traj.meta["subproblems"]
+            assert stats == [{"route": route, "factorizations": counts}] * blocks, stats
 
     def test_bad_z0_shape(self):
         p = make_qp()

@@ -1,0 +1,73 @@
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from flagopt import DegenerateSubproblemError, NumericalError
+from flagopt.linalg import Pencil
+
+
+def random_psd(rng, n, shift=0.0):
+    M = rng.standard_normal((n, n))
+    return M @ M.T + shift * np.eye(n)
+
+
+def test_pencil_routes_follow_the_values_of_c():
+    rng = np.random.default_rng(0)
+    H0, K0 = random_psd(rng, 8), random_psd(rng, 8, 1.0)
+    pencil = Pencil(H0, K0)
+    rhs = rng.standard_normal(8)
+    for c, route in ((1.0, "cholesky"), (1.0, "cholesky"), (2.5, "pencil-eigh"), (60.0, "pencil-eigh")):
+        x = pencil.solve(rhs, c)
+        assert pencil.route == route
+        assert_allclose((H0 + c * K0) @ x, rhs, atol=1e-10)
+    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "per-step": 0}
+
+
+@pytest.mark.parametrize("route", ["cholesky", "pencil-eigh"])
+def test_corrupted_factor_fails_the_residual_gate(route):
+    # the mutation check of the gate: a stored factor that no longer matches
+    # the pencil must raise, not return a wrong solution
+    rng = np.random.default_rng(1)
+    pencil = Pencil(random_psd(rng, 8), random_psd(rng, 8, 1.0))
+    rhs = rng.standard_normal(8)
+    c = 1.0 if route == "cholesky" else 2.5
+    pencil.solve(rhs, 1.0)
+    pencil.solve(rhs, c)
+    assert pencil.route == route
+    if route == "cholesky":
+        pencil.chol[0, 0] *= 1.5
+    else:
+        pencil.lam[-1] *= 2.0
+    with pytest.raises(NumericalError, match="residual"):
+        pencil.solve(rhs, c)
+
+
+def test_fallback_when_neither_end_is_definite():
+    H0, K0 = np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])
+    pencil = Pencil(H0, K0)
+    rhs = np.array([1.0, 2.0, 3.0])
+    for c in (1.0, 3.0, 7.0):
+        assert_allclose(pencil.solve(rhs, c), rhs / np.diag(H0 + c * K0))
+    assert pencil.route == "per-step"
+    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 0, "per-step": 2}
+
+
+def test_fallback_keeps_degenerate_error():
+    pencil = Pencil(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    for c in (1.0, 2.0):
+        with pytest.raises(DegenerateSubproblemError):
+            pencil.solve(np.ones(2), c)
+    assert pencil.route == "per-step"
+
+
+def test_ill_conditioned_end_is_not_used():
+    # K0 passes a Cholesky, but its condition number 1e14 is past
+    # PENCIL_COND: the pencil is diagonalized from the H0 end instead
+    rng = np.random.default_rng(2)
+    H0, K0 = random_psd(rng, 6, 1.0), np.diag([1.0, 2.0, 1.0, 3.0, 1.0, 1e-14])
+    pencil = Pencil(H0, K0)
+    rhs = rng.standard_normal(6)
+    for c in (1.0, 2.0):
+        x = pencil.solve(rhs, c)
+    assert pencil.route == "pencil-eigh" and pencil.mirrored
+    assert_allclose((H0 + 2.0 * K0) @ x, rhs, atol=1e-10)

@@ -9,17 +9,20 @@ from flagopt import (
     L1,
     NotNiceError,
     Quadratic,
+    Separable,
     SmoothTerm,
     Zero,
 )
 from flagopt.driver import RunParams, run
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_aug_lagrangian
+from flagopt.linalg import solve_spd
 from flagopt.maps import (
     KINDS,
     MAP_KINDS,
     MapConfig,
     ScheduleParams,
+    StepPlan,
     certificate,
     default_p,
     feasible_sampler,
@@ -30,6 +33,7 @@ from flagopt.maps import (
     schedule_at,
 )
 from flagopt.problems import flatten_block
+from flagopt.prox import soft_threshold
 
 
 def one_d_problem(sigma=1.0, b=1.0):
@@ -444,3 +448,42 @@ def test_pinned_finals(kind, name):
         traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=300))
         for got, want in zip((traj.psi_x[-1], traj.feas_x[-1]), PINNED_FINALS[kind, name, mode]):
             assert abs(got - want) <= 1e-9 * max(abs(want), 1e-6), (mode, got, want)
+
+
+def dense_subproblem_solve(term, g, V):
+    """argmin term(x) + <g, x> + 0.5 x'Vx part by part: solve_spd on the
+    quadratic parts, the closed-form prox on l1 parts (V diagonal there)."""
+    parts = term.parts if isinstance(term, Separable) else (term,)
+    out, start = [], 0
+    for part in parts:
+        s = slice(start, start + part.dim)
+        start += part.dim
+        if isinstance(part, L1):
+            d = np.diag(V)[s]
+            out.append(soft_threshold(-g[s] / d, part.weight / d))
+        else:
+            out.append(solve_spd(part.H + V[s, s], -(part.q + g[s])))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS}))
+def test_plan_matches_dense_solve(kind, name):
+    # V_i(c) assembled densely as w M_i [+ rho c A_i'A_i] [+ H], w = c on
+    # accelerated blocks; c = 1 runs the cached Cholesky, 2.5 and 60 the pencil
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    plan = StepPlan(cfg, prob)
+    spec, view = KINDS[kind], plan.view
+    rng = np.random.default_rng(0)
+    for i, (block, A, term) in enumerate(zip(spec.blocks, view.ops, view.terms)):
+        for c in (1.0, 2.5, 60.0):
+            V = (c if block.accelerated else 1.0) * plan.M[i]
+            if block.exact:
+                V = V + cfg.rho * c * A.T @ A
+            if view.smooth is not None and not spec.smooth_linearized:
+                V = V + view.smooth.term.H
+            g = rng.standard_normal(term.dim)
+            want = dense_subproblem_solve(term, g, V)
+            got = plan.solvers[i].solve(g, c)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (i, c)
+        assert plan.solvers[i].stats()["route"] in ("pencil-eigh", "diagonal")
