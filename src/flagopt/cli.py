@@ -10,6 +10,7 @@ over maps x modes). FLAGOPT_TOL overrides the default tolerances. Exit codes:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -26,7 +27,9 @@ from .rates import bound_constant, reference_solve, verify_rates
 
 CERTIFY_TOL = 1e-7
 VERIFY_TOL = 1e-9
-MANIFEST_KEYS = ("map", "rho", "policy", "iters", "p", "z0", "y0", "mu", "mode")
+MANIFEST_KEYS = (
+    "map", "rho", "policy", "iters", "p", "z0", "y0", "mu", "mode", "problem_sha256"
+)
 
 def env_tol(default):
     raw = os.environ.get("FLAGOPT_TOL")
@@ -42,6 +45,11 @@ def _write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _file_sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _load_json(path):
@@ -110,6 +118,7 @@ def cmd_solve(args):
         "z0": traj.meta["z0"],
         "y0": traj.meta["y0"],
         "subproblems": traj.meta["subproblems"],
+        "problem_sha256": _file_sha256(args.problem),
     }
     _write_json(manifest_path, manifest)
     print(f"wrote {args.out} ({traj.records} rows) and {manifest_path}")
@@ -157,13 +166,15 @@ def _vector(size):
     return lambda v: type(v) is list and len(v) == size and all(map(_num, v))
 
 
-def _check_manifest(manifest, prob):
+def _check_manifest(manifest, prob, problem_sha256):
     """DataError unless every manifest field has its JSON type, numbers are
-    finite, iters lies in [1, MAX_ITERS] and z0 / y0 fit the problem."""
+    finite, iters lies in [1, MAX_ITERS], z0 / y0 fit the problem and the
+    recorded problem hash is that of the problem file."""
     if type(manifest) is not dict:
         raise DataError("manifest must be a JSON object")
     m, n = constraint_map(prob).shape
-    checks = {key: lambda v: type(v) is str for key in ("map", "policy", "mode")}
+    strings = ("map", "policy", "mode", "problem_sha256")
+    checks = {key: lambda v: type(v) is str for key in strings}
     checks.update(
         rho=_num, mu=_num, scale=_num, margin=_num, alpha=lambda v: v is None or _num(v),
         p=lambda v: type(v) is int, iters=lambda v: type(v) is int and 1 <= v <= MAX_ITERS,
@@ -176,10 +187,15 @@ def _check_manifest(manifest, prob):
         elif not ok(manifest[key]):
             value = f"{manifest[key]!r:.60}"
             raise DataError(f"manifest {key!r} has a wrong type, size or value: {value}")
+    if manifest["problem_sha256"] != problem_sha256:
+        raise DataError(
+            "manifest 'problem_sha256' does not match the problem file: "
+            "the trajectory was solved on another problem"
+        )
 
 
-def _verify_report(prob, traj, manifest, tol):
-    _check_manifest(manifest, prob)
+def _verify_report(prob, problem_sha256, traj, manifest, tol):
+    _check_manifest(manifest, prob, problem_sha256)
     cfg = make_config(
         manifest["map"],
         prob,
@@ -223,7 +239,7 @@ def cmd_verify(args):
     prob = load_problem(args.problem)
     traj = trajectory_from_csv(args.traj)
     manifest = _load_json(args.manifest)
-    report = _verify_report(prob, traj, manifest, env_tol(args.tol))
+    report = _verify_report(prob, _file_sha256(args.problem), traj, manifest, env_tol(args.tol))
     if args.out:
         _write_json(args.out, report)
         print(f"wrote {args.out}")

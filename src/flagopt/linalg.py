@@ -56,12 +56,13 @@ def is_diagonal(M):
 
 
 def _refined(inv, apply, rhs, name):
-    """inv(rhs) plus one refinement step; NumericalError when the residual
-    ||rhs - apply(x)|| exceeds 1e-10 * (1 + ||rhs||)."""
+    """inv(rhs) plus one refinement step; NumericalError unless the residual
+    ||rhs - apply(x)|| is at most 1e-10 * (1 + ||rhs||), so a NaN residual
+    (from a NaN or infinite rhs) fails too."""
     x = inv(rhs)
     x = x + inv(rhs - apply(x))
     resid = float(np.linalg.norm(rhs - apply(x)))
-    if resid > 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
+    if not resid <= 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
         raise NumericalError(f"{name}: linear solve residual {resid:.3e} too large")
     return x
 

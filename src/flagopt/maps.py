@@ -442,22 +442,28 @@ def prim_step(cfg, sched, z, lam, prob, plan=None):
     return plan.step(sched, z, lam)
 
 
-def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None):
-    """(residual, scale) of the niceness inequality at one sampled tuple."""
+def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None, plan=None):
+    """(residual, scale) of the niceness inequality at one sampled tuple; plan
+    (a StepPlan of cfg on prob) supplies the block view and stacked A."""
+    if plan is not None and (plan.cfg is not cfg or plan.prob is not prob):
+        raise ConfigError("nice_parts: the plan was built for another map or problem")
     if cert is None:
-        cert = certificate(cfg, prob)
+        cert = certificate(cfg, prob, plan=plan)
     if delta is None:
         delta = cert.delta
     z = np.asarray(z, dtype=float)
     xi = np.asarray(xi, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    A = constraint_map(prob)
+    if plan is None:
+        A, (spec, view) = constraint_map(prob), _view(cert.kind, prob)
+    else:
+        A, spec, view = plan.A, plan.spec, plan.view
     b = prob.b
     feas_xi = float(np.linalg.norm(A @ xi - b))
     if feas_xi > 1e-9 * (1.0 + float(np.linalg.norm(b))):
         raise ConfigError(f"xi must be feasible (residual {feas_xi:.3e})")
     if z_next is None:
-        z_next = prim_step(cfg, sched, z, lam, prob)
+        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
     rho_t, tau_t = sched.rho_t, sched.tau_t
 
     lhs = eval_aug_lagrangian(prob, z_next, lam, rho_t) - eval_aug_lagrangian(
@@ -466,7 +472,6 @@ def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None)
     feas_next = float(np.linalg.norm(A @ z_next - b))
     pen_term = 0.5 * delta * rho_t * feas_next**2
 
-    spec, view = _view(cert.kind, prob)
     bregman = q_term = sc_term = 0.0
     points = (view.split(xi), view.split(z), view.split(z_next))
     for block, sigma, P, Q, xi_i, z_i, zn_i in zip(
@@ -553,7 +558,7 @@ def sample_niceness(
         t_values = (1.0,)
     rng = np.random.default_rng(seed)
     xi_gen = feasible_sampler(prob, seed=seed + 1, scale=xi_scale)
-    m, n = constraint_map(prob).shape
+    m, n = plan.A.shape
     center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
     t_cycle = itertools.cycle(t_values)
 
@@ -568,7 +573,7 @@ def sample_niceness(
         for _ in range(xis):
             xi = next(xi_gen)
             residual, scale = nice_parts(
-                cfg, sched, z, lam, xi, prob, cert=cert, z_next=z_next, delta=delta
+                cfg, sched, z, lam, xi, prob, cert=cert, z_next=z_next, delta=delta, plan=plan
             )
             checked += 1
             max_raw = max(max_raw, residual)

@@ -20,7 +20,10 @@ def soft_threshold(w, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ConfigError("soft_threshold requires t > 0")
-    w = np.asarray(w, dtype=float)
+    return _shrink(np.asarray(w, dtype=float), t)
+
+
+def _shrink(w, t):
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
 
@@ -33,13 +36,48 @@ def _diag_of(V, context):
     return np.diag(V).copy()
 
 
+class _Diagonal:
+    """Closed-form minimizer of an l1 or box leaf under the diagonal weight
+    d(c) = h0 + c k0. Like a linalg.Pencil's Cholesky, d(c), its floor check
+    and the l1 thresholds weight / d (t > 0, as soft_threshold requires) are
+    kept while c keeps one value."""
+
+    def __init__(self, term, h0, k0, name):
+        self.h0, self.k0, self.name, self.c = h0, k0, name, None
+        self.weight = term.weight if isinstance(term, L1) and term.weight != 0.0 else None
+        if isinstance(term, Box):
+            self.finish = lambda w: np.clip(w, term.lo, term.hi)
+        elif self.weight is None:
+            self.finish = lambda w: w
+        else:
+            self.finish = lambda w: _shrink(w, self.t)
+
+    def _set(self, c):
+        d = self.h0 + c * self.k0
+        if np.any(d < linalg.SINGULAR_FLOOR):
+            raise DegenerateSubproblemError(
+                f"{self.name}: diagonal weight has a (near-)zero entry; "
+                "the subproblem has no unique minimizer"
+            )
+        t = None if self.weight is None else self.weight / d
+        if t is not None and np.any(t <= 0):
+            raise ConfigError("soft_threshold requires t > 0")
+        self.c, self.d, self.t = c, d, t
+
+    def solve(self, g, c):
+        if c != self.c:
+            self._set(c)
+        return self.finish(-g / self.d)
+
+
 class Subproblem:
     """argmin_x term(x) + <g, x> + 0.5 x'V(c)x for the pencil V(c) = H0 + c K0
     (K0 = 0 by default), checked and set up once for every c.
 
     Quadratic and zero parts solve through a linalg.Pencil of (H + H0, K0); l1
     and box parts need H0 and K0 diagonal and keep the diagonals. H0 and K0
-    must not couple the parts of a separable term.
+    must not couple the parts of a separable term. Each part's solver is
+    chosen here, so a solve only slices g and calls them.
     """
 
     def __init__(self, term, H0, K0=None, name="subproblem"):
@@ -57,42 +95,35 @@ class Subproblem:
                         f"{name}: the weight couples separable blocks {i} and {j}; "
                         "use the linearized map variant"
                     )
-        self.dim, self.leaves = term.dim, []
+        self.dim, self.leaves, self.pencils = term.dim, [], []
         for i, (part, s) in enumerate(zip(parts, slices)):
             leaf_name = f"{name}[{i}]" if separable else name
             if isinstance(part, (Quadratic, Zero)):
                 H = H0[s, s] + part.H if isinstance(part, Quadratic) else H0[s, s]
-                leaf = linalg.Pencil(H, K0[s, s], leaf_name)
+                pencil = linalg.Pencil(H, K0[s, s], leaf_name)
+                self.pencils.append(pencil)
+                if isinstance(part, Quadratic):
+                    solve = lambda g, c, p=pencil, q=part.q: p.solve(-(q + g), c)
+                else:
+                    solve = lambda g, c, p=pencil: p.solve(-g, c)
             elif isinstance(part, (L1, Box)):
-                leaf = _diag_of(H0[s, s], leaf_name), _diag_of(K0[s, s], leaf_name)
+                h0, k0 = _diag_of(H0[s, s], leaf_name), _diag_of(K0[s, s], leaf_name)
+                solve = _Diagonal(part, h0, k0, leaf_name).solve
             else:
                 raise ConfigError(f"{leaf_name}: unsupported term {type(part).__name__}")
-            self.leaves.append((s, part, leaf, leaf_name))
+            self.leaves.append((s, solve))
 
     def solve(self, g, c=1.0):
         x = np.empty(self.dim)
-        for s, term, leaf, name in self.leaves:
-            if isinstance(leaf, linalg.Pencil):
-                x[s] = leaf.solve(-(term.q + g[s]) if isinstance(term, Quadratic) else -g[s], c)
-                continue
-            d = leaf[0] + c * leaf[1]
-            if np.any(d < linalg.SINGULAR_FLOOR):
-                raise DegenerateSubproblemError(
-                    f"{name}: diagonal weight has a (near-)zero entry; "
-                    "the subproblem has no unique minimizer"
-                )
-            if isinstance(term, Box):
-                x[s] = np.clip(-g[s] / d, term.lo, term.hi)
-            else:
-                x[s] = -g[s] / d if term.weight == 0.0 else soft_threshold(-g[s] / d, term.weight / d)
+        for s, solve in self.leaves:
+            x[s] = solve(g[s], c)
         return x
 
     def stats(self):
         """Factorization route ("diagonal" when no part needs one) and counts."""
-        pencils = [leaf for _, _, leaf, _ in self.leaves if isinstance(leaf, linalg.Pencil)]
         return {
-            "route": "+".join(sorted({str(p.route) for p in pencils})) or "diagonal",
-            "factorizations": {r: sum(p.counts[r] for p in pencils) for r in linalg.ROUTES},
+            "route": "+".join(sorted({str(p.route) for p in self.pencils})) or "diagonal",
+            "factorizations": {r: sum(p.counts[r] for p in self.pencils) for r in linalg.ROUTES},
         }
 
 

@@ -5,7 +5,9 @@ quadratic problems use the exact KKT system. Problems with l1 or box terms
 are solved twice (quadratic-penalty continuation with proximal-gradient
 acceleration, and a long run of the classic driver), each candidate is
 polished to an exact KKT solve on its identified active face, and the two
-polished solutions must agree before either is trusted.
+polished solutions must agree before either is trusted. The penalty route's
+prox weight is fixed within each continuation stage, so it factors once per
+stage (three times per reference), not once per step.
 
 verify_rates checks the trajectory's objective gap and feasibility against
 B / (2 N^p) and B / (c N^p) row by row and fits a log-log slope to the
@@ -35,6 +37,7 @@ from .problems import (
     quadratic_data,
     single_problem,
 )
+from .prox import Subproblem
 
 REF_TOL = 1e-9
 ROUTE_AGREEMENT_TOL = 1e-6
@@ -232,16 +235,16 @@ def polish(sp, x_approx, rounds=5):
 def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
     """Accelerated proximal gradient on Psi(x) + (beta/2)||Ax - b||^2 with
     warm-started continuation; the whole of Psi goes through its prox. Only
-    needs enough accuracy to identify the active face (polish does the rest)."""
-    from .prox import argmin_composite
-
+    needs enough accuracy to identify the active face (polish does the rest).
+    The prox weight L I is fixed within a beta stage, so each stage sets up
+    one prox.Subproblem (one Cholesky of a quadratic part) for all its steps."""
     A, b = sp.A, sp.b
     lamA = linalg.lambda_max(A.T @ A)
     n = sp.n
     x = sp.feasible_point.copy() if sp.feasible_point is not None else np.zeros(n)
     for beta in betas:
         L = beta * lamA + (sp.smooth.lipschitz_grad if sp.smooth is not None else 0.0)
-        W = L * np.eye(n)
+        prox = Subproblem(sp.f, L * np.eye(n), name="penalty continuation")
 
         def grad_s(v):
             g = beta * (A.T @ (A @ v - b))
@@ -259,7 +262,7 @@ def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
             v = x + ((t - 1.0) / t_next) * (x - x_prev)
             anchor = v - grad_s(v) / L
-            x_new = argmin_composite(sp.f, -L * anchor, W, name="penalty continuation")
+            x_new = prox.solve(-L * anchor)
             move = float(np.linalg.norm(x_new - x))
             x_prev, x = x, x_new
             t = t_next

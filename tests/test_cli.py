@@ -306,6 +306,39 @@ class TestVerify:
         assert rc == 4
         assert err.count("\n") == 1 and repr(key) in err
 
+    def test_trajectory_of_another_problem_is_io_error(self, qp_path, tmp_path, capsys):
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
+        assert rc == 0
+        other = gen_qp(tmp_path / "other.json", seed=8)  # same shape, other data
+        capsys.readouterr()
+        rc = main(
+            [
+                "verify", "--problem", other, "--traj", str(traj),
+                "--manifest", str(traj) + ".manifest.json",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.count("\n") == 1 and "'problem_sha256'" in err
+
+    def test_manifest_without_problem_hash_is_io_error(self, qp_path, tmp_path, capsys):
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
+        assert rc == 0
+        manifest_path = str(traj) + ".manifest.json"
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        assert manifest["problem_sha256"] == sha256(qp_path)
+        del manifest["problem_sha256"]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        rc = main(
+            ["verify", "--problem", qp_path, "--traj", str(traj), "--manifest", manifest_path]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.count("\n") == 1 and "'problem_sha256'" in err
+
     def test_tampered_trajectory_fails_then_env_tol_loosens(
         self, qp_path, tmp_path, monkeypatch, capsys
     ):

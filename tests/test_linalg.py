@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flagopt import DegenerateSubproblemError, NumericalError
-from flagopt.linalg import Pencil
+from flagopt.linalg import Pencil, solve_spd
 
 
 def random_psd(rng, n, shift=0.0):
@@ -71,3 +71,28 @@ def test_ill_conditioned_end_is_not_used():
         x = pencil.solve(rhs, c)
     assert pencil.route == "pencil-eigh" and pencil.mirrored
     assert_allclose((H0 + 2.0 * K0) @ x, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_spd_rejects_a_non_finite_rhs(bad):
+    with pytest.raises(NumericalError, match="residual"):
+        solve_spd(np.eye(2), [bad, 0.0])
+
+
+@pytest.mark.parametrize(
+    "H0,K0,c_values,route",
+    [
+        (np.eye(2), np.eye(2), (1.0,), "cholesky"),
+        (np.eye(2), np.eye(2), (1.0, 2.0), "pencil-eigh"),
+        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), (1.0, 2.0), "per-step"),
+    ],
+)
+def test_nan_rhs_fails_the_residual_gate_on_every_route(H0, K0, c_values, route):
+    # a NaN residual compares false with any bound, so the gate must be
+    # "not resid <= tol" rather than "resid > tol"
+    pencil = Pencil(H0, K0)
+    for c in c_values[:-1]:
+        pencil.solve(np.ones(2), c)
+    with pytest.raises(NumericalError, match="residual"):
+        pencil.solve(np.array([np.nan, 1.0]), c_values[-1])
+    assert pencil.route == route

@@ -27,6 +27,7 @@ from flagopt.maps import (
     default_p,
     feasible_sampler,
     make_config,
+    nice_parts,
     nice_residual,
     prim_step,
     sample_niceness,
@@ -487,3 +488,25 @@ def test_plan_matches_dense_solve(kind, name):
             got = plan.solvers[i].solve(g, c)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (i, c)
         assert plan.solvers[i].stats()["route"] in ("pencil-eigh", "diagonal")
+
+
+@pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS}))
+def test_nice_parts_with_plan_is_bitwise_equal(kind, name):
+    # the plan only saves rebuilding the view and the stacked A per tuple;
+    # z_next comes from one plan for both, as in sample_niceness, since a
+    # plan that has seen a second c solves through its diagonalized pencil
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    plan = StepPlan(cfg, prob)
+    m, n = plan.A.shape
+    rng = np.random.default_rng(1)
+    xis = feasible_sampler(prob, seed=2)
+    for t in (1.0, 7.0):
+        sched = schedule_at(cfg.rho, t, default_p(cfg, prob))
+        z, lam, xi = rng.standard_normal(n), rng.standard_normal(m), next(xis)
+        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
+        got = nice_parts(cfg, sched, z, lam, xi, prob, z_next=z_next, plan=plan)
+        assert got == nice_parts(cfg, sched, z, lam, xi, prob, z_next=z_next)
+    other = make_config(kind, prob, rho=1.0)
+    with pytest.raises(ConfigError, match="another map or problem"):
+        nice_parts(other, sched, z, lam, xi, prob, plan=plan)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from flagopt import Box, ConfigError, DegenerateSubproblemError, L1, Quadratic, Separable, Zero
-from flagopt.prox import argmin_composite, soft_threshold
+from flagopt.prox import Subproblem, argmin_composite, soft_threshold
 
 
 class TestSoftThreshold:
@@ -176,3 +176,51 @@ def test_soft_threshold_matches_weighted_prox(seed, t):
     W = np.eye(n) / t
     via_prox = argmin_composite(term, -W @ w, W)
     assert np.max(np.abs(via_prox - soft_threshold(w, t))) <= 1e-10
+
+
+class TestSubproblemReuse:
+    """A Subproblem set up once and solved many times, as the penalty route and
+    the step plans use it, against fresh argmin_composite calls."""
+
+    @pytest.mark.parametrize(
+        "term,closed_form",
+        [
+            (L1(0.0, 12), lambda g, d: -g / d),
+            (Box(lo=np.linspace(-3.0, 0.0, 12), hi=np.linspace(0.0, 3.0, 12)), None),
+            (L1(0.3, 12), lambda g, d: soft_threshold(-g / d, 0.3 / d)),
+        ],
+        ids=["l1-weight-0", "box", "l1"],
+    )
+    def test_diagonal_leaf_is_bitwise_equal_to_argmin_composite(self, term, closed_form):
+        if closed_form is None:
+            closed_form = lambda g, d: np.clip(-g / d, term.lo, term.hi)
+        rng = np.random.default_rng(6)
+        d = rng.uniform(0.5, 3.0, 12)
+        solver = Subproblem(term, np.diag(d))
+        for _ in range(10):
+            g = 3.0 * rng.standard_normal(12)
+            x = solver.solve(g)
+            assert np.array_equal(x, argmin_composite(term, g, np.diag(d)))
+            assert np.array_equal(x, closed_form(g, d))
+
+    def test_degenerate_c_raises_then_first_c_still_solves(self):
+        term = Separable((Quadratic(np.eye(2), np.zeros(2)), L1(0.3, 2)))
+        H0, K0 = np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 1.0, 1.0])
+        solver = Subproblem(term, H0, K0)
+        g = np.array([1.0, -2.0, 3.0, -4.0])
+        x = solver.solve(g, 1.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateSubproblemError, match=r"subproblem\[1\]"):
+                solver.solve(g, 1e-13)
+        again = solver.solve(g, 1.0)
+        # the l1 part is closed form; the quadratic part's pencil moved to its
+        # diagonalized route when it saw a second value of c
+        assert np.array_equal(again[2:], x[2:])
+        assert_allclose(again, x, rtol=1e-14)
+        assert np.array_equal(x, argmin_composite(term, g, H0 + K0))
+
+    def test_threshold_follows_c(self):
+        solver = Subproblem(L1(1.0, 2), np.zeros((2, 2)), np.eye(2))
+        g = np.array([-3.0, 0.5])
+        for c in (1.0, 2.0, 1.0):
+            assert np.array_equal(solver.solve(g, c), soft_threshold(-g / c, 1.0 / c))

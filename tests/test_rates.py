@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flagopt import ConfigError, ConstrainedProblem, Quadratic
+from flagopt import ConfigError, ConstrainedProblem, Quadratic, linalg
 from flagopt.driver import RunParams, run
 from flagopt.gen import GenSpec, generate
 from flagopt.maps import MapConfig, certificate, make_config
 from flagopt.problems import eval_objective, flatten_block
+from flagopt.prox import argmin_composite
 from flagopt.rates import (
     ReferenceSolution,
+    _penalty_route,
     bound_constant,
     fit_slope,
     kkt_residual,
@@ -78,6 +82,67 @@ class TestL1Reference:
         noisy = ref.x_star + 1e-6 * rng.standard_normal(sp.n)
         x, y = polish(sp, noisy)
         assert_allclose(x, ref.x_star, atol=1e-9)
+
+
+def per_step_penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
+    """The reference implementation of the penalty route: the same loop with
+    one argmin_composite, and so one fresh subproblem and factorization, on
+    every step."""
+    A, b = sp.A, sp.b
+    lamA = linalg.lambda_max(A.T @ A)
+    n = sp.n
+    x = sp.feasible_point.copy() if sp.feasible_point is not None else np.zeros(n)
+    for beta in betas:
+        L = beta * lamA + (sp.smooth.lipschitz_grad if sp.smooth is not None else 0.0)
+        W = L * np.eye(n)
+
+        def grad_s(v):
+            g = beta * (A.T @ (A @ v - b))
+            if sp.smooth is not None:
+                g = g + sp.smooth.term.grad(v)
+            return g
+
+        def phi(v):
+            return eval_objective(sp, v) + 0.5 * beta * float(np.sum((A @ v - b) ** 2))
+
+        t = 1.0
+        x_prev = x.copy()
+        phi_prev = phi(x)
+        for _ in range(max_iter):
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            v = x + ((t - 1.0) / t_next) * (x - x_prev)
+            anchor = v - grad_s(v) / L
+            x_new = argmin_composite(sp.f, -L * anchor, W, name="penalty continuation")
+            move = float(np.linalg.norm(x_new - x))
+            x_prev, x = x, x_new
+            t = t_next
+            phi_new = phi(x)
+            if phi_new > phi_prev:
+                t = 1.0
+            phi_prev = phi_new
+            if move <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
+                break
+    y_est = betas[-1] * (A @ x - b)
+    return x, y_est
+
+
+class TestPenaltyRoute:
+    @pytest.mark.parametrize("n,m,seed", [(12, 8, 5), (30, 20, 3)])
+    def test_bitwise_equal_to_per_step_prox(self, n, m, seed):
+        sp = flatten_block(generate(GenSpec(family="lasso-split", n=n, m=m, sigma=0.0, seed=seed)))
+        x, y = _penalty_route(sp, max_iter=200)
+        x_ref, y_ref = per_step_penalty_route(sp, max_iter=200)
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+
+    def test_one_cholesky_per_stage(self, monkeypatch):
+        sp = flatten_block(generate(GenSpec(family="lasso-split", n=12, m=8, seed=5)))
+        calls = []
+        potrf = linalg._potrf
+        monkeypatch.setattr(linalg, "_potrf", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+        monkeypatch.setattr(linalg, "solve_spd", None)  # the per-step route would call it
+        betas = (1e2, 1e4, 1e6)
+        _penalty_route(sp, betas=betas, max_iter=200)
+        assert len(calls) == len(betas)
 
 
 class TestBoundConstant:
