@@ -10,7 +10,6 @@ over maps x modes). FLAGOPT_TOL overrides the default tolerances. Exit codes:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -45,11 +44,6 @@ def _write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _file_sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _load_json(path):
@@ -95,7 +89,7 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    prob = load_problem(args.problem)
+    prob, problem_sha256 = load_problem(args.problem, with_sha256=True)
     cfg = _build_config(prob, args)
     params = RunParams(
         cfg=cfg, mode=args.mode, iters=args.iters, mu=args.mu
@@ -118,7 +112,7 @@ def cmd_solve(args):
         "z0": traj.meta["z0"],
         "y0": traj.meta["y0"],
         "subproblems": traj.meta["subproblems"],
-        "problem_sha256": _file_sha256(args.problem),
+        "problem_sha256": problem_sha256,
     }
     _write_json(manifest_path, manifest)
     print(f"wrote {args.out} ({traj.records} rows) and {manifest_path}")
@@ -236,10 +230,10 @@ def _verify_report(prob, problem_sha256, traj, manifest, tol):
 
 
 def cmd_verify(args):
-    prob = load_problem(args.problem)
+    prob, problem_sha256 = load_problem(args.problem, with_sha256=True)
     traj = trajectory_from_csv(args.traj)
     manifest = _load_json(args.manifest)
-    report = _verify_report(prob, _file_sha256(args.problem), traj, manifest, env_tol(args.tol))
+    report = _verify_report(prob, problem_sha256, traj, manifest, env_tol(args.tol))
     if args.out:
         _write_json(args.out, report)
         print(f"wrote {args.out}")

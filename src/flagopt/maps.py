@@ -444,9 +444,11 @@ def prim_step(cfg, sched, z, lam, prob, plan=None):
 
 def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None, plan=None):
     """(residual, scale) of the niceness inequality at one sampled tuple; plan
-    (a StepPlan of cfg on prob) supplies the block view and stacked A."""
+    (a StepPlan of cfg on prob, built here unless given) supplies the block
+    view, the stacked A and the step."""
     if plan is not None and (plan.cfg is not cfg or plan.prob is not prob):
         raise ConfigError("nice_parts: the plan was built for another map or problem")
+    plan = StepPlan(cfg, prob) if plan is None else plan
     if cert is None:
         cert = certificate(cfg, prob, plan=plan)
     if delta is None:
@@ -454,10 +456,7 @@ def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None,
     z = np.asarray(z, dtype=float)
     xi = np.asarray(xi, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if plan is None:
-        A, (spec, view) = constraint_map(prob), _view(cert.kind, prob)
-    else:
-        A, spec, view = plan.A, plan.spec, plan.view
+    A, spec, view = plan.A, plan.spec, plan.view
     b = prob.b
     feas_xi = float(np.linalg.norm(A @ xi - b))
     if feas_xi > 1e-9 * (1.0 + float(np.linalg.norm(b))):

@@ -8,6 +8,7 @@ declared per term and validated, never inferred.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -621,12 +622,17 @@ def save_problem(p, path):
         fh.write("\n")
 
 
-def load_problem(path):
+def load_problem(path, with_sha256=False):
+    """The problem in a JSON file; with_sha256=True also returns the hex
+    sha256 of the very bytes that were parsed, so a caller can record which
+    file it solved without reading it a second time."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        doc = json.loads(data.decode("utf-8"))
     except OSError as e:
         raise DataError(f"cannot read problem file: {e}") from None
     except json.JSONDecodeError as e:
         raise DataError(f"malformed problem JSON: {e}") from None
-    return problem_from_json(doc)
+    prob = problem_from_json(doc)
+    return (prob, hashlib.sha256(data).hexdigest()) if with_sha256 else prob

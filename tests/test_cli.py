@@ -321,6 +321,33 @@ class TestVerify:
         assert rc == 4
         assert err.count("\n") == 1 and "'problem_sha256'" in err
 
+    def test_hash_is_of_the_bytes_solved(self, qp_path, tmp_path, monkeypatch, capsys):
+        # the problem file is rewritten while the solve runs: the manifest
+        # must name the problem that was solved, not the file's later bytes
+        import flagopt.cli as cli
+
+        solved = tmp_path / "solved.json"
+        with open(qp_path, "rb") as src, open(solved, "wb") as dst:
+            dst.write(src.read())
+        later = gen_qp(tmp_path / "later.json", seed=8)
+        real_run = cli.run
+
+        def run_then_rewrite(prob, params):
+            with open(later, "rb") as src, open(solved, "wb") as dst:
+                dst.write(src.read())
+            return real_run(prob, params)
+
+        monkeypatch.setattr(cli, "run", run_then_rewrite)
+        traj = tmp_path / "t.csv"
+        assert solve_fast(str(solved), traj, iters=20) == 0
+        with open(str(traj) + ".manifest.json") as fh:
+            assert json.load(fh)["problem_sha256"] == sha256(qp_path) != sha256(solved)
+        verify = ["verify", "--traj", str(traj), "--manifest", str(traj) + ".manifest.json"]
+        capsys.readouterr()
+        assert main([*verify, "--problem", str(solved)]) == 4
+        assert "'problem_sha256'" in capsys.readouterr().err
+        assert main([*verify, "--problem", qp_path]) == 0
+
     def test_manifest_without_problem_hash_is_io_error(self, qp_path, tmp_path, capsys):
         rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
         assert rc == 0
