@@ -147,7 +147,9 @@ def cmd_certify(args):
         f"max-residual={report['max_residual']:.3e} "
         f"max-scaled-residual={report['max_scaled_residual']:.3e}"
     )
-    ok = report["max_scaled_residual"] <= tol
+    if report["checked"] == 0:
+        print("sampling: no sampled point lies in the domain of Psi; nothing was tested")
+    ok = report["checked"] > 0 and report["max_scaled_residual"] <= tol
     print(f"certified: {'yes' if ok else 'no'}")
     return 0 if ok else 3
 

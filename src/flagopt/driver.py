@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .lagrangian import eval_lagrangian
 from .maps import MapConfig, ScheduleParams, StepPlan, certificate, default_p, prim_step
 from .problems import eval_objective
 
@@ -288,12 +287,15 @@ def run(prob, params, reference=None, bound=None):
             out["psi_x"][i] = eval_objective(prob, xbar)
             out["feas_x"][i] = np.linalg.norm(A @ xbar - b)
         else:
-            out["psi_x"][i] = eval_objective(prob, st.x)
-            out["feas_x"][i] = np.linalg.norm(A @ st.x - b)
+            psi, r = eval_objective(prob, st.x), A @ st.x - b
+            out["psi_x"][i] = psi
+            out["feas_x"][i] = np.linalg.norm(r)
             if reference is not None:
+                # the Lagrangian at (x^k, y*) from the Psi and residual above
                 aug = resolved.rho * t_used**p if i > 0 else 0.0
                 out["s_k"][i] = (
-                    eval_lagrangian(prob, st.x, reference.y_star)
+                    psi
+                    + float(reference.y_star @ r)
                     + 0.5 * aug * out["feas_x"][i] ** 2
                     - reference.psi_star
                 )

@@ -1,39 +1,41 @@
 """Lagrangian, augmented Lagrangian, and the weighted Bregman-gap quantity
-Delta_P(u, v, w) = 0.5 (||u - v||_P^2 - ||u - w||_P^2)."""
+Delta_P(u, v, w) = 0.5 (||u - v||_P^2 - ||u - w||_P^2).
 
-import math
+Every function here takes one point, giving a float, or points stacked along
+a leading axis, giving one value per row.
+"""
 
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import rowdot
 from .problems import constraint_map, eval_objective
+
+
+def _lagrangian(p, x, y):
+    """(Psi(x) + <y, Ax - b>, Ax - b)."""
+    x = np.asarray(x, dtype=float)
+    r = x @ constraint_map(p).T - p.b
+    return eval_objective(p, x) + rowdot(r, np.asarray(y, dtype=float)), r
 
 
 def eval_lagrangian(p, x, y):
     """Psi(x) + <y, Ax - b>; +inf propagates from indicator terms."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = eval_objective(p, x)
-    if math.isinf(v):
-        return math.inf
-    return v + float(y @ (constraint_map(p) @ x - p.b))
+    return _lagrangian(p, x, y)[0]
 
 
 def eval_aug_lagrangian(p, x, y, rho):
     """Lagrangian plus (rho/2) ||Ax - b||^2; rho = 0 recovers the Lagrangian."""
     if rho < 0:
         raise ConfigError("rho must be nonnegative")
-    v = eval_lagrangian(p, x, y)
-    if math.isinf(v):
-        return math.inf
-    r = constraint_map(p) @ np.asarray(x, dtype=float) - p.b
-    return v + 0.5 * rho * float(r @ r)
+    v, r = _lagrangian(p, x, y)
+    return v + 0.5 * rho * rowdot(r, r)
 
 
 def quad_norm(P, v):
     """||v||_P^2 = v'Pv."""
     v = np.asarray(v, dtype=float)
-    return float(v @ (np.asarray(P, dtype=float) @ v))
+    return rowdot(v, v @ np.asarray(P, dtype=float).T)
 
 
 def delta_P(P, u, v, w):
@@ -42,7 +44,7 @@ def delta_P(P, u, v, w):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    if not (u.shape == v.shape == w.shape):
+    if not (u.shape[-1:] == v.shape[-1:] == w.shape[-1:]):
         raise ConfigError("delta_P arguments must share a dimension")
     return 0.5 * (quad_norm(P, u - v) - quad_norm(P, u - w))
 
@@ -52,4 +54,4 @@ def delta_euclid(u, v, w):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    return 0.5 * (float((u - v) @ (u - v)) - float((u - w) @ (u - w)))
+    return 0.5 * (rowdot(u - v, u - v) - rowdot(u - w, u - w))

@@ -17,6 +17,14 @@ def as_array(a, dtype=float):
     return np.ascontiguousarray(np.asarray(a, dtype=dtype))
 
 
+def rowdot(a, b):
+    """<a, b> along the last axis: a float for two vectors, one value per row
+    when either is a (k, n) stack of points."""
+    if a.ndim == 1 and b.ndim == 1:
+        return float(a @ b)
+    return np.einsum("...i,...i->...", a, b)
+
+
 def check_symmetric(M, name="matrix", tol=SYM_TOL):
     M = as_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -3,7 +3,9 @@
 A problem is  min_x  Psi(x)  subject to  A x = b,  where Psi = f (+ optional
 smooth quadratic h) is built from a closed enumeration of convex terms so that
 every proximal subproblem has a closed-form solver. Strong convexity is
-declared per term and validated, never inferred.
+declared per term and validated, never inferred. Each term's value, and
+eval_objective, take one point, giving a float, or a (k, n) stack of points,
+giving one value per row.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ def _matrix(M, name="matrix"):
     return M
 
 
+def _per_point(v, x):
+    """v as a float when x is one point, else one value per row of x."""
+    return float(v) if x.ndim == 1 else v
+
+
 @dataclass(frozen=True)
 class Quadratic:
     """0.5 x'Hx + q'x + r with symmetric PSD H.
@@ -78,7 +85,7 @@ class Quadratic:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.H @ x) + self.q @ x + self.r)
+        return linalg.rowdot(0.5 * x, x @ self.H.T) + linalg.rowdot(x, self.q) + self.r
 
     def grad(self, x):
         return self.H @ np.asarray(x, dtype=float) + self.q
@@ -107,7 +114,8 @@ class L1:
         return 0.0
 
     def value(self, x):
-        return float(self.weight * np.sum(np.abs(x)))
+        x = np.asarray(x, dtype=float)
+        return _per_point(self.weight * np.sum(np.abs(x), axis=-1), x)
 
     def subgrad_dist(self, x, g):
         # per coordinate: distance to w*sign(x_i) when x_i != 0, else to [-w, w]
@@ -146,8 +154,8 @@ class Box:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        inside = np.all(x >= self.lo - BOX_TOL) and np.all(x <= self.hi + BOX_TOL)
-        return 0.0 if inside else math.inf
+        inside = np.all((x >= self.lo - BOX_TOL) & (x <= self.hi + BOX_TOL), axis=-1)
+        return _per_point(np.where(inside, 0.0, math.inf), x)
 
     def subgrad_dist(self, x, g):
         # distance to the normal cone of the box at x
@@ -180,7 +188,8 @@ class Zero:
         return 0.0
 
     def value(self, x):
-        return 0.0
+        x = np.asarray(x, dtype=float)
+        return _per_point(np.zeros(x.shape[:-1]), x)
 
     def grad(self, x):
         return np.zeros(self.dim)
@@ -221,7 +230,7 @@ class Separable:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(sum(p.value(x[s]) for p, s in zip(self.parts, self.slices())))
+        return _per_point(sum(p.value(x[..., s]) for p, s in zip(self.parts, self.slices())), x)
 
     def subgrad_dist(self, x, g):
         x = np.asarray(x, dtype=float)
@@ -434,7 +443,7 @@ class BlockProblem:
 
     def split(self, x):
         x = np.asarray(x, dtype=float)
-        return x[: self.n1], x[self.n1 :]
+        return x[..., : self.n1], x[..., self.n1 :]
 
 
 def flatten_block(bp):
@@ -480,7 +489,8 @@ def feasibility_residual(p, x):
 
 
 def eval_objective(p, x):
-    """Psi(x), +inf when x violates an indicator term."""
+    """Psi(x), +inf when x violates an indicator term; a (k, n) stack of
+    points gives one value per row."""
     if isinstance(p, BlockProblem):
         u, v = p.split(x)
         return p.f_term.value(u) + p.g_term.value(v)

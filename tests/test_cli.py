@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, save_problem
 from flagopt.cli import main
 from flagopt.driver import MAX_ITERS, trajectory_from_csv
 
@@ -184,6 +185,41 @@ class TestCertify:
         rc = main(["certify", "--problem", path, "--map", kind, "--states", "10", "--xis", "4"])
         assert rc == 0, capsys.readouterr().err
         assert "certified: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [("--states", "0"), ("--xis", "-3")])
+    def test_empty_sampling_rejected(self, tmp_path, capsys, flag, value):
+        path = str(tmp_path / "p.json")
+        rc = main(
+            ["gen", "eq-qp", "--n", "10", "--m", "3", "--sigma", "1", "--seed", "1", "--out", path]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["certify", "--problem", path, "--map", "prox-lin-al", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "certified" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and f"{flag[2:]} >= 1, got {value}" in err[0]
+
+    def test_nothing_tested_is_not_certified(self, tmp_path, capsys):
+        # a box far narrower than the sampling spread: every sampled point
+        # lies outside it, where the inequality holds trivially
+        n, m = 8, 3
+        rng = np.random.default_rng(0)
+        x0 = rng.uniform(-0.5, 0.5, n)
+        A = rng.standard_normal((m, n))
+        half_sq = Quadratic(H=np.eye(n), q=np.zeros(n), strong_convexity=1.0)
+        prob = ConstrainedProblem(
+            f=Box(lo=x0 - 1e-6, hi=x0 + 1e-6), A=A, b=A @ x0,
+            smooth=SmoothTerm(term=half_sq, lipschitz_grad=1.0), feasible_point=x0,
+        )
+        path = str(tmp_path / "box.json")
+        save_problem(prob, path)
+        rc = main(["certify", "--problem", path, "--map", "prox-lin-al", "--states", "10"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "checked=0 " in out
+        assert "certified: no" in out
 
     def test_failed_condition_named(self, lasso_path, capsys):
         rc = main(

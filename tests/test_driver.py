@@ -20,6 +20,7 @@ from flagopt.driver import (
     trajectory_from_csv,
 )
 from flagopt.gen import GenSpec, generate
+from flagopt.lagrangian import eval_lagrangian
 from flagopt.maps import MapConfig, make_config
 
 
@@ -185,6 +186,28 @@ class TestRun:
         assert_allclose(traj.bound_fn[1:], 8.0 / (2.0 * np.arange(1, 11) ** 2))
         assert_allclose(traj.bound_feas[2], 8.0 / (2.0 * 4.0))
         assert np.isnan(traj.bound_fn[0])
+
+    @pytest.mark.parametrize("family,kind", [("eq-qp", "prox-lin-al"), ("block-qp", "prox-admm")])
+    def test_s_k_is_the_lagrangian_gap(self, family, kind):
+        # s_k reuses the Psi and residual of the psi_x / feas_x columns; it
+        # stays bitwise the augmented Lagrangian gap through eval_lagrangian
+        p = generate(GenSpec(family=family, n=10, m=4, sigma=1.0, seed=2))
+        params = RunParams(cfg=make_config(kind, p, rho=1.0), mode="fast", iters=12)
+        ref = SimpleNamespace(y_star=np.linspace(-1.0, 1.0, 4), psi_star=0.25, c=1.0)
+        traj = run(p, params, reference=ref)
+        resolved = resolve_params(p, params)
+        state = initial_state(p, params, resolved)
+        for i in range(params.iters + 1):
+            if i:
+                t_used = state.t
+                state = flag_iterate(state, resolved, p)
+            aug = resolved.rho * t_used**2 if i else 0.0
+            want = (
+                eval_lagrangian(p, state.x, ref.y_star)
+                + 0.5 * aug * traj.feas_x[i] ** 2
+                - ref.psi_star
+            )
+            assert traj.s_k[i] == want, i
 
     def test_ergodic_average_matches_manual(self):
         p = make_qp()

@@ -4,8 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagopt import Box, ConstrainedProblem, Quadratic
-from flagopt.lagrangian import delta_P, delta_euclid, eval_aug_lagrangian, eval_lagrangian
+from flagopt import (
+    L1,
+    BlockProblem,
+    Box,
+    ConstrainedProblem,
+    Quadratic,
+    Separable,
+    SmoothTerm,
+    Zero,
+    eval_objective,
+)
+from flagopt.lagrangian import (
+    delta_P,
+    delta_euclid,
+    eval_aug_lagrangian,
+    eval_lagrangian,
+    quad_norm,
+)
 
 
 def scalar_problem():
@@ -70,6 +86,58 @@ class TestDeltaP:
         rng = np.random.default_rng(8)
         u, v, w = (rng.standard_normal(5) for _ in range(3))
         assert delta_P(np.eye(5), u, v, w) == pytest.approx(delta_euclid(u, v, w))
+
+
+def mixed_problems():
+    """One problem with every term type and a smooth part, and a block
+    problem; each has a Box part on [-1, 1]."""
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((3, 3))
+    quad = Quadratic(H=G @ G.T, q=rng.standard_normal(3), r=0.5)
+    f = Separable((quad, L1(weight=0.7, dim=2), Box(lo=-np.ones(2), hi=np.ones(2)), Zero(1)))
+    h = SmoothTerm(term=Quadratic(H=np.eye(8), q=rng.standard_normal(8)), lipschitz_grad=1.0)
+    A, b = rng.standard_normal((3, 8)), rng.standard_normal(3)
+    single = ConstrainedProblem(f=f, A=A, b=b, smooth=h)
+    block = BlockProblem(
+        f_term=quad, g_term=Separable((L1(weight=0.3, dim=3), Box(lo=-np.ones(2), hi=np.ones(2)))),
+        A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 5)), b=rng.standard_normal(3),
+    )
+    return single, block
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_stacked_points_match_each_row(which):
+    # a (k, n) stack gives, row by row, the single-point value; rows outside
+    # the box give +inf in both
+    p = mixed_problems()[which]
+    rng = np.random.default_rng(which)
+    X = rng.standard_normal((7, 8))
+    y, P = rng.standard_normal(3), np.diag(rng.uniform(0.0, 2.0, 8))
+    v, w = rng.standard_normal(8), rng.standard_normal(8)
+    stacked = (
+        eval_objective(p, X),
+        eval_lagrangian(p, X, y),
+        eval_aug_lagrangian(p, X, y, 2.5),
+        quad_norm(P, X),
+        delta_P(P, X, v, w),
+        delta_euclid(X, v, w),
+    )
+    assert 0 < np.sum(np.isinf(stacked[0])) < 7
+    for row, x in enumerate(X):
+        single = (
+            eval_objective(p, x),
+            eval_lagrangian(p, x, y),
+            eval_aug_lagrangian(p, x, y, 2.5),
+            quad_norm(P, x),
+            delta_P(P, x, v, w),
+            delta_euclid(x, v, w),
+        )
+        for got, want in zip(stacked, single):
+            assert isinstance(want, float)
+            if math.isinf(want):
+                assert got[row] == want
+            else:
+                assert got[row] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=200, derandomize=True)

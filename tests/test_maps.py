@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from flagopt import (
     BlockProblem,
+    Box,
     ConfigError,
     ConstrainedProblem,
     L1,
@@ -82,6 +83,18 @@ def small_block(seed=5, n1=4, n2=3, m=2, sigma_f=0.5, sigma_g=1.0, a_identity=Fa
         b=A @ u + B @ v,
         feasible_point=np.concatenate([u, v]),
     )
+
+
+def box_problem(half_width=1.0, n=8, m=3, seed=0):
+    """f = indicator of the box [-half_width, half_width]^n around a feasible
+    point inside it, h = 0.5 ||x||^2."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-0.5, 0.5, n) * half_width
+    A = rng.standard_normal((m, n))
+    half_sq = Quadratic(H=np.eye(n), q=np.zeros(n), strong_convexity=1.0)
+    h = SmoothTerm(term=half_sq, lipschitz_grad=1.0)
+    f = Box(lo=-half_width * np.ones(n), hi=half_width * np.ones(n))
+    return ConstrainedProblem(f=f, A=A, b=A @ x0, smooth=h, feasible_point=x0)
 
 
 class TestSchedule:
@@ -367,6 +380,41 @@ class TestNiceness:
         assert_allclose(p.A @ pts.T, np.tile(p.b[:, None], (1, 8)), atol=1e-8)
         assert np.linalg.matrix_rank(pts - pts[0]) == p.n - p.m
 
+    def test_feasible_sampler_stack_draws_the_same_points(self):
+        p = small_qp()
+        single = feasible_sampler(p, seed=4, scale=1.5)
+        stacked = feasible_sampler(p, seed=4, scale=1.5, size=5)
+        for _ in range(3):
+            want = np.array([next(single) for _ in range(5)])
+            assert_allclose(next(stacked), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("flag", ["states", "xis"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_sampling_rejected(self, flag, count):
+        p = small_qp()
+        cfg = make_config("prox-lin-al", p, rho=1.0)
+        with pytest.raises(ConfigError, match=f"{flag} >= 1, got {count}"):
+            sample_niceness(cfg, p, **{flag: count})
+
+    def test_points_outside_the_box_are_not_counted(self):
+        # most sampled points leave the box, where Psi = +inf makes the left
+        # side -inf: only the points inside it test the inequality
+        prob = box_problem()
+        report = sample_niceness(make_config("prox-lin-al", prob, rho=1.0), prob, seed=0)
+        points = feasible_sampler(prob, seed=1, scale=1.5, size=20)
+        inside = sum(
+            int(np.sum(np.all(np.abs(next(points)) <= 1.0 + 1e-9, axis=1))) for _ in range(100)
+        )
+        assert 0 < inside < 2000
+        assert report["checked"] == inside
+        assert -np.inf < report["max_scaled_residual"] <= 1e-7
+
+    def test_nothing_tested_when_no_point_is_in_the_box(self):
+        prob = box_problem(half_width=1e-6)
+        report = sample_niceness(make_config("prox-lin-al", prob, rho=1.0), prob, states=10)
+        assert report["checked"] == 0
+        assert report["max_residual"] == report["max_scaled_residual"] == -np.inf
+
 
 class TestDefaults:
     def test_default_p_single(self):
@@ -510,3 +558,67 @@ def test_nice_parts_with_plan_is_bitwise_equal(kind, name):
     other = make_config(kind, prob, rho=1.0)
     with pytest.raises(ConfigError, match="another map or problem"):
         nice_parts(other, sched, z, lam, xi, prob, plan=plan)
+
+
+# (max_residual, max_scaled_residual) of sample_niceness(states=20, xis=8)
+# with the auto policy at rho = 1, recorded from the implementation that
+# evaluated the inequality one sampled point at a time.
+PINNED_SAMPLING = {
+    ("chambolle-pock", "block-id"): (-31.617096276761373, -0.23139978224798613),
+    ("full-lin-admm", "block"): (-2.8761611328946683, -0.12123384042877997),
+    ("full-lin-admm", "lasso"): (-9.950917470285791, -0.16515892850145472),
+    ("pcpm", "block"): (-6.197057691000007, -0.21237304640449675),
+    ("prox-admm", "block"): (-4.5788836142388805, -0.15640746999236507),
+    ("prox-admm", "lasso"): (-7.933723451368484, -0.22109209059765964),
+    ("prox-al", "eq-qp"): (-4.630304888579261, -0.012966913434747766),
+    ("prox-jacobi", "block"): (-6.379936957704145, -0.26265383667729847),
+    ("prox-jacobi", "lasso"): (-28.64915846462922, -0.5421359196911655),
+    ("prox-lin-admm", "block"): (-4.335583287953786, -0.15169996491164073),
+    ("prox-lin-admm", "lasso"): (-7.933723451368482, -0.2210920905976596),
+    ("prox-lin-al", "eq-qp"): (-9.98307587323743, -0.01144378428793395),
+    ("prox-lin-al", "lasso-flat"): (-5.77728388901175, -0.10052649076357466),
+    ("smooth-lin-al", "smooth"): (-23.465287887745205, -0.04070229397153206),
+    ("smooth-prox-al", "smooth"): (-19.817335675692426, -0.08933234171486522),
+}
+
+
+def test_pinned_sampling_covers_the_pinned_cases():
+    assert set(PINNED_SAMPLING) == {key[:2] for key in PINNED_FINALS}
+
+
+@pytest.mark.parametrize("kind,name", sorted(PINNED_SAMPLING))
+def test_pinned_sampling(kind, name):
+    prob = pin_problem(name)
+    report = sample_niceness(make_config(kind, prob, rho=1.0), prob, states=20, xis=8)
+    assert report["checked"] == 160
+    got = (report["max_residual"], report["max_scaled_residual"])
+    for g, want in zip(got, PINNED_SAMPLING[kind, name]):
+        assert abs(g - want) <= 1e-9 * max(abs(want), 1e-12), (g, want)
+
+
+@pytest.mark.parametrize("kind,name", sorted(PINNED_SAMPLING))
+def test_stacked_nice_parts_matches_each_point(kind, name):
+    # one call on a (k, n) stack gives, row by row, the single-point call
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    plan = StepPlan(cfg, prob)
+    m, n = plan.A.shape
+    rng = np.random.default_rng(3)
+    stack = next(feasible_sampler(prob, seed=5, scale=1.5, size=6))
+    for t in (1.0, 19.5):
+        sched = schedule_at(cfg.rho, t, default_p(cfg, prob))
+        z, lam = rng.standard_normal(n), rng.standard_normal(m)
+        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
+        residual, scale = nice_parts(cfg, sched, z, lam, stack, prob, z_next=z_next, plan=plan)
+        assert residual.shape == scale.shape == (6,)
+        for row, xi in enumerate(stack):
+            want = nice_parts(cfg, sched, z, lam, xi, prob, z_next=z_next, plan=plan)
+            assert isinstance(want[0], float) and isinstance(want[1], float)
+            assert_allclose((residual[row], scale[row]), want, rtol=1e-12, atol=0)
+    bad = stack.copy()
+    bad[3] += 1.0
+    with pytest.raises(ConfigError, match="xi must be feasible") as single:
+        nice_parts(cfg, sched, z, lam, bad[3], prob, z_next=z_next, plan=plan)
+    with pytest.raises(ConfigError) as stacked:
+        nice_parts(cfg, sched, z, lam, bad, prob, z_next=z_next, plan=plan)
+    assert str(stacked.value) == str(single.value)
