@@ -20,7 +20,7 @@ from . import linalg
 from .driver import MAX_ITERS, RunParams, run, trajectory_from_csv
 from .errors import ConfigError, DataError, FlagoptError
 from .gen import FAMILIES, GenSpec, generate
-from .maps import MAP_KINDS, certificate, make_config, sample_niceness
+from .maps import MAP_KINDS, StepPlan, certificate, make_config, sample_niceness
 from .problems import constraint_map, feasibility_residual, load_problem, save_problem
 from .rates import bound_constant, reference_solve, verify_rates
 
@@ -127,7 +127,8 @@ def cmd_solve(args):
 def cmd_certify(args):
     prob = load_problem(args.problem)
     cfg = _build_config(prob, args)
-    cert = certificate(cfg, prob)
+    plan = StepPlan(cfg, prob)
+    cert = certificate(cfg, prob, plan=plan)
     print(f"kind: {cert.kind}")
     print(f"delta: {cert.delta:.12g}")
     print(
@@ -139,7 +140,7 @@ def cmd_certify(args):
     for cond in cert.conditions:
         print(f"condition: {cond.name}  margin={cond.margin:.6g}")
     report = sample_niceness(
-        cfg, prob, states=args.states, xis=args.xis, seed=args.seed
+        cfg, prob, states=args.states, xis=args.xis, seed=args.seed, plan=plan, cert=cert
     )
     tol = env_tol(args.tol)
     print(

@@ -22,12 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+from .linalg import rowdot
 from .maps import MapConfig, ScheduleParams, StepPlan, certificate, default_p, prim_step
 from .problems import eval_objective
 
 MODES = ("fast", "classic", "ergodic")
 # a run preallocates 11 (iters + 1) floats: 88 MB at the bound
 MAX_ITERS = 1_000_000
+# rows run() buffers before it evaluates their columns as one stack
+CHUNK = 256
 
 CSV_COLUMNS = (
     "k",
@@ -260,63 +263,121 @@ def trajectory_from_csv(path):
     return Trajectory(**cols)
 
 
+class _Recorder:
+    """The columns of one run's trajectory, evaluated CHUNK rows at a time.
+
+    Each row's x^k (the running average in ergodic mode), z^k and y^k wait in
+    a (CHUNK, n) / (CHUNK, m) buffer; flush() evaluates the buffered rows'
+    psi, feas, y_norm and s_k columns as stacks (one eval_objective and one
+    product with A' per point sequence) and then runs the finiteness guard
+    on them."""
+
+    def __init__(self, prob, resolved, N, reference):
+        self.prob, self.resolved, self.reference = prob, resolved, reference
+        self.A = resolved.plan.A
+        m, n = self.A.shape
+        self.ergodic = resolved.mode == "ergodic"
+        self.with_gap = reference is not None and not self.ergodic
+        # columns every row fills; s_k and the bounds are NaN where not computed
+        self.guarded = CSV_COLUMNS[1:8] + (("s_k",) if self.with_gap else ())
+        self.out = {c: np.full(N + 1, np.nan) for c in CSV_COLUMNS}
+        self.out["k"] = np.arange(N + 1)
+        rows = min(CHUNK, N + 1)
+        self.X, self.Z, self.Y = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, m))
+        self.aug = np.zeros(rows)
+        self.lo = self.hi = 0  # rows [lo, hi) are buffered, not yet evaluated
+
+    def add(self, st, t_used):
+        """Buffer the row of state st; t_used is the t of the iteration that
+        produced it (ignored for row 0)."""
+        i, j = self.hi, self.hi - self.lo
+        p, rho = self.resolved.p, self.resolved.rho
+        self.out["t"][i] = st.t
+        self.out["rho_k"][i] = rho * st.t ** (p - 1)
+        if not self.ergodic:
+            self.X[j] = st.x
+        elif i == 0:
+            self.X[j] = st.z
+        else:
+            np.divide(st.zbar_acc, ergodic_weight_sum(t_used, p), out=self.X[j])
+        self.Z[j], self.Y[j] = st.z, st.y
+        # the penalty rho t_{k-1}^p of the s_k gap
+        self.aug[j] = rho * t_used**p if i > 0 else 0.0
+        self.hi += 1
+        if self.hi - self.lo == len(self.X):
+            self.flush()
+
+    def flush(self):
+        """Evaluate the buffered rows, then raise NumericalError naming the
+        first of them with a non-finite column (the first such column in
+        CSV_COLUMNS order)."""
+        lo, hi, out, prob = self.lo, self.hi, self.out, self.prob
+        k, rows = hi - lo, slice(lo, hi)
+        self.lo = hi
+        if not k:
+            return
+        b, At = prob.b, self.A.T
+        x = self.X[:k]
+        r = x @ At - b
+        psi = eval_objective(prob, x)
+        out["psi_x"][rows] = psi
+        out["feas_x"][rows] = feas = np.linalg.norm(r, axis=1)
+        if self.with_gap:
+            # the Lagrangian at (x^k, y*) from the Psi and residual above:
+            # bitwise lagrangian.eval_lagrangian of the stack
+            ref = self.reference
+            gap = psi + rowdot(r, ref.y_star) + 0.5 * self.aug[:k] * feas**2
+            out["s_k"][rows] = gap - ref.psi_star
+        out["psi_z"][rows] = eval_objective(prob, self.Z[:k])
+        out["feas_z"][rows] = np.linalg.norm(self.Z[:k] @ At - b, axis=1)
+        out["y_norm"][rows] = np.linalg.norm(self.Y[:k], axis=1)
+        bad = ~np.isfinite(np.stack([out[c][rows] for c in self.guarded]))
+        if bad.any():
+            i = lo + int(np.argmax(bad.any(axis=0)))
+            c = self.guarded[int(np.argmax(bad[:, i - lo]))]
+            raise NumericalError(f"iteration {i}: {c} is not finite ({out[c][i]})")
+
+
 def run(prob, params, reference=None, bound=None):
     """Run the driver for params.iters iterations and record the trajectory.
 
     reference (optional) enables the s_k column: the rho t_{k-1}^p augmented
     Lagrangian gap at (x^k, y*) against psi*. bound (optional, with
     reference) fills bound_fn = B / (2 k^p) and bound_feas = B / (c k^p).
+
+    Rows are recorded in chunks of CHUNK, so the recording holds at most
+    CHUNK x (2n + m) floats besides the output columns. A chunk's columns
+    are evaluated when it is full, at the end, and before an exception from
+    a later step leaves the loop. The finiteness guard therefore names the
+    earliest iteration with a non-finite t, rho_k, psi, feas, y_norm or s_k
+    and the first such column in CSV_COLUMNS order, and raises
+    NumericalError; no trajectory is returned.
     """
     resolved = resolve_params(prob, params)
     state = start = initial_state(prob, params, resolved)
     p, mode = resolved.p, resolved.mode
     N = params.iters
-    A = resolved.plan.A
-    b = prob.b
-    # columns every row fills; s_k and the bounds are NaN where not computed
-    guarded = CSV_COLUMNS[1:8] + (("s_k",) if reference is not None and mode != "ergodic" else ())
+    rec = _Recorder(prob, resolved, N, reference)
 
-    out = {c: np.full(N + 1, np.nan) for c in CSV_COLUMNS}
-    out["k"] = np.arange(N + 1)
-
-    def record(i, st, t_used):
-        out["t"][i] = st.t
-        out["rho_k"][i] = resolved.rho * st.t ** (p - 1)
-        if mode == "ergodic":
-            xbar = st.z if i == 0 else st.zbar_acc / ergodic_weight_sum(t_used, p)
-            out["psi_x"][i] = eval_objective(prob, xbar)
-            out["feas_x"][i] = np.linalg.norm(A @ xbar - b)
-        else:
-            psi, r = eval_objective(prob, st.x), A @ st.x - b
-            out["psi_x"][i] = psi
-            out["feas_x"][i] = np.linalg.norm(r)
-            if reference is not None:
-                # the Lagrangian at (x^k, y*) from the Psi and residual above
-                aug = resolved.rho * t_used**p if i > 0 else 0.0
-                out["s_k"][i] = (
-                    psi
-                    + float(reference.y_star @ r)
-                    + 0.5 * aug * out["feas_x"][i] ** 2
-                    - reference.psi_star
-                )
-        out["psi_z"][i] = eval_objective(prob, st.z)
-        out["feas_z"][i] = np.linalg.norm(A @ st.z - b)
-        out["y_norm"][i] = np.linalg.norm(st.y)
-        if reference is not None and bound is not None and i > 0:
-            out["bound_fn"][i] = bound / (2.0 * float(i) ** p)
-            if reference.c > 0:
-                out["bound_feas"][i] = bound / (reference.c * float(i) ** p)
-        for c in guarded:
-            if not math.isfinite(out[c][i]):
-                raise NumericalError(f"iteration {i}: {c} is not finite ({out[c][i]})")
-
-    # the finiteness guard in record() reports any overflow as a NumericalError
+    # the finiteness guard in _Recorder.flush reports any overflow as a
+    # NumericalError
     with np.errstate(all="ignore"):
-        record(0, state, 0.0)
-        for _ in range(N):
-            t_used = state.t
-            state = flag_iterate(state, resolved, prob)
-            record(state.k, state, t_used)
+        try:
+            rec.add(state, 0.0)
+            for _ in range(N):
+                t_used = state.t
+                state = flag_iterate(state, resolved, prob)
+                rec.add(state, t_used)
+        except Exception:
+            rec.flush()  # a non-finite row before the failing step wins
+            raise
+        rec.flush()
+    out = rec.out
+    if reference is not None and bound is not None:
+        k_p = np.arange(1, N + 1, dtype=float) ** p
+        out["bound_fn"][1:] = bound / (2.0 * k_p)
+        if reference.c > 0:
+            out["bound_feas"][1:] = bound / (reference.c * k_p)
 
     meta = {
         "kind": resolved.cfg.kind,

@@ -63,41 +63,48 @@ def is_diagonal(M):
     return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
 
 
-def _refined(inv, apply, rhs, name):
-    """inv(rhs) plus one refinement step; NumericalError unless the residual
-    ||rhs - apply(x)|| is at most 1e-10 * (1 + ||rhs||), so a NaN residual
-    (from a NaN or infinite rhs) fails too."""
+def _refined(inv, apply, rhs, name, counts=None):
+    """inv(rhs), refined by one step only when it fails the residual gate
+    ||rhs - apply(x)|| <= 1e-10 * (1 + ||rhs||); NumericalError when the
+    refined solution fails the gate too. A NaN residual (from a NaN or
+    infinite rhs) fails both checks. counts["refinements"] (when given)
+    counts the refinement steps taken."""
     x = inv(rhs)
-    x = x + inv(rhs - apply(x))
-    resid = float(np.linalg.norm(rhs - apply(x)))
-    if not resid <= 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
-        raise NumericalError(f"{name}: linear solve residual {resid:.3e} too large")
+    tol = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
+    r = rhs - apply(x)
+    if not float(np.linalg.norm(r)) <= tol:
+        if counts is not None:
+            counts["refinements"] += 1
+        x = x + inv(r)
+        resid = float(np.linalg.norm(rhs - apply(x)))
+        if not resid <= tol:
+            raise NumericalError(f"{name}: linear solve residual {resid:.3e} too large")
     return x
 
 
-def solve_spd(V, rhs, name="subproblem"):
+def solve_spd(V, rhs, name="subproblem", counts=None):
     """Solve V x = rhs for symmetric positive definite V.
 
-    Cholesky with one step of iterative refinement; falls back to a
-    symmetric-pivot solve on factorization failure. Raises
-    DegenerateSubproblemError when the smallest eigenvalue is below 1e-12,
-    NumericalError when the refined residual exceeds 1e-10 * (1 + ||rhs||).
+    Cholesky, or a symmetric-pivot solve when the factorization fails, both
+    through _refined's residual gate (refined only when the first solve
+    fails it). Raises DegenerateSubproblemError when the smallest eigenvalue
+    is below 1e-12, NumericalError when the refined residual exceeds
+    1e-10 * (1 + ||rhs||).
     """
     V = 0.5 * (as_array(V) + as_array(V).T)
     rhs = as_array(rhs)
     try:
         factor = scipy.linalg.cho_factor(V, lower=True, check_finite=False)
+        inv = lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
     except scipy.linalg.LinAlgError:
-        if lambda_min(V) < SINGULAR_FLOOR:
+        lo = lambda_min(V)
+        if lo < SINGULAR_FLOOR:
             raise DegenerateSubproblemError(
                 f"{name}: effective Hessian is singular "
-                f"(lambda_min {lambda_min(V):.3e} < {SINGULAR_FLOOR:.0e})"
+                f"(lambda_min {lo:.3e} < {SINGULAR_FLOOR:.0e})"
             ) from None
-        x = scipy.linalg.solve(V, rhs, assume_a="sym", check_finite=False)
-        return x
-    return _refined(
-        lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False), V.__matmul__, rhs, name
-    )
+        inv = lambda r: scipy.linalg.solve(V, r, assume_a="sym", check_finite=False)
+    return _refined(inv, V.__matmul__, rhs, name, counts)
 
 
 class Pencil:
@@ -111,13 +118,15 @@ class Pencil:
     the mirrored W'H0W = I, W'K0W = diag(lam) and W diag(1 / (1 + c lam)) W'.
     An end counts as definite when ||W||_F^2 ||end||_F = trace(end^-1)
     ||end||_F <= PENCIL_COND. With neither, each solve is a solve_spd of V(c).
-    Both cached routes keep solve_spd's refinement step and residual gate.
+    Every route goes through _refined: each solve is gated, and refined only
+    when it fails the gate. counts holds the factorizations per route and
+    the refinement steps.
     """
 
     def __init__(self, H0, K0, name="subproblem"):
         self.H0, self.K0 = H0, K0
         self.name, self.route = name, None
-        self.counts = dict.fromkeys(ROUTES, 0)
+        self.counts = dict.fromkeys(ROUTES + ("refinements",), 0)
 
     def _factor(self, c):
         if self.route is None:
@@ -141,10 +150,10 @@ class Pencil:
             self._factor(c)
         if self.route == "per-step":
             self.counts["per-step"] += 1
-            return solve_spd(self.H0 + c * self.K0, rhs, self.name)
+            return solve_spd(self.H0 + c * self.K0, rhs, self.name, self.counts)
         if self.route == "cholesky":
             inv, apply = (lambda r: _potrs(self.chol, r, lower=1)[0]), self.V.__matmul__
         else:
             W, d = self.W, 1.0 / (1.0 + c * self.lam if self.mirrored else self.lam + c)
             inv, apply = (lambda r: W @ (d * (W.T @ r))), (lambda x: self.H0 @ x + c * (self.K0 @ x))
-        return _refined(inv, apply, rhs, self.name)
+        return _refined(inv, apply, rhs, self.name, self.counts)

@@ -437,14 +437,20 @@ def _validated(cert):
     return cert
 
 
+def _plan_for(cfg, prob, plan, caller):
+    """plan, or a new StepPlan of cfg on prob when it is None; ConfigError
+    when plan was built for another map or problem."""
+    if plan is None:
+        return StepPlan(cfg, prob)
+    if plan.cfg is not cfg or plan.prob is not prob:
+        raise ConfigError(f"{caller}: the plan was built for another map or problem")
+    return plan
+
+
 def prim_step(cfg, sched, z, lam, prob, plan=None):
     """One primal update z+ from (z, lambda) under the given schedule; plan
     (a StepPlan of cfg on prob) carries the factorizations across calls."""
-    if plan is None:
-        plan = StepPlan(cfg, prob)
-    elif plan.cfg is not cfg or plan.prob is not prob:
-        raise ConfigError("prim_step: the plan was built for another map or problem")
-    return plan.step(sched, z, lam)
+    return _plan_for(cfg, prob, plan, "prim_step").step(sched, z, lam)
 
 
 def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None, plan=None):
@@ -453,9 +459,7 @@ def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None,
     value per row). The terms in z+ alone are computed once for the stack.
     plan (a StepPlan of cfg on prob, built here unless given) supplies the
     block view, the stacked A and the step."""
-    if plan is not None and (plan.cfg is not cfg or plan.prob is not prob):
-        raise ConfigError("nice_parts: the plan was built for another map or problem")
-    plan = StepPlan(cfg, prob) if plan is None else plan
+    plan = _plan_for(cfg, prob, plan, "nice_parts")
     if cert is None:
         cert = certificate(cfg, prob, plan=plan)
     if delta is None:
@@ -549,6 +553,8 @@ def sample_niceness(
     state_scale=2.0,
     xi_scale=1.5,
     delta=None,
+    plan=None,
+    cert=None,
 ):
     """Adversarial sampling of the niceness inequality.
 
@@ -557,13 +563,15 @@ def sample_niceness(
     residual both raw and relative to scale = 1 + sum of absolute inequality
     terms. A point outside the domain of Psi (where an indicator term is +inf)
     makes the left side -inf, so the inequality holds there trivially: such
-    points count neither in `checked` nor in the maxima.
+    points count neither in `checked` nor in the maxima. plan (a StepPlan of
+    cfg on prob) and cert (its certificate) are built here unless given.
     """
     for name, count in (("states", states), ("xis", xis)):
         if count < 1:
             raise ConfigError(f"niceness sampling needs {name} >= 1, got {count}")
-    plan = StepPlan(cfg, prob)
-    cert = certificate(cfg, prob, plan=plan)
+    plan = _plan_for(cfg, prob, plan, "sample_niceness")
+    if cert is None:
+        cert = certificate(cfg, prob, plan=plan)
     if p is None:
         p = default_p(cfg, prob)
     if p == 1:

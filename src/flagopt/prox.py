@@ -120,10 +120,12 @@ class Subproblem:
         return x
 
     def stats(self):
-        """Factorization route ("diagonal" when no part needs one) and counts."""
+        """Factorization route ("diagonal" when no part needs one), counts per
+        route, and the refinement steps the residual gate asked for."""
         return {
             "route": "+".join(sorted({str(p.route) for p in self.pencils})) or "diagonal",
             "factorizations": {r: sum(p.counts[r] for p in self.pencils) for r in linalg.ROUTES},
+            "refinements": sum(p.counts["refinements"] for p in self.pencils),
         }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, save_problem
+from flagopt import cli, maps
 from flagopt.cli import main
 from flagopt.driver import MAX_ITERS, trajectory_from_csv
 
@@ -165,6 +166,30 @@ class TestCertify:
         assert "Q spectrum" in out
         assert "margin" in out
         assert "certified: yes" in out
+
+    def test_certificate_is_built_once(self, qp_path, capsys, monkeypatch):
+        # sample_niceness reuses the plan and certificate cmd_certify built;
+        # forcing it to build its own (the former path) prints the same report
+        calls = []
+        real = maps.certificate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(maps, "certificate", counted)
+        monkeypatch.setattr(cli, "certificate", counted)
+        argv = ["certify", "--problem", qp_path, "--map", "prox-lin-al", "--states", "10"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        once = capsys.readouterr().out
+        def own(cfg, prob, plan, cert, **kwargs):
+            return maps.sample_niceness(cfg, prob, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_niceness", own)
+        assert main(argv) == 0
+        assert len(calls) == 3
+        assert capsys.readouterr().out == once
 
     @pytest.mark.parametrize(
         "family,n,m,seed,kind",
@@ -329,7 +354,11 @@ class TestVerify:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         assert manifest["subproblems"] == [
-            {"route": "pencil-eigh", "factorizations": {"cholesky": 1, "pencil-eigh": 1, "per-step": 0}}
+            {
+                "route": "pencil-eigh",
+                "factorizations": {"cholesky": 1, "pencil-eigh": 1, "per-step": 0},
+                "refinements": 0,
+            }
         ]
         manifest[key] = value
         with open(manifest_path, "w") as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flagopt import ConfigError, ConstrainedProblem, Quadratic
+from flagopt import ConfigError, ConstrainedProblem, NumericalError, Quadratic
+from flagopt import driver
 from flagopt.driver import (
+    CHUNK,
     MAX_ITERS,
     FlagState,
     RunParams,
@@ -14,6 +17,7 @@ from flagopt.driver import (
     compute_lambda,
     flag_iterate,
     initial_state,
+    ergodic_weight_sum,
     next_t,
     resolve_params,
     run,
@@ -22,6 +26,7 @@ from flagopt.driver import (
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_lagrangian
 from flagopt.maps import MapConfig, make_config
+from flagopt.problems import eval_objective
 
 
 def make_qp(seed=0, n=8, m=3, sigma=1.0):
@@ -189,25 +194,35 @@ class TestRun:
 
     @pytest.mark.parametrize("family,kind", [("eq-qp", "prox-lin-al"), ("block-qp", "prox-admm")])
     def test_s_k_is_the_lagrangian_gap(self, family, kind):
-        # s_k reuses the Psi and residual of the psi_x / feas_x columns; it
-        # stays bitwise the augmented Lagrangian gap through eval_lagrangian
+        # s_k reuses the Psi and residual of the psi_x / feas_x columns, which
+        # run() evaluates for a chunk of rows at once; its 13 rows are one
+        # chunk, so s_k stays bitwise the augmented Lagrangian gap through
+        # eval_lagrangian of the replayed stack, and within roundoff of the
+        # single-point eval_lagrangian of each row
         p = generate(GenSpec(family=family, n=10, m=4, sigma=1.0, seed=2))
         params = RunParams(cfg=make_config(kind, p, rho=1.0), mode="fast", iters=12)
         ref = SimpleNamespace(y_star=np.linspace(-1.0, 1.0, 4), psi_star=0.25, c=1.0)
         traj = run(p, params, reference=ref)
         resolved = resolve_params(p, params)
         state = initial_state(p, params, resolved)
-        for i in range(params.iters + 1):
-            if i:
-                t_used = state.t
-                state = flag_iterate(state, resolved, p)
-            aug = resolved.rho * t_used**2 if i else 0.0
-            want = (
-                eval_lagrangian(p, state.x, ref.y_star)
-                + 0.5 * aug * traj.feas_x[i] ** 2
-                - ref.psi_star
-            )
-            assert traj.s_k[i] == want, i
+        xs, aug = [state.x], [0.0]
+        for _ in range(params.iters):
+            t_used = state.t
+            state = flag_iterate(state, resolved, p)
+            xs.append(state.x)
+            aug.append(resolved.rho * t_used**2)
+        aug = np.array(aug)
+        want = (
+            eval_lagrangian(p, np.array(xs), ref.y_star)
+            + 0.5 * aug * traj.feas_x**2
+            - ref.psi_star
+        )
+        assert np.array_equal(traj.s_k, want)
+        single = [
+            eval_lagrangian(p, x, ref.y_star) + 0.5 * a * f**2 - ref.psi_star
+            for x, a, f in zip(xs, aug, traj.feas_x)
+        ]
+        assert_allclose(traj.s_k, single, rtol=1e-13)
 
     def test_ergodic_average_matches_manual(self):
         p = make_qp()
@@ -266,7 +281,98 @@ class TestRun:
         ):
             traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=30))
             stats = traj.meta["subproblems"]
-            assert stats == [{"route": route, "factorizations": counts}] * blocks, stats
+            want = {"route": route, "factorizations": counts, "refinements": 0}
+            assert stats == [want] * blocks, stats
+
+    @pytest.mark.parametrize("mode", ["classic", "fast", "ergodic"])
+    def test_chunked_columns_match_per_row(self, mode):
+        # more rows than one chunk, and not a multiple of it: every column
+        # matches the one-point eval_objective and norms of the replayed rows
+        # to 1e-13
+        p = make_qp()
+        iters = CHUNK + 37
+        x_star, y_star = kkt_solution(p)
+        ref = SimpleNamespace(y_star=-y_star, psi_star=p.psi(x_star), c=1.0)
+        params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), mode=mode, iters=iters)
+        traj = run(p, params, reference=ref)
+        r = resolve_params(p, params)
+        s = initial_state(p, params, r)
+        rows = {c: [] for c in ("psi_x", "feas_x", "psi_z", "feas_z", "y_norm", "s_k")}
+        t_used = 0.0
+        for i in range(iters + 1):
+            if i:
+                t_used = s.t
+                s = flag_iterate(s, r, p)
+            if mode != "ergodic":
+                x = s.x
+            else:
+                x = s.z if i == 0 else s.zbar_acc / ergodic_weight_sum(t_used, r.p)
+            res = p.A @ x - p.b
+            aug = r.rho * t_used**r.p if i else 0.0
+            rows["psi_x"].append(eval_objective(p, x))
+            rows["feas_x"].append(np.linalg.norm(res))
+            rows["psi_z"].append(eval_objective(p, s.z))
+            rows["feas_z"].append(np.linalg.norm(p.A @ s.z - p.b))
+            rows["y_norm"].append(np.linalg.norm(s.y))
+            rows["s_k"].append(
+                eval_lagrangian(p, x, ref.y_star) + 0.5 * aug * res @ res - ref.psi_star
+            )
+        for col, want in rows.items():
+            if col == "s_k" and mode == "ergodic":
+                assert np.isnan(traj.s_k).all()
+            else:
+                # relative to the column's largest magnitude: feas and s_k
+                # lose relative accuracy to cancellation as they shrink
+                err = np.max(np.abs(getattr(traj, col) - want))
+                assert err <= 1e-13 * (1.0 + np.max(np.abs(want))), (col, err)
+
+    @staticmethod
+    def plant(monkeypatch, k, **fields):
+        # flag_iterate, except that the state of iteration k gets the given
+        # fields; records whether a later step raised
+        real, raised = driver.flag_iterate, []
+
+        def step(state, *args):
+            try:
+                new = real(state, *args)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+            if new.k != k:
+                return new
+            return dataclasses.replace(new, **{f: g(new) for f, g in fields.items()})
+
+        monkeypatch.setattr(driver, "flag_iterate", step)
+        return raised
+
+    def test_guard_names_a_row_past_the_first_chunk(self, monkeypatch):
+        # ||y|| overflows at one row of the second chunk; the later steps stay
+        # finite until the chunk is evaluated
+        p = make_qp()
+        params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), iters=2 * CHUNK + 5)
+        k = CHUNK + 3
+        self.plant(monkeypatch, k, y=lambda st: np.full_like(st.y, 1e200))
+        with pytest.raises(NumericalError, match=rf"^iteration {k}: y_norm is not finite \(inf\)$"):
+            run(p, params)
+
+    def test_guard_wins_over_a_later_step_error(self, monkeypatch):
+        # a NaN z at one row of the second chunk makes the next step fail the
+        # residual gate before the chunk is full; the guard still names the row
+        p = make_qp()
+        params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), iters=2 * CHUNK + 5)
+        k = CHUNK + 3
+        raised = self.plant(monkeypatch, k, z=lambda st: np.full_like(st.z, np.nan))
+        with pytest.raises(NumericalError, match=rf"^iteration {k}: psi_z is not finite \(nan\)$"):
+            run(p, params)
+        assert raised and "residual" in str(raised[0])
+
+    def test_guard_on_the_last_row(self, monkeypatch):
+        p = make_qp()
+        params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), iters=CHUNK + 5)
+        k = CHUNK + 5
+        self.plant(monkeypatch, k, x=lambda st: np.full_like(st.x, np.inf))
+        with pytest.raises(NumericalError, match=rf"^iteration {k}: psi_x is not finite \(nan\)$"):
+            run(p, params)
 
     def test_bad_z0_shape(self):
         p = make_qp()

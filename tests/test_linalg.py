@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from flagopt import DegenerateSubproblemError, NumericalError
@@ -20,7 +21,7 @@ def test_pencil_routes_follow_the_values_of_c():
         x = pencil.solve(rhs, c)
         assert pencil.route == route
         assert_allclose((H0 + c * K0) @ x, rhs, atol=1e-10)
-    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "per-step": 0}
+    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "per-step": 0, "refinements": 0}
 
 
 @pytest.mark.parametrize("route", ["cholesky", "pencil-eigh"])
@@ -49,7 +50,7 @@ def test_fallback_when_neither_end_is_definite():
     for c in (1.0, 3.0, 7.0):
         assert_allclose(pencil.solve(rhs, c), rhs / np.diag(H0 + c * K0))
     assert pencil.route == "per-step"
-    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 0, "per-step": 2}
+    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 0, "per-step": 2, "refinements": 0}
 
 
 def test_fallback_keeps_degenerate_error():
@@ -96,3 +97,70 @@ def test_nan_rhs_fails_the_residual_gate_on_every_route(H0, K0, c_values, route)
     with pytest.raises(NumericalError, match="residual"):
         pencil.solve(np.array([np.nan, 1.0]), c_values[-1])
     assert pencil.route == route
+
+
+def test_clean_solves_are_not_refined():
+    rng = np.random.default_rng(3)
+    H0, K0 = random_psd(rng, 8), random_psd(rng, 8, 1.0)
+    pencil = Pencil(H0, K0)
+    for c in (1.0, 1.0, 2.5, 60.0):
+        pencil.solve(rng.standard_normal(8), c)
+    assert pencil.counts["refinements"] == 0
+
+
+@pytest.mark.parametrize("route", ["cholesky", "pencil-eigh"])
+def test_slightly_perturbed_factor_is_refined(route):
+    # a factor off by about 1e-9 relative fails the first gate check; one
+    # refinement step brings the solve back within it
+    rng = np.random.default_rng(1)
+    H0, K0 = random_psd(rng, 8), random_psd(rng, 8, 1.0)
+    pencil = Pencil(H0, K0)
+    rhs = rng.standard_normal(8)
+    c = 1.0 if route == "cholesky" else 2.5
+    pencil.solve(rhs, 1.0)
+    pencil.solve(rhs, c)
+    assert pencil.route == route and pencil.counts["refinements"] == 0
+    if route == "cholesky":
+        pencil.chol[0, 0] *= 1.0 + 1e-9
+    else:
+        pencil.W *= 1.0 + 1e-9
+    x = pencil.solve(rhs, c)
+    assert pencil.counts["refinements"] == 1
+    assert np.linalg.norm((H0 + c * K0) @ x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+
+
+def test_per_step_route_counts_refinements(monkeypatch):
+    # the per-step route refines inside solve_spd; the count reaches the pencil
+    H0, K0 = np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])
+    pencil = Pencil(H0, K0)
+    for c in (1.0, 3.0):
+        pencil.solve(np.ones(3), c)
+    assert pencil.route == "per-step" and pencil.counts["refinements"] == 0
+    cho_solve = scipy.linalg.cho_solve
+    monkeypatch.setattr(
+        scipy.linalg, "cho_solve", lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-9)
+    )
+    pencil.solve(np.ones(3), 7.0)
+    assert pencil.counts["refinements"] == 1
+
+
+@pytest.fixture
+def cholesky_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+
+
+def test_solve_spd_fallback_passes_the_gate(cholesky_fails):
+    rng = np.random.default_rng(4)
+    V, rhs = random_psd(rng, 6, 1.0), rng.standard_normal(6)
+    x = solve_spd(V, rhs)
+    assert np.linalg.norm(V @ x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+
+
+def test_solve_spd_fallback_rejects_a_nan_rhs(cholesky_fails):
+    rng = np.random.default_rng(4)
+    V = random_psd(rng, 6, 1.0)
+    with pytest.raises(NumericalError, match="residual"):
+        solve_spd(V, np.full(6, np.nan))

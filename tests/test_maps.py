@@ -497,6 +497,8 @@ def test_pinned_finals(kind, name):
         traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=300))
         for got, want in zip((traj.psi_x[-1], traj.feas_x[-1]), PINNED_FINALS[kind, name, mode]):
             assert abs(got - want) <= 1e-9 * max(abs(want), 1e-6), (mode, got, want)
+        # every solve passed the residual gate without a refinement step
+        assert all(s["refinements"] == 0 for s in traj.meta["subproblems"]), mode
 
 
 def dense_subproblem_solve(term, g, V):
@@ -594,6 +596,21 @@ def test_pinned_sampling(kind, name):
     got = (report["max_residual"], report["max_scaled_residual"])
     for g, want in zip(got, PINNED_SAMPLING[kind, name]):
         assert abs(g - want) <= 1e-9 * max(abs(want), 1e-12), (g, want)
+
+
+def test_sample_niceness_takes_a_plan_and_certificate():
+    # the report is bitwise the one sample_niceness builds for itself
+    prob = pin_problem("eq-qp")
+    cfg = make_config("prox-lin-al", prob, rho=1.0)
+    plan = StepPlan(cfg, prob)
+    cert = certificate(cfg, prob, plan=plan)
+    got = sample_niceness(cfg, prob, states=10, xis=4, plan=plan, cert=cert)
+    assert got == sample_niceness(cfg, prob, states=10, xis=4)
+    other = make_config("prox-lin-al", prob, rho=1.0)
+    with pytest.raises(ConfigError, match="another map or problem"):
+        sample_niceness(other, prob, states=10, xis=4, plan=plan)
+    with pytest.raises(ConfigError, match="another map or problem"):
+        sample_niceness(cfg, pin_problem("eq-qp"), states=10, xis=4, plan=plan)
 
 
 @pytest.mark.parametrize("kind,name", sorted(PINNED_SAMPLING))
