@@ -142,9 +142,7 @@ class FlagState:
     zbar_acc: np.ndarray | None = None
 
 
-def initial_state(prob, params, resolved=None):
-    if resolved is None:
-        resolved = resolve_params(prob, params)
+def initial_state(prob, params, resolved):
     m, n = resolved.plan.A.shape
     z0 = params.z0
     if z0 is None:
@@ -165,10 +163,9 @@ def initial_state(prob, params, resolved=None):
     )
 
 
-def flag_iterate(state, params, prob, resolved=None):
-    """One outer iteration; returns the successor state."""
-    if resolved is None:
-        resolved = params if isinstance(params, ResolvedParams) else resolve_params(prob, params)
+def flag_iterate(state, resolved, prob):
+    """One outer iteration under the resolved params; returns the successor
+    state."""
     p, mu, rho = resolved.p, resolved.mu, resolved.rho
     A = resolved.plan.A
     b = prob.b

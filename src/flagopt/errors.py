@@ -28,7 +28,9 @@ class DegenerateSubproblemError(NumericalError):
 
 
 class UnreliableReferenceError(NumericalError):
-    """The two independent reference oracles disagree beyond tolerance."""
+    """The reference could not be trusted: face polish found no verified KKT
+    point within its rounds, or the two independent reference routes
+    disagree beyond tolerance."""
 
 
 class DataError(FlagoptError):

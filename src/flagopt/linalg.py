@@ -1,5 +1,7 @@
 """Small dense symmetric linear-algebra helpers shared across the package."""
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -70,13 +72,14 @@ def _refined(inv, apply, rhs, name, counts=None):
     infinite rhs) fails both checks. counts["refinements"] (when given)
     counts the refinement steps taken."""
     x = inv(rhs)
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
+    tol = 1e-10 * (1.0 + math.sqrt(rhs @ rhs))
     r = rhs - apply(x)
-    if not float(np.linalg.norm(r)) <= tol:
+    if not math.sqrt(r @ r) <= tol:
         if counts is not None:
             counts["refinements"] += 1
         x = x + inv(r)
-        resid = float(np.linalg.norm(rhs - apply(x)))
+        r = rhs - apply(x)
+        resid = math.sqrt(r @ r)
         if not resid <= tol:
             raise NumericalError(f"{name}: linear solve residual {resid:.3e} too large")
     return x

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import ConfigError, DataError
@@ -242,23 +241,6 @@ class Separable:
 
 
 TERM_TYPES = (Quadratic, L1, Box, Zero, Separable)
-
-
-def quadratic_data(term):
-    """Return (H, q, r) when the term is purely quadratic/zero, else None."""
-    if isinstance(term, Quadratic):
-        return term.H, term.q, term.r
-    if isinstance(term, Zero):
-        return np.zeros((term.dim, term.dim)), np.zeros(term.dim), 0.0
-    if isinstance(term, Separable):
-        datas = [quadratic_data(p) for p in term.parts]
-        if any(d is None for d in datas):
-            return None
-        H = scipy.linalg.block_diag(*[d[0] for d in datas])
-        q = np.concatenate([d[1] for d in datas])
-        r = float(sum(d[2] for d in datas))
-        return H, q, r
-    return None
 
 
 @dataclass(frozen=True)

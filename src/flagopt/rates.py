@@ -1,13 +1,15 @@
 """Reference solutions and rate verification.
 
-Two independent reference routes guard against a wrong oracle. Purely
-quadratic problems use the exact KKT system. Problems with l1 or box terms
-are solved twice (quadratic-penalty continuation with proximal-gradient
-acceleration, and a long run of the classic driver), each candidate is
-polished to an exact KKT solve on its identified active face, and the two
-polished solutions must agree before either is trusted. The penalty route's
-prox weight is fixed within each continuation stage, so it factors once per
-stage (three times per reference), not once per step.
+Every reference is an exact KKT solve on an active face, verified through
+the subdifferential distance (`polish`). A purely quadratic problem has no
+nonsmooth term, so its face is empty and one KKT solve of the whole system
+is the reference. A problem with l1 or box terms is solved twice
+(quadratic-penalty continuation with proximal-gradient acceleration, and a
+long run of the classic driver); each candidate identifies a face that
+`polish` corrects and solves on, and the two polished solutions must agree
+before either is trusted. The penalty route's prox weight is fixed within
+each continuation stage, so it factors once per stage (three times per
+reference), not once per step.
 
 verify_rates checks the trajectory's objective gap and feasibility against
 B / (2 N^p) and B / (c N^p) row by row and fits a log-log slope to the
@@ -27,21 +29,14 @@ from .driver import RunParams, flag_iterate, initial_state, resolve_params
 from .errors import ConfigError, NumericalError, UnreliableReferenceError
 from .lagrangian import quad_norm
 from .maps import block_sigmas, make_config
-from .problems import (
-    Box,
-    L1,
-    Quadratic,
-    Separable,
-    Zero,
-    eval_objective,
-    quadratic_data,
-    single_problem,
-)
+from .problems import L1, Quadratic, Separable, Zero, eval_objective, single_problem
 from .prox import Subproblem
 
 REF_TOL = 1e-9
 ROUTE_AGREEMENT_TOL = 1e-6
 SLOPE_SENTINEL = -99.0
+POLISH_ROUNDS = 5
+LONG_RUN_CAP = 60000
 
 
 @dataclass(frozen=True)
@@ -72,26 +67,23 @@ def kkt_residual(prob, x, y):
 
 
 def _smooth_parts(sp):
-    """(H, q, r) of all quadratic pieces (zeros on nonsmooth coordinates)
-    plus the list of (part, slice) nonsmooth pieces."""
+    """(H, q) of all quadratic pieces (zeros on nonsmooth coordinates) plus
+    the list of (part, slice) nonsmooth pieces."""
     n = sp.n
     H = np.zeros((n, n))
     q = np.zeros(n)
-    r = 0.0
     nonsmooth = []
     separable = isinstance(sp.f, Separable)
     for term, s in zip(sp.f.parts, sp.f.slices()) if separable else [(sp.f, slice(0, n))]:
         if isinstance(term, Quadratic):
             H[s, s] = term.H
             q[s] = term.q
-            r += term.r
         elif not isinstance(term, Zero):
             nonsmooth.append((term, s))
     if sp.smooth is not None:
         H[:, :] += sp.smooth.term.H
         q[:] += sp.smooth.term.q
-        r += sp.smooth.term.r
-    return H, q, r, nonsmooth
+    return H, q, nonsmooth
 
 
 def _solve_kkt(H, A, rhs_top, b):
@@ -109,123 +101,85 @@ def _solve_kkt(H, A, rhs_top, b):
     return sol[:n], sol[n:]
 
 
-def _quadratic_reference(sp):
-    H, q, _, nonsmooth = _smooth_parts(sp)
-    assert not nonsmooth
-    x, y = _solve_kkt(H, sp.A, -q, sp.b)
-    resid = kkt_residual(sp, x, y)
-    scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(sp.b))
-    if resid > REF_TOL * scale:
-        raise NumericalError(f"reference KKT residual {resid:.3e} exceeds tolerance")
-    return x, y
-
-
-class _Face:
-    """Active-set description: l1 coordinates split into zero/signed-active,
-    box coordinates pinned at a bound or left interior."""
-
-    def __init__(self, nonsmooth, x):
-        self.fixed = {}  # coord -> fixed value
-        self.lin = {}  # coord -> extra linear coefficient (w * sign)
-        self.parts = nonsmooth
-        for part, s in nonsmooth:
-            xs = x[s]
-            if isinstance(part, L1):
-                thresh = 1e-5 * max(1.0, float(np.max(np.abs(x))))
-                for j in range(part.dim):
-                    i = s.start + j
-                    if abs(xs[j]) > thresh:
-                        self.lin[i] = part.weight * math.copysign(1.0, xs[j])
-                    else:
-                        self.fixed[i] = 0.0
-            elif isinstance(part, Box):
-                lo, hi = part.lo, part.hi
-                for j in range(part.dim):
-                    i = s.start + j
-                    if xs[j] <= lo[j] + 1e-7:
-                        self.fixed[i] = lo[j]
-                    elif xs[j] >= hi[j] - 1e-7:
-                        self.fixed[i] = hi[j]
-            else:
-                raise ConfigError(
-                    f"no face polish for term {type(part).__name__}"
-                )
-
-    def key(self):
-        return (tuple(sorted(self.fixed.items())), tuple(sorted(self.lin.items())))
+def _initial_face(nonsmooth, x):
+    """The face x identifies, as three arrays: a `fixed` mask, the pinned
+    `value`s, and `lin`, the linear term weight * sign of each active l1
+    coordinate. An l1 coordinate is active when |x_i| exceeds 1e-5 max(1,
+    ||x||_inf), else pinned at 0; a box coordinate within 1e-7 of a bound is
+    pinned there."""
+    fixed = np.zeros(x.size, dtype=bool)
+    value = np.zeros(x.size)
+    lin = np.zeros(x.size)
+    for part, s in nonsmooth:
+        xs = x[s]
+        if isinstance(part, L1):
+            active = np.abs(xs) > 1e-5 * max(1.0, float(np.max(np.abs(x))))
+            fixed[s] = ~active
+            lin[s] = np.where(active, part.weight * np.copysign(1.0, xs), 0.0)
+        else:  # Box
+            at_lo = xs <= part.lo + 1e-7
+            at_hi = ~at_lo & (xs >= part.hi - 1e-7)
+            fixed[s] = at_lo | at_hi
+            value[s] = np.where(at_lo, part.lo, np.where(at_hi, part.hi, 0.0))
+    return fixed, value, lin
 
 
 def _solve_on_face(sp, H, q, face):
-    n = sp.n
-    fixed_idx = np.array(sorted(face.fixed), dtype=int)
-    free = np.array([i for i in range(n) if i not in face.fixed], dtype=int)
-    x_fix = np.array([face.fixed[i] for i in fixed_idx], dtype=float)
-    ell = np.zeros(n)
-    for i, w in face.lin.items():
-        ell[i] = w
-    A_free = sp.A[:, free]
-    rhs_b = sp.b - (sp.A[:, fixed_idx] @ x_fix if fixed_idx.size else 0.0)
-    H_ff = H[np.ix_(free, free)]
-    shift = H[np.ix_(free, fixed_idx)] @ x_fix if fixed_idx.size else 0.0
-    rhs_top = -(q[free] + ell[free] + shift)
-    x_free, y = _solve_kkt(H_ff, A_free, rhs_top, rhs_b)
-    x = np.zeros(n)
+    fixed, value, lin = face
+    if not fixed.any():
+        return _solve_kkt(H, sp.A, -(q + lin), sp.b)
+    free = ~fixed
+    x_fix = value[fixed]
+    rhs_b = sp.b - sp.A[:, fixed] @ x_fix
+    rhs_top = -(q[free] + lin[free] + H[np.ix_(free, fixed)] @ x_fix)
+    x_free, y = _solve_kkt(H[np.ix_(free, free)], sp.A[:, free], rhs_top, rhs_b)
+    x = value.copy()
     x[free] = x_free
-    if fixed_idx.size:
-        x[fixed_idx] = x_fix
     return x, y
 
 
-def _update_face(face, sp, H, q, x, y):
-    """Move misclassified coordinates; returns True when anything changed."""
+def _update_face(face, nonsmooth, sp, H, q, x, y):
+    """Move misclassified coordinates; returns True when anything changed.
+    A pinned coordinate is released when the gradient g = Hx + q + A'y leaves
+    its subdifferential; a free one is pinned when x crosses its l1 sign or
+    its box bound."""
+    fixed, value, lin = face
     g = H @ x + q + sp.A.T @ y
     changed = False
-    for part, s in face.parts:
-        for j in range(part.dim):
-            i = s.start + j
-            if isinstance(part, L1):
-                w = part.weight
-                if i in face.fixed:
-                    if abs(g[i]) > w * (1.0 + 1e-9) + 1e-12:
-                        del face.fixed[i]
-                        face.lin[i] = w * math.copysign(1.0, -g[i])
-                        changed = True
-                else:
-                    sign = math.copysign(1.0, face.lin[i])
-                    if x[i] * sign < -1e-12:
-                        del face.lin[i]
-                        face.fixed[i] = 0.0
-                        changed = True
-            else:  # Box
-                lo, hi = part.lo[j], part.hi[j]
-                if i in face.fixed:
-                    at_lo = face.fixed[i] == lo
-                    if (at_lo and g[i] < -1e-12) or (not at_lo and g[i] > 1e-12):
-                        del face.fixed[i]
-                        changed = True
-                else:
-                    if x[i] < lo - 1e-12:
-                        face.fixed[i] = lo
-                        changed = True
-                    elif x[i] > hi + 1e-12:
-                        face.fixed[i] = hi
-                        changed = True
+    for part, s in nonsmooth:
+        pinned, gs, xs = fixed[s].copy(), g[s], x[s]
+        if isinstance(part, L1):
+            w = part.weight
+            release = pinned & (np.abs(gs) > w * (1.0 + 1e-9) + 1e-12)
+            pin = ~pinned & (xs * np.copysign(1.0, lin[s]) < -1e-12)
+            lin[s] = np.where(release, w * np.copysign(1.0, -gs), np.where(pin, 0.0, lin[s]))
+        else:  # Box
+            release = pinned & np.where(value[s] == part.lo, gs < -1e-12, gs > 1e-12)
+            pin_lo = ~pinned & (xs < part.lo - 1e-12)
+            pin_hi = ~pinned & ~pin_lo & (xs > part.hi + 1e-12)
+            pin = pin_lo | pin_hi
+            value[s] = np.where(pin_lo, part.lo, np.where(pin_hi, part.hi, value[s]))
+        fixed[s] = (pinned & ~release) | pin
+        changed |= bool(release.any() or pin.any())
     return changed
 
 
-def polish(sp, x_approx, rounds=5):
+def polish(sp, x_approx):
     """Exact KKT solve on the active face identified from x_approx, with up
-    to `rounds` face corrections, verified via the subdifferential distance."""
-    H, q, _, nonsmooth = _smooth_parts(sp)
-    if not nonsmooth:
-        return _quadratic_reference(sp)
-    face = _Face(nonsmooth, np.asarray(x_approx, dtype=float))
+    to POLISH_ROUNDS face corrections, verified via the subdifferential
+    distance. Without a nonsmooth term the face is empty and x_approx is not
+    read: one solve either passes (NumericalError otherwise)."""
+    H, q, nonsmooth = _smooth_parts(sp)
+    face = _initial_face(nonsmooth, np.asarray(x_approx, dtype=float))
     scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(sp.b))
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         x, y = _solve_on_face(sp, H, q, face)
-        if kkt_residual(sp, x, y) <= REF_TOL * scale:
+        resid = kkt_residual(sp, x, y)
+        if resid <= REF_TOL * scale:
             return x, y
-        if not _update_face(face, sp, H, q, x, y):
+        if not nonsmooth:
+            raise NumericalError(f"reference KKT residual {resid:.3e} exceeds tolerance")
+        if not _update_face(face, nonsmooth, sp, H, q, x, y):
             break
     raise UnreliableReferenceError(
         "face polish failed to reach a verified KKT point"
@@ -276,14 +230,15 @@ def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
     return x, y_est
 
 
-def _long_run_route(sp, cap=60000):
-    """Classic-mode driver run until the iterates stop moving."""
+def _long_run_route(sp):
+    """Classic-mode driver run until the iterates stop moving (at most
+    LONG_RUN_CAP iterations)."""
     cfg = make_config("prox-lin-al", sp, rho=1.0)
     params = RunParams(cfg=cfg, mode="classic", iters=1, mu=1.0)
     resolved = resolve_params(sp, params)
     state = initial_state(sp, params, resolved)
     A, b = sp.A, sp.b
-    for _ in range(cap):
+    for _ in range(LONG_RUN_CAP):
         prev_z = state.z
         state = flag_iterate(state, resolved, sp)
         move = float(np.linalg.norm(state.z - prev_z))
@@ -295,16 +250,15 @@ def _long_run_route(sp, cap=60000):
     return state.z
 
 
-def reference_solve(prob, c=None):
-    """Verified reference solution; c defaults to exactly 2 ||y*||."""
+def reference_solve(prob):
+    """Verified reference solution with c = 2 ||y*||: polish on the empty
+    face when Psi has no nonsmooth term, else the two polished routes."""
     sp = single_problem(prob)
-    if quadratic_data(sp.f) is not None:
-        x, y = _quadratic_reference(sp)
+    if not _smooth_parts(sp)[2]:
+        x, y = polish(sp, np.zeros(sp.n))
     else:
-        x_a = _penalty_route(sp)[0]
-        x_b = _long_run_route(sp)
-        xa, ya = polish(sp, x_a)
-        xb, yb = polish(sp, x_b)
+        xa, ya = polish(sp, _penalty_route(sp)[0])
+        xb, yb = polish(sp, _long_run_route(sp))
         disagreement = max(
             float(np.linalg.norm(xa - xb)),
             abs(eval_objective(sp, xa) - eval_objective(sp, xb)),
@@ -315,9 +269,7 @@ def reference_solve(prob, c=None):
             )
         x, y = xa, ya
     psi = eval_objective(sp, x)
-    if c is None:
-        c = 2.0 * float(np.linalg.norm(y))
-    return ReferenceSolution(x_star=x, y_star=y, psi_star=psi, c=float(c))
+    return ReferenceSolution(x_star=x, y_star=y, psi_star=psi, c=2.0 * float(np.linalg.norm(y)))
 
 
 def bound_constant(P, x_star, z0, y0, mu, rho, c, p):
@@ -345,13 +297,14 @@ def p2_condition(cert, prob):
     )
 
 
-def fit_slope(ks, values, tail_decade=True):
-    """Least-squares slope of log(value) vs log(k); -99.0 when under two
-    usable points remain after excluding values <= 1e-12."""
+def fit_slope(ks, values):
+    """Least-squares slope of log(value) vs log(k) over the trailing decade
+    k >= max(2, N/10); -99.0 when under two usable points remain after
+    excluding values <= 1e-12."""
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = (ks >= 1) & (values > 1e-12) & np.isfinite(values)
-    if tail_decade and ks.size:
+    if ks.size:
         keep &= ks >= max(2.0, ks.max() / 10.0)
     ks, values = ks[keep], values[keep]
     if ks.size < 2:
@@ -360,15 +313,14 @@ def fit_slope(ks, values, tail_decade=True):
     return float(coeffs[0])
 
 
-def verify_rates(traj, ref, B, p, tol=1e-9, cert=None, prob=None):
+def verify_rates(traj, ref, B, p, tol=1e-9, *, cert, prob):
     """Row-by-row bound check plus slope fit.
 
     Returns {"bounds_hold", "first_violation", "slope", "condition_P"}.
     condition_P is "met" or "unmet"; when p == 2 the accelerated bound only
     applies under lambda_max(P) <= sigma/2 (per block for two-block maps), so
     an unmet condition makes the harness refuse to certify (bounds_hold False,
-    first_violation None) rather than assert inapplicable bounds. Passing
-    neither cert nor prob with p == 2 leaves condition_P as None (unchecked).
+    first_violation None) rather than assert inapplicable bounds.
     The feasibility bound is skipped when ref.c == 0 (unconstrained dual).
     """
     if p not in (1, 2):
@@ -377,11 +329,7 @@ def verify_rates(traj, ref, B, p, tol=1e-9, cert=None, prob=None):
     feas = traj.feas_x
     ks = np.asarray(traj.k)
     combined = gap + ref.c * feas
-    condition = None
-    if p == 1:
-        condition = "met"
-    elif cert is not None and prob is not None:
-        condition = "met" if p2_condition(cert, prob) else "unmet"
+    condition = "met" if p == 1 or p2_condition(cert, prob) else "unmet"
     if condition == "unmet":
         return {
             "bounds_hold": False,

@@ -23,7 +23,6 @@ from flagopt.problems import (
     load_problem,
     problem_from_json,
     problem_to_json,
-    quadratic_data,
     save_problem,
     term_from_json,
     term_to_json,
@@ -95,13 +94,6 @@ class TestTerms:
         assert t.subgrad_dist([0.0], [2.0]) == pytest.approx(2.0)
         assert t.subgrad_dist([1.0], [2.0]) == pytest.approx(0.0)
         assert t.subgrad_dist([0.5], [0.25]) == pytest.approx(0.25)
-
-    def test_quadratic_data_assembles_blocks(self):
-        t = Separable((Quadratic(2.0 * np.eye(1), np.ones(1)), Zero(2)))
-        H, q, r = quadratic_data(t)
-        assert_allclose(H, np.diag([2.0, 0.0, 0.0]))
-        assert_allclose(q, [1.0, 0.0, 0.0])
-        assert quadratic_data(Separable((Quadratic(np.eye(1), np.zeros(1)), L1(1.0, 1)))) is None
 
 
 class TestFlattenBlock:
