@@ -32,9 +32,9 @@ from .maps import (
     MAP_KINDS,
     MapConfig,
     NiceCertificate,
+    StepPlan,
     certificate,
     make_config,
-    nice_residual,
     prim_step,
     sample_niceness,
 )
@@ -68,6 +68,7 @@ __all__ = [
     "RunParams",
     "Separable",
     "SmoothTerm",
+    "StepPlan",
     "Trajectory",
     "UnreliableReferenceError",
     "Zero",
@@ -80,7 +81,6 @@ __all__ = [
     "kkt_residual",
     "load_problem",
     "make_config",
-    "nice_residual",
     "prim_step",
     "reference_solve",
     "run",

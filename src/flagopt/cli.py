@@ -29,6 +29,8 @@ VERIFY_TOL = 1e-9
 MANIFEST_KEYS = (
     "map", "rho", "policy", "iters", "p", "z0", "y0", "mu", "mode", "problem_sha256"
 )
+# the fields of a verify report that each sweep row carries
+SWEEP_KEYS = ("delta", "p", "bounds_hold", "first_violation", "slope", "condition_P")
 
 def env_tol(default):
     raw = os.environ.get("FLAGOPT_TOL")
@@ -48,10 +50,10 @@ def _write_json(path, doc):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _build_config(prob, args):
@@ -128,7 +130,7 @@ def cmd_certify(args):
     prob = load_problem(args.problem)
     cfg = _build_config(prob, args)
     plan = StepPlan(cfg, prob)
-    cert = certificate(cfg, prob, plan=plan)
+    cert = plan.cert
     print(f"kind: {cert.kind}")
     print(f"delta: {cert.delta:.12g}")
     print(
@@ -140,7 +142,7 @@ def cmd_certify(args):
     for cond in cert.conditions:
         print(f"condition: {cond.name}  margin={cond.margin:.6g}")
     report = sample_niceness(
-        cfg, prob, states=args.states, xis=args.xis, seed=args.seed, plan=plan, cert=cert
+        cfg, prob, states=args.states, xis=args.xis, seed=args.seed, plan=plan
     )
     tol = env_tol(args.tol)
     print(
@@ -191,6 +193,19 @@ def _check_manifest(manifest, prob, problem_sha256):
         )
 
 
+def _rate_report(prob, cfg, traj, ref, record, tol):
+    """verify_rates of a run of the map cfg against ref, with B from the map's
+    certificate and the run's p, mu, z0 and y0 as `record` (a manifest or
+    Trajectory.meta) holds them. The report also carries delta, p, B and c."""
+    cert = certificate(cfg, prob)
+    p = record["p"]
+    z0, y0 = (np.asarray(record[key], dtype=float) for key in ("z0", "y0"))
+    B = bound_constant(cert.P, ref.x_star, z0, y0, record["mu"], cfg.rho, ref.c, p)
+    report = verify_rates(traj, ref, B, p, tol=tol, cert=cert, prob=prob)
+    report.update(delta=cert.delta, p=p, B=B, c=ref.c)
+    return report
+
+
 def _verify_report(prob, problem_sha256, traj, manifest, tol):
     _check_manifest(manifest, prob, problem_sha256)
     cfg = make_config(
@@ -202,27 +217,12 @@ def _verify_report(prob, problem_sha256, traj, manifest, tol):
         margin=manifest.get("margin", 1.0),
         alpha=manifest.get("alpha"),
     )
-    cert = certificate(cfg, prob)
     expected = manifest["iters"] + 1
     if traj.records != expected:
         raise DataError(
             f"trajectory has {traj.records} rows, expected {expected}"
         )
-    ref = reference_solve(prob)
-    p = manifest["p"]
-    B = bound_constant(
-        cert.P,
-        ref.x_star,
-        np.asarray(manifest["z0"], dtype=float),
-        np.asarray(manifest["y0"], dtype=float),
-        manifest["mu"],
-        manifest["rho"],
-        ref.c,
-        p,
-    )
-    report = verify_rates(traj, ref, B, p, tol=tol, cert=cert, prob=prob)
-    report["B"] = B
-    report["c"] = ref.c
+    report = _rate_report(prob, cfg, traj, reference_solve(prob), manifest, tol)
     if manifest["mode"] == "ergodic":
         report["note"] = (
             "ergodic averages certified against the bounds as printed "
@@ -262,33 +262,11 @@ def cmd_sweep(args):
             row = {"map": kind, "mode": mode}
             try:
                 cfg = make_config(kind, prob, rho=args.rho)
-                cert = certificate(cfg, prob)
-                params = RunParams(cfg=cfg, mode=mode, iters=args.iters)
-                traj = run(prob, params)
+                traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=args.iters))
                 if ref is None:
                     ref = reference_solve(prob)
-                p = traj.meta["p"]
-                B = bound_constant(
-                    cert.P,
-                    ref.x_star,
-                    traj.meta["z0"],
-                    traj.meta["y0"],
-                    traj.meta["mu"],
-                    args.rho,
-                    ref.c,
-                    p,
-                )
-                rep = verify_rates(
-                    traj, ref, B, p, tol=env_tol(VERIFY_TOL), cert=cert, prob=prob
-                )
-                row.update(
-                    delta=cert.delta,
-                    p=p,
-                    bounds_hold=rep["bounds_hold"],
-                    first_violation=rep["first_violation"],
-                    slope=rep["slope"],
-                    condition_P=rep["condition_P"],
-                )
+                rep = _rate_report(prob, cfg, traj, ref, traj.meta, env_tol(VERIFY_TOL))
+                row.update({key: rep[key] for key in SWEEP_KEYS})
             except FlagoptError as exc:
                 row.update(status=f"skipped: {exc}")
             rows.append(row)
@@ -299,9 +277,11 @@ def cmd_sweep(args):
         if "status" in row:
             print(f"{row['map']:>16} {row['mode']:>8}  {row['status']}")
         else:
+            # an unmet condition_P means no bound was checked
+            hold = "ok" if row["bounds_hold"] else "VIOLATED"
             print(
                 f"{row['map']:>16} {row['mode']:>8}  delta={row['delta']:.3g} "
-                f"bounds={'ok' if row['bounds_hold'] else 'VIOLATED'} "
+                f"bounds={'n/a' if row['condition_P'] == 'unmet' else hold} "
                 f"slope={row['slope']:.2f} condition-P={row['condition_P']}"
             )
     return 0

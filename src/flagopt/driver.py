@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import rowdot
-from .maps import MapConfig, ScheduleParams, StepPlan, certificate, default_p, prim_step
+from .maps import MapConfig, StepPlan, default_p, prim_step
 from .problems import eval_objective
 
 MODES = ("fast", "classic", "ergodic")
@@ -92,8 +92,8 @@ class RunParams:
 
 @dataclass(frozen=True)
 class ResolvedParams:
-    cfg: MapConfig
-    cert: object
+    """The mode's (p, mu) and the map's plan (its config and certificate)."""
+
     mode: str
     p: int
     mu: float
@@ -105,7 +105,7 @@ def resolve_params(prob, params):
     """Build the map's step plan, certify the map and fix (p, mu) for the
     requested mode."""
     plan = StepPlan(params.cfg, prob)
-    cert = certificate(params.cfg, prob, plan=plan)
+    cert = plan.cert
     dp = default_p(params.cfg, prob)
     if params.mode == "fast":
         if dp != 2:
@@ -127,9 +127,7 @@ def resolve_params(prob, params):
         mu = cert.delta if params.mu is None else params.mu
         if not 0.0 < mu <= cert.delta + 1e-12:
             raise ConfigError(f"mu must lie in (0, delta] = (0, {cert.delta:.6g}]")
-    return ResolvedParams(
-        cfg=params.cfg, cert=cert, mode=params.mode, p=p, mu=mu, rho=params.cfg.rho, plan=plan
-    )
+    return ResolvedParams(mode=params.mode, p=p, mu=mu, rho=params.cfg.rho, plan=plan)
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,7 @@ def flag_iterate(state, resolved, prob):
         lam = state.y
     else:
         lam = compute_lambda(state.y, rho_k, t_k, A @ state.x - b)
-    sched = ScheduleParams(rho_t=rho_k, tau_t=t_k ** (p - 1), p=p)
-    z_new = prim_step(resolved.cfg, sched, state.z, lam, prob, plan=resolved.plan)
+    z_new = prim_step(resolved.plan, t_k ** (p - 1), state.z, lam)
     w = A @ z_new - b
     y_new = state.y + mu * rho_k * w
     if resolved.mode == "ergodic":
@@ -242,18 +239,23 @@ class Trajectory:
 
 
 def trajectory_from_csv(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc})") from None
     if not lines:
         raise DataError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
+    header = lines[0].strip().split(",")
     if tuple(header) != CSV_COLUMNS:
         raise DataError(f"{path}: unexpected columns {header}")
+    if len(lines) == 1:
+        raise DataError(f"{path}: no trajectory rows")
     try:
-        body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        body = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: malformed trajectory rows ({exc})") from None
-    if body.ndim != 2 or body.shape[1] != len(CSV_COLUMNS):
+    if body.shape[1] != len(CSV_COLUMNS):
         raise DataError(f"{path}: malformed trajectory rows")
     cols = {name: body[:, i] for i, name in enumerate(CSV_COLUMNS)}
     cols["k"] = cols["k"].astype(int)
@@ -376,18 +378,19 @@ def run(prob, params, reference=None, bound=None):
         if reference.c > 0:
             out["bound_feas"][1:] = bound / (reference.c * k_p)
 
+    plan = resolved.plan
     meta = {
-        "kind": resolved.cfg.kind,
+        "kind": plan.cfg.kind,
         "mode": mode,
         "p": p,
         "mu": resolved.mu,
         "rho": resolved.rho,
-        "delta": resolved.cert.delta,
+        "delta": plan.cert.delta,
         "iters": N,
         "z0": start.z.tolist(),
         "y0": start.y.tolist(),
-        "subproblems": resolved.plan.stats(),
+        "subproblems": plan.stats(),
     }
     if mode == "ergodic":
-        meta["gamma_min"] = (1.0 + resolved.cert.delta - resolved.mu) * resolved.rho
+        meta["gamma_min"] = (1.0 + plan.cert.delta - resolved.mu) * resolved.rho
     return Trajectory(**out, meta=meta)

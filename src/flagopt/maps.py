@@ -1,7 +1,8 @@
 """Nice primal algorithmic maps and their certificates.
 
-A primal map takes (z, lambda) to z+ under the schedule (rho_t, tau_t) and is
-*nice* with certificate (delta, P, Q) when, for every feasible xi,
+Under the FLAG schedule rho_t = rho tau_t, tau_t = t^{p-1}, a primal map takes
+(z, lambda) to z+ and is *nice* with certificate (delta, P, Q) when, for every
+feasible xi,
 
     L_{rho_t}(z+, lambda) - L_{rho_t}(xi, lambda)
         <= tau_t Delta_P(xi, z, z+) - (tau_t/2) ||z+ - z||_Q^2
@@ -23,22 +24,25 @@ As rho_t = rho tau_t, V_i moves only with c = tau_t: it is the pencil
 with M_i in K0_i on accelerated blocks and in H0_i otherwise, rho A_i'A_i on
 blocks that keep the penalty exactly, and H the smooth part h = 0.5 x'Hx +
 q'x that a single-block map folds in (else it steps on grad h(z)); a
-quadratic f_i adds its own Hessian to H0_i. A StepPlan builds the pencils
-once per run. Two-block maps use the block form of the
-inequality: accelerated blocks are weighted by tau_t and contribute their
-strong convexity, the others carry weight 1 and no sigma term. nice_parts
-evaluates left minus right numerically at one state and one xi, or a (k, n)
-stack of xi: the terms in z+ alone are computed once, the rest with
-matrix-matrix products. sample_niceness calls it once per state with that
-state's points, and counts only points with finite Psi(xi) (elsewhere the
-left side is -inf and nothing is tested). Certificates are produced exactly
-per each kind's closed-form (delta, P, Q) with every spectral margin
-recorded.
+quadratic f_i adds its own Hessian to H0_i. A StepPlan is one map on one
+problem: it builds the pencils once and its certificate on first use, and
+prim_step(plan, tau_t, z, lambda) takes the schedule through tau_t alone.
+Two-block maps use the block form of the inequality: accelerated blocks are
+weighted by tau_t and contribute their strong convexity, the others carry
+weight 1 and no sigma term. nice_parts(plan, tau_t, ...) evaluates left minus
+right numerically at one state and one xi, or a (k, n) stack of xi: the terms
+in z+ alone are computed once, the rest with matrix-matrix products.
+sample_niceness calls it once per state with that state's points, and counts
+only points with finite Psi(xi) (elsewhere the left side is -inf and nothing
+is tested). Certificates are produced exactly per each kind's closed-form
+(delta, P, Q) with every spectral margin recorded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,32 +56,11 @@ from .problems import BlockProblem, SmoothTerm, constraint_map, single_problem
 from .prox import Subproblem
 
 PSD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ScheduleParams:
-    """Per-iteration schedule: rho_t = rho t^{p-1}, tau_t = t^{p-1}."""
-
-    rho_t: float
-    tau_t: float
-    p: int
-
-    def __post_init__(self):
-        if self.p not in (1, 2):
-            raise ConfigError("p must be 1 or 2")
-        if self.p == 1 and self.tau_t != 1.0:
-            raise ConfigError("p = 1 requires tau_t = 1")
-        if self.rho_t <= 0 or self.tau_t <= 0:
-            raise ConfigError("schedule scalars must be positive")
-
-
-def schedule_at(rho, t, p):
-    """Schedule values at sequence value t."""
-    if t < 1.0 - 1e-12:
-        raise ConfigError("t must be >= 1")
-    if p == 1:
-        return ScheduleParams(rho_t=float(rho), tau_t=1.0, p=1)
-    return ScheduleParams(rho_t=float(rho) * float(t), tau_t=float(t), p=2)
+# sample_niceness: the tau_t its states cycle through when p = 2, and the
+# spread of its states (z, lambda) and of its feasible points xi
+SAMPLED_TAUS = (1.0, 2.5, 7.0, 19.5, 60.0)
+STATE_SCALE = 2.0
+XI_SCALE = 1.5
 
 
 @dataclass(frozen=True)
@@ -344,10 +327,10 @@ def _pencil(spec, view, i, rho, M_i):
 
 
 class StepPlan:
-    """Per-run constants of a map's step on one problem: block view, weights
-    M_i, stacked constraint map A, and a prox.Subproblem per block for its
-    pencil V_i(c), checked once and factored as needed. The Grams A_i'A_i
-    enter K0_i on exact blocks and are not kept."""
+    """One map on one problem: its block view, weights M_i, stacked constraint
+    map A, a prox.Subproblem per block for its pencil V_i(c) (checked once and
+    factored as needed), and its certificate, computed on first use. The
+    Grams A_i'A_i enter K0_i on exact blocks and are not kept."""
 
     def __init__(self, cfg, prob):
         self.cfg, self.prob = cfg, prob
@@ -363,60 +346,40 @@ class StepPlan:
             for i in range(len(self.M))
         ]
 
-    def step(self, sched, z, lam):
-        spec, view = self.spec, self.view
-        z = np.asarray(z, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        if z.shape != (self.A.shape[1],) or lam.shape != view.b.shape:
-            raise ConfigError("prim_step dimension mismatch")
-        c, rho_t = sched.tau_t, sched.rho_t
-        if abs(rho_t - self.cfg.rho * c) > 1e-12 * rho_t:
-            raise ConfigError("prim_step needs the schedule rho_t = rho tau_t")
-        old = view.split(z)
-        new = list(old)
-        for i, (block, A, solver) in enumerate(zip(spec.blocks, view.ops, self.solvers)):
-            src = old if spec.jacobi else new
-            parts = [B @ src[j] for j, B in enumerate(view.ops) if j != i or not block.exact]
-            r = sum(parts, -view.b)
-            w = c if block.accelerated else 1.0
-            g = A.T @ (lam + rho_t * r) - w * (self.M[i] @ old[i])
-            if view.smooth is not None:
-                g = g + (view.smooth.term.grad(z) if spec.smooth_linearized else view.smooth.term.q)
-            new[i] = solver.solve(g, c)
-        return new[0] if len(new) == 1 else np.concatenate(new)
+    @functools.cached_property
+    def cert(self):
+        """Exact (delta, P, Q) certificate of the map on this problem.
+
+        Raises NotNiceError naming the violated spectral condition when the
+        map cannot be certified with the given weights and base rho.
+        """
+        kind, spec, view = self.cfg.kind, self.spec, self.view
+        L = 0.0
+        if spec.smooth_linearized:
+            if view.smooth is None:
+                raise ConfigError(f"{kind} requires a smooth objective part")
+            if view.smooth.term.strong_convexity != 0.0:
+                raise ConfigError(
+                    f"{kind} handles the smooth part by gradient linearization; "
+                    "its declared strong-convexity contribution must be zero"
+                )
+            L = view.smooth.lipschitz_grad
+        G = [A.T @ A for A in view.ops]
+        delta, P, Q, conds = spec.certify(self.cfg, view, self.M, G, L)
+        if len(P) == 1:
+            return _validated(NiceCertificate(kind, delta, P[0], Q[0], tuple(conds)))
+        blocks = dict(P1=P[0], P2=P[1], Q1=Q[0], Q2=Q[1])
+        P, Q = scipy.linalg.block_diag(*P), scipy.linalg.block_diag(*Q)
+        return _validated(NiceCertificate(kind, delta, P, Q, tuple(conds), **blocks))
 
     def stats(self):
         """Per block: its factorization route and counts (prox.Subproblem.stats)."""
         return [solver.stats() for solver in self.solvers]
 
 
-def certificate(cfg, prob, plan=None):
-    """Exact (delta, P, Q) certificate of the map on this problem, read from
-    its StepPlan (built here unless given).
-
-    Raises NotNiceError naming the violated spectral condition when the map
-    cannot be certified with the given weights and base rho.
-    """
-    kind = cfg.kind
-    plan = StepPlan(cfg, prob) if plan is None else plan
-    spec, view = plan.spec, plan.view
-    L = 0.0
-    if spec.smooth_linearized:
-        if view.smooth is None:
-            raise ConfigError(f"{kind} requires a smooth objective part")
-        if view.smooth.term.strong_convexity != 0.0:
-            raise ConfigError(
-                f"{kind} handles the smooth part by gradient linearization; "
-                "its declared strong-convexity contribution must be zero"
-            )
-        L = view.smooth.lipschitz_grad
-    G = [A.T @ A for A in view.ops]
-    delta, P, Q, conds = spec.certify(cfg, view, plan.M, G, L)
-    if len(P) == 1:
-        return _validated(NiceCertificate(kind, delta, P[0], Q[0], tuple(conds)))
-    blocks = dict(P1=P[0], P2=P[1], Q1=Q[0], Q2=Q[1])
-    P, Q = scipy.linalg.block_diag(*P), scipy.linalg.block_diag(*Q)
-    return _validated(NiceCertificate(kind, delta, P, Q, tuple(conds), **blocks))
+def certificate(cfg, prob):
+    """The certificate of the map on this problem (StepPlan.cert)."""
+    return StepPlan(cfg, prob).cert
 
 
 def _validated(cert):
@@ -437,31 +400,37 @@ def _validated(cert):
     return cert
 
 
-def _plan_for(cfg, prob, plan, caller):
-    """plan, or a new StepPlan of cfg on prob when it is None; ConfigError
-    when plan was built for another map or problem."""
-    if plan is None:
-        return StepPlan(cfg, prob)
-    if plan.cfg is not cfg or plan.prob is not prob:
-        raise ConfigError(f"{caller}: the plan was built for another map or problem")
-    return plan
+def prim_step(plan, tau, z, lam):
+    """One primal update z+ of the plan's map from (z, lambda) at tau_t = tau
+    (so rho_t = rho tau); the plan carries the factorizations across calls."""
+    if not 0.0 < tau < math.inf:
+        raise ConfigError(f"prim_step needs a positive finite tau_t, got {tau!r}")
+    spec, view = plan.spec, plan.view
+    z = np.asarray(z, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if z.shape != (plan.A.shape[1],) or lam.shape != view.b.shape:
+        raise ConfigError("prim_step dimension mismatch")
+    rho_t = plan.cfg.rho * tau
+    old = view.split(z)
+    new = list(old)
+    for i, (block, A, solver) in enumerate(zip(spec.blocks, view.ops, plan.solvers)):
+        src = old if spec.jacobi else new
+        parts = [B @ src[j] for j, B in enumerate(view.ops) if j != i or not block.exact]
+        r = sum(parts, -view.b)
+        w = tau if block.accelerated else 1.0
+        g = A.T @ (lam + rho_t * r) - w * (plan.M[i] @ old[i])
+        if view.smooth is not None:
+            g = g + (view.smooth.term.grad(z) if spec.smooth_linearized else view.smooth.term.q)
+        new[i] = solver.solve(g, tau)
+    return new[0] if len(new) == 1 else np.concatenate(new)
 
 
-def prim_step(cfg, sched, z, lam, prob, plan=None):
-    """One primal update z+ from (z, lambda) under the given schedule; plan
-    (a StepPlan of cfg on prob) carries the factorizations across calls."""
-    return _plan_for(cfg, prob, plan, "prim_step").step(sched, z, lam)
-
-
-def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None, plan=None):
-    """(residual, scale) of the niceness inequality at the state (z, lambda)
-    and one feasible xi (floats), or each row of a (k, n) stack of them (one
-    value per row). The terms in z+ alone are computed once for the stack.
-    plan (a StepPlan of cfg on prob, built here unless given) supplies the
-    block view, the stacked A and the step."""
-    plan = _plan_for(cfg, prob, plan, "nice_parts")
-    if cert is None:
-        cert = certificate(cfg, prob, plan=plan)
+def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
+    """(residual, scale) of the niceness inequality of the plan's map at the
+    state (z, lambda), tau_t = tau and one feasible xi (floats), or each row
+    of a (k, n) stack of them (one value per row). The terms in z+ alone are
+    computed once for the stack; delta defaults to the certificate's."""
+    cert, prob = plan.cert, plan.prob
     if delta is None:
         delta = cert.delta
     z = np.asarray(z, dtype=float)
@@ -474,8 +443,8 @@ def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None,
     if infeasible.size:
         raise ConfigError(f"xi must be feasible (residual {feas_xi[infeasible[0]]:.3e})")
     if z_next is None:
-        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
-    rho_t, tau_t = sched.rho_t, sched.tau_t
+        z_next = prim_step(plan, tau, z, lam)
+    rho_t = plan.cfg.rho * tau
 
     lhs = eval_aug_lagrangian(prob, z_next, lam, rho_t) - eval_aug_lagrangian(
         prob, xi, lam, rho_t
@@ -488,7 +457,7 @@ def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None,
     for block, sigma, P, Q, xi_i, z_i, zn_i in zip(
         spec.blocks, view.sigmas, cert.block_P, cert.block_Q, *points
     ):
-        w = tau_t if block.accelerated else 1.0
+        w = tau if block.accelerated else 1.0
         bregman += w * delta_P(P, xi_i, z_i, zn_i)
         q_term += 0.5 * w * quad_norm(Q, zn_i - z_i)
         if block.accelerated:
@@ -498,15 +467,6 @@ def nice_parts(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None,
     residual = lhs - rhs
     scale = 1.0 + abs(lhs) + abs(bregman) + q_term + sc_term + pen_term
     return (float(residual), float(scale)) if xi.ndim == 1 else (residual, scale)
-
-
-def nice_residual(cfg, sched, z, lam, xi, prob, cert=None, z_next=None, delta=None):
-    """Left minus right of the niceness inequality; nice maps yield <= 0 up to
-    roundoff (tolerance 1e-7 * scale in the sampling suite)."""
-    residual, _ = nice_parts(
-        cfg, sched, z, lam, xi, prob, cert=cert, z_next=z_next, delta=delta
-    )
-    return residual
 
 
 def feasible_sampler(prob, seed=0, scale=1.0, size=None):
@@ -542,58 +502,42 @@ def default_p(cfg, prob):
     return 2 if all(s > 0 for acc, s in block_sigmas(cfg.kind, prob) if acc) else 1
 
 
-def sample_niceness(
-    cfg,
-    prob,
-    states=100,
-    xis=20,
-    seed=0,
-    p=None,
-    t_values=(1.0, 2.5, 7.0, 19.5, 60.0),
-    state_scale=2.0,
-    xi_scale=1.5,
-    delta=None,
-    plan=None,
-    cert=None,
-):
+def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None):
     """Adversarial sampling of the niceness inequality.
 
-    Draws `states` random (z, lambda, t) tuples and `xis` feasible points per
-    state, evaluates each state's points as one stack, and returns the worst
-    residual both raw and relative to scale = 1 + sum of absolute inequality
-    terms. A point outside the domain of Psi (where an indicator term is +inf)
-    makes the left side -inf, so the inequality holds there trivially: such
-    points count neither in `checked` nor in the maxima. plan (a StepPlan of
-    cfg on prob) and cert (its certificate) are built here unless given.
+    Draws `states` random (z, lambda, tau_t) tuples (tau_t cycles through
+    SAMPLED_TAUS when the map's default p is 2, else tau_t = 1) and `xis`
+    feasible points per state, evaluates each state's points as one stack, and
+    returns the worst residual both raw and relative to scale = 1 + sum of
+    absolute inequality terms. A point outside the domain of Psi (where an
+    indicator term is +inf) makes the left side -inf, so the inequality holds
+    there trivially: such points count neither in `checked` nor in the maxima.
+    plan (a StepPlan of cfg on prob) is built here unless given.
     """
     for name, count in (("states", states), ("xis", xis)):
         if count < 1:
             raise ConfigError(f"niceness sampling needs {name} >= 1, got {count}")
-    plan = _plan_for(cfg, prob, plan, "sample_niceness")
-    if cert is None:
-        cert = certificate(cfg, prob, plan=plan)
-    if p is None:
-        p = default_p(cfg, prob)
-    if p == 1:
-        t_values = (1.0,)
+    if plan is None:
+        plan = StepPlan(cfg, prob)
+    elif plan.cfg is not cfg or plan.prob is not prob:
+        raise ConfigError("sample_niceness: the plan was built for another map or problem")
+    cert = plan.cert
+    p = default_p(cfg, prob)
     rng = np.random.default_rng(seed)
-    xi_gen = feasible_sampler(prob, seed=seed + 1, scale=xi_scale, size=xis)
+    xi_gen = feasible_sampler(prob, seed=seed + 1, scale=XI_SCALE, size=xis)
     m, n = plan.A.shape
     center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
-    t_cycle = itertools.cycle(t_values)
+    taus = itertools.cycle(SAMPLED_TAUS if p == 2 else (1.0,))
 
     max_raw = -np.inf
     max_scaled = -np.inf
     checked = 0
     for _ in range(states):
-        z = center + state_scale * rng.standard_normal(n)
-        lam = state_scale * rng.standard_normal(m)
-        sched = schedule_at(cfg.rho, next(t_cycle), p)
-        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
-        residual, scale = nice_parts(
-            cfg, sched, z, lam, next(xi_gen), prob, cert=cert, z_next=z_next, delta=delta,
-            plan=plan,
-        )
+        z = center + STATE_SCALE * rng.standard_normal(n)
+        lam = STATE_SCALE * rng.standard_normal(m)
+        tau = next(taus)
+        z_next = prim_step(plan, tau, z, lam)
+        residual, scale = nice_parts(plan, tau, z, lam, next(xi_gen), z_next=z_next, delta=delta)
         tested = residual > -np.inf
         residual, scale = residual[tested], scale[tested]
         checked += residual.size

@@ -570,16 +570,27 @@ def problem_to_json(p):
 
 
 def problem_from_json(doc):
+    """The problem of a JSON document. DataError when the document is not one
+    (not an object, a missing field, a value of the wrong JSON type, a ragged
+    or non-numeric array); a well-formed invalid problem raises ConfigError."""
+    if type(doc) is not dict:
+        raise DataError(f"problem JSON must be an object, got {type(doc).__name__}")
     try:
-        f = term_from_json(doc["f"])
-        A = np.asarray(doc["A"], dtype=float)
-        b = np.asarray(doc["b"], dtype=float)
-        sigma = doc.get("sigma")
-        block = doc.get("block")
-        fp = doc.get("feasible_point")
-        h = doc.get("h")
+        return _problem_from_doc(doc)
     except KeyError as e:
         raise DataError(f"problem JSON missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"malformed problem JSON ({type(e).__name__}: {e})") from None
+
+
+def _problem_from_doc(doc):
+    f = term_from_json(doc["f"])
+    A = np.asarray(doc["A"], dtype=float)
+    b = np.asarray(doc["b"], dtype=float)
+    sigma = doc.get("sigma")
+    block = doc.get("block")
+    fp = doc.get("feasible_point")
+    h = doc.get("h")
     if block is not None:
         if h is not None:
             raise DataError("block problems do not carry a smooth term")
@@ -624,7 +635,7 @@ def load_problem(path, with_sha256=False):
         doc = json.loads(data.decode("utf-8"))
     except OSError as e:
         raise DataError(f"cannot read problem file: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not UTF-8, or not JSON
         raise DataError(f"malformed problem JSON: {e}") from None
     prob = problem_from_json(doc)
     return (prob, hashlib.sha256(data).hexdigest()) if with_sha256 else prob

@@ -26,11 +26,11 @@ from flagopt.linalg import lambda_max
 from flagopt.maps import (
     MAP_KINDS,
     MapConfig,
+    StepPlan,
     certificate,
     make_config,
     prim_step,
     sample_niceness,
-    schedule_at,
 )
 from flagopt.problems import (
     ConstrainedProblem,
@@ -261,7 +261,7 @@ def max_pillar_residual(prob, cfg, mode, iters, ref):
     """
     params = RunParams(cfg=cfg, mode=mode, iters=iters)
     resolved = resolve_params(prob, params)
-    cert, p, mu, rho = resolved.cert, resolved.p, resolved.mu, resolved.rho
+    cert, p, mu, rho = resolved.plan.cert, resolved.p, resolved.mu, resolved.rho
     A = constraint_map(prob)
     b = prob.b
     xi, eta = ref.x_star, ref.y_star
@@ -390,14 +390,15 @@ def test_criterion_8_equivalence_of_embedded_maps(announce):
         M1=np.zeros((n1, n1)),
         M2=(1.0 / alpha) * np.eye(n2),
     )
+    plan_cp, plan_pl = StepPlan(cfg_cp, prob), StepPlan(cfg_pl, prob)
     rng = np.random.default_rng(21)
     worst = 0.0
     for i in range(50):
         z = rng.normal(scale=2.0, size=n1 + n2)
         lam = rng.normal(scale=2.0, size=prob.b.size)
-        sched = schedule_at(rho, t=1.0 + (i % 7), p=2)
-        step_cp = prim_step(cfg_cp, sched, z, lam, prob)
-        step_pl = prim_step(cfg_pl, sched, z, lam, prob)
+        tau = 1.0 + (i % 7)
+        step_cp = prim_step(plan_cp, tau, z, lam)
+        step_pl = prim_step(plan_pl, tau, z, lam)
         worst = max(worst, float(np.max(np.abs(step_cp - step_pl))))
     assert worst <= 1e-10
     announce(

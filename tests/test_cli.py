@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -168,22 +169,21 @@ class TestCertify:
         assert "certified: yes" in out
 
     def test_certificate_is_built_once(self, qp_path, capsys, monkeypatch):
-        # sample_niceness reuses the plan and certificate cmd_certify built;
-        # forcing it to build its own (the former path) prints the same report
+        # sample_niceness reuses the plan cmd_certify built, and with it the
+        # certificate; forcing it to build its own prints the same report
         calls = []
-        real = maps.certificate
+        spec = maps.KINDS["prox-lin-al"]
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return real(*args, **kwargs)
+            return spec.certify(*args)
 
-        monkeypatch.setattr(maps, "certificate", counted)
-        monkeypatch.setattr(cli, "certificate", counted)
+        monkeypatch.setitem(maps.KINDS, "prox-lin-al", dataclasses.replace(spec, certify=counted))
         argv = ["certify", "--problem", qp_path, "--map", "prox-lin-al", "--states", "10"]
         assert main(argv) == 0
         assert len(calls) == 1
         once = capsys.readouterr().out
-        def own(cfg, prob, plan, cert, **kwargs):
+        def own(cfg, prob, plan, **kwargs):
             return maps.sample_niceness(cfg, prob, **kwargs)
 
         monkeypatch.setattr(cli, "sample_niceness", own)
@@ -477,6 +477,69 @@ class TestVerify:
         assert "factor 2" in report["note"]
 
 
+NOT_UTF8 = b"\xff\xfe\x00{\x81}"
+
+
+def edit_problem(edit):
+    """Problem bytes: the eq-qp document with edit applied to its JSON."""
+
+    def make(qp_path):
+        with open(qp_path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        return json.dumps(doc).encode()
+
+    return make
+
+
+def ragged_row(doc):
+    doc["A"][0] = doc["A"][0][:-1]
+
+
+# (command, artifact overwritten, its bytes from the eq-qp problem path)
+MALFORMED = {
+    "problem-not-utf8": ("certify", "problem", lambda qp: NOT_UTF8),
+    "manifest-not-utf8": ("verify", "manifest", lambda qp: NOT_UTF8),
+    "traj-not-utf8": ("verify", "traj", lambda qp: NOT_UTF8),
+    "problem-top-level-list": ("certify", "problem", lambda qp: b"[1, 2]"),
+    "problem-f-string": ("certify", "problem", edit_problem(lambda d: d.update(f="abc"))),
+    "problem-A-ragged-row": ("certify", "problem", edit_problem(ragged_row)),
+    "problem-A-string": ("certify", "problem", edit_problem(lambda d: d.update(A="abc"))),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_4_with_one_line(self, qp_path, tmp_path, capsys, case):
+        command, artifact, content = MALFORMED[case]
+        paths = {
+            "problem": tmp_path / "p.json",
+            "traj": tmp_path / "t.csv",
+            "manifest": tmp_path / "t.csv.manifest.json",
+        }
+        paths["problem"].write_bytes(open(qp_path, "rb").read())
+        assert solve_fast(str(paths["problem"]), paths["traj"], iters=20) == 0
+        paths[artifact].write_bytes(content(qp_path))
+        argv = [command, "--problem", str(paths["problem"])]
+        if command == "certify":
+            argv += ["--map", "prox-lin-al", "--states", "5"]
+        else:
+            argv += ["--traj", str(paths["traj"]), "--manifest", str(paths["manifest"])]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_invalid_well_formed_problem_exits_2(self, qp_path, tmp_path, capsys):
+        # a valid JSON document whose A has one column too few for f
+        path = tmp_path / "p.json"
+        path.write_bytes(edit_problem(lambda d: d.update(A=[r[:-1] for r in d["A"]]))(qp_path))
+        rc = main(["certify", "--problem", str(path), "--map", "prox-lin-al"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestRoundTrip:
     def strip_comments(self, path):
         with open(path) as fh:
@@ -524,6 +587,33 @@ class TestSweep:
         for row in doc["rows"]:
             assert row["bounds_hold"] is True
             assert row["condition_P"] == "met"
+
+    @pytest.mark.parametrize("mode", ["classic", "fast", "ergodic"])
+    def test_row_matches_verify_report(self, qp_path, tmp_path, capsys, mode):
+        # a sweep row is the verify report of the same map, mode and problem
+        out, traj, report = tmp_path / "sweep.json", tmp_path / "t.csv", tmp_path / "r.json"
+        common = ["--problem", qp_path, "--iters", "150"]
+        sweep = ["sweep", *common, "--maps", "prox-lin-al", "--modes", mode, "--out", str(out)]
+        assert main(sweep) == 0
+        printed = capsys.readouterr().out
+        solve = ["solve", *common, "--map", "prox-lin-al", "--mode", mode, "--out", str(traj)]
+        assert main(solve) == 0
+        rc = main(
+            [
+                "verify", "--problem", qp_path, "--traj", str(traj),
+                "--manifest", str(traj) + ".manifest.json", "--out", str(report),
+            ]
+        )
+        with open(out) as fh:
+            (row,) = json.load(fh)["rows"]
+        with open(report) as fh:
+            rep = json.load(fh)
+        keys = ("delta", "p", "bounds_hold", "first_violation", "slope", "condition_P")
+        assert {key: row[key] for key in keys} == {key: rep[key] for key in keys}
+        assert rc == (0 if rep["bounds_hold"] else 3)
+        if rep["condition_P"] == "unmet":
+            # no bound was checked, so the sweep says neither ok nor VIOLATED
+            assert "bounds=n/a" in printed and rep["first_violation"] is None
 
     def test_unknown_map_rejected(self, qp_path, capsys):
         rc = main(["sweep", "--problem", qp_path, "--maps", "nope"])

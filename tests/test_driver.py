@@ -95,7 +95,7 @@ class TestResolve:
         p = make_qp()
         cfg = make_config("prox-lin-al", p, rho=1.0)
         r = resolve_params(p, RunParams(cfg=cfg, mode="fast"))
-        assert r.mu == r.cert.delta == 1.0
+        assert r.mu == r.plan.cert.delta == 1.0
         r = resolve_params(p, RunParams(cfg=cfg, mode="ergodic"))
         assert r.mu == 1.0 and r.p == 2
 

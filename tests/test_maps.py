@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from flagopt import (
     SmoothTerm,
     Zero,
 )
+from flagopt import driver
 from flagopt.driver import RunParams, run
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_aug_lagrangian
@@ -22,17 +25,14 @@ from flagopt.maps import (
     KINDS,
     MAP_KINDS,
     MapConfig,
-    ScheduleParams,
     StepPlan,
     certificate,
     default_p,
     feasible_sampler,
     make_config,
     nice_parts,
-    nice_residual,
     prim_step,
     sample_niceness,
-    schedule_at,
 )
 from flagopt.problems import flatten_block
 from flagopt.prox import soft_threshold
@@ -97,22 +97,49 @@ def box_problem(half_width=1.0, n=8, m=3, seed=0):
     return ConstrainedProblem(f=f, A=A, b=A @ x0, smooth=h, feasible_point=x0)
 
 
-class TestSchedule:
-    def test_classic(self):
-        s = schedule_at(rho=2.0, t=7.0, p=1)
-        assert s.rho_t == 2.0 and s.tau_t == 1.0
+def taus_of_run(monkeypatch, mode):
+    """The tau_t of each prim_step a 3-iteration run makes, from t = 1."""
+    taus = []
 
-    def test_fast(self):
-        s = schedule_at(rho=2.0, t=3.0, p=2)
-        assert s.rho_t == 6.0 and s.tau_t == 3.0
+    def spy(plan, tau, z, lam):
+        taus.append(tau)
+        return prim_step(plan, tau, z, lam)
+
+    monkeypatch.setattr(driver, "prim_step", spy)
+    p = one_d_problem()
+    run(p, RunParams(cfg=MapConfig(kind="prox-al", rho=2.0, M=[[1.0]]), mode=mode, iters=3))
+    return taus
+
+
+class TestSchedule:
+    def test_classic(self, monkeypatch):
+        # p = 1: tau_t = t^0 = 1 at every t
+        assert taus_of_run(monkeypatch, "classic") == [1.0, 1.0, 1.0]
+
+    def test_fast(self, monkeypatch):
+        # p = 2: tau_t = t along the accelerated sequence
+        t2 = driver.next_t(1.0, 2)
+        assert taus_of_run(monkeypatch, "fast") == [1.0, t2, driver.next_t(t2, 2)]
 
     def test_rejects_bad_t(self):
-        with pytest.raises(ConfigError):
-            schedule_at(1.0, 0.5, 1)
+        # a step takes the schedule through tau_t alone, which must be
+        # positive and finite
+        p = one_d_problem()
+        plan = StepPlan(MapConfig(kind="prox-al", rho=1.0, M=[[0.0]]), p)
+        for tau in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="positive finite tau_t"):
+                prim_step(plan, tau, np.array([5.0]), np.array([0.0]))
 
-    def test_classic_requires_unit_tau(self):
-        with pytest.raises(ConfigError):
-            ScheduleParams(rho_t=1.0, tau_t=2.0, p=1)
+    def test_step_uses_rho_tau(self):
+        # rho_t = rho tau_t: the step of (rho, tau) is that of (rho tau, 1)
+        # when M = 0, since tau only scales M and the penalty
+        p = small_qp()
+        rng = np.random.default_rng(2)
+        z, lam = rng.standard_normal(p.n), rng.standard_normal(p.m)
+        zero = np.zeros((p.n, p.n))
+        scaled = StepPlan(MapConfig(kind="prox-al", rho=0.5, M=zero), p)
+        unit = StepPlan(MapConfig(kind="prox-al", rho=2.0, M=zero), p)
+        assert_allclose(prim_step(scaled, 4.0, z, lam), prim_step(unit, 1.0, z, lam), rtol=1e-10)
 
 
 class TestCertificates:
@@ -229,20 +256,36 @@ class TestCertificates:
         cfg = make_config("prox-al", p, rho=1.0, policy="identity-scaled", scale=3.0)
         assert_allclose(cfg.M, 3.0 * np.eye(p.n))
 
+    def test_plan_computes_its_certificate_once(self, monkeypatch):
+        # plan.cert is cached; a run reads it from the plan that steps, so
+        # the kind's certificate formula is evaluated once per run
+        calls = []
+        spec = KINDS["prox-lin-al"]
+
+        def counted(*args):
+            calls.append(args)
+            return spec.certify(*args)
+
+        monkeypatch.setitem(KINDS, "prox-lin-al", dataclasses.replace(spec, certify=counted))
+        p = small_qp()
+        cfg = make_config("prox-lin-al", p, rho=1.0)
+        plan = StepPlan(cfg, p)
+        assert plan.cert is plan.cert and len(calls) == 1
+        run(p, RunParams(cfg=cfg, mode="fast", iters=5))
+        assert len(calls) == 2
+
 
 class TestPrimStep:
     def test_prox_al_scalar(self):
         p = one_d_problem()
         cfg = MapConfig(kind="prox-al", rho=1.0, M=[[0.0]])
-        s = ScheduleParams(rho_t=1.0, tau_t=1.0, p=1)
-        z = prim_step(cfg, s, np.array([5.0]), np.array([0.0]), p)
+        z = prim_step(StepPlan(cfg, p), 1.0, np.array([5.0]), np.array([0.0]))
         assert_allclose(z, [0.5])
 
     def test_prox_lin_al_scalar(self):
         p = one_d_problem()
         cfg = MapConfig(kind="prox-lin-al", rho=1.0, M=[[2.0]])
-        s = ScheduleParams(rho_t=1.0, tau_t=1.0, p=1)
-        z = prim_step(cfg, s, np.array([0.0]), np.array([0.0]), p)
+        z = prim_step(StepPlan(cfg, p), 1.0, np.array([0.0]), np.array([0.0]))
         assert_allclose(z, [1.0 / 3.0])
 
     def test_smooth_lin_al_scalar(self):
@@ -250,23 +293,22 @@ class TestPrimStep:
         h = SmoothTerm(term=Quadratic(H=[[1.0]], q=[0.0]), lipschitz_grad=1.0)
         p = ConstrainedProblem(f=f, A=[[1.0]], b=[1.0], smooth=h, sigma=0.0)
         cfg = MapConfig(kind="smooth-lin-al", rho=1.0, M=[[3.0]])
-        s = ScheduleParams(rho_t=1.0, tau_t=1.0, p=1)
         # argmin <h'(0), x> + <0 + (0 - 1), x> + (3/2) x^2  ->  x = 1/3
-        z = prim_step(cfg, s, np.array([0.0]), np.array([0.0]), p)
+        z = prim_step(StepPlan(cfg, p), 1.0, np.array([0.0]), np.array([0.0]))
         assert_allclose(z, [1.0 / 3.0])
 
     def test_prox_al_minimizes_surrogate(self):
         p = small_qp()
         cfg = MapConfig(kind="prox-al", rho=0.9, M=0.5 * np.eye(p.n))
+        plan = StepPlan(cfg, p)
         rng = np.random.default_rng(0)
-        for t in (1.0, 4.0):
-            s = schedule_at(0.9, t, 2)
+        for tau in (1.0, 4.0):
             z = rng.standard_normal(p.n)
             lam = rng.standard_normal(p.m)
-            z_new = prim_step(cfg, s, z, lam, p)
+            z_new = prim_step(plan, tau, z, lam)
 
             def surrogate(x):
-                return eval_aug_lagrangian(p, x, lam, s.rho_t) + 0.5 * s.tau_t * float(
+                return eval_aug_lagrangian(p, x, lam, 0.9 * tau) + 0.5 * tau * float(
                     (x - z) @ (0.5 * np.eye(p.n)) @ (x - z)
                 )
 
@@ -277,11 +319,10 @@ class TestPrimStep:
     def test_jacobi_second_block_uses_old_first_block(self):
         bp = small_block()
         cfg = make_config("prox-jacobi", bp, rho=0.5)
-        s = ScheduleParams(rho_t=0.5, tau_t=1.0, p=1)
         rng = np.random.default_rng(1)
         z = rng.standard_normal(bp.n1 + bp.n2)
         lam = rng.standard_normal(bp.m)
-        out = prim_step(cfg, s, z, lam, bp)
+        out = prim_step(StepPlan(cfg, bp), 1.0, z, lam)
         # recompute v+ by hand from the old u
         u, v = bp.split(z)
         V2 = 0.5 * bp.B.T @ bp.B + cfg.M2
@@ -299,15 +340,15 @@ class TestPrimStep:
             M1=np.zeros((bp.n1, bp.n1)),
             M2=np.eye(bp.n2) / alpha,
         )
+        plans = StepPlan(cp, bp), StepPlan(equivalent, bp)
         rng = np.random.default_rng(7)
-        for t in (1.0, 3.0, 11.0):
-            s = schedule_at(1.2, t, 2)
+        for tau in (1.0, 3.0, 11.0):
             for _ in range(10):
                 z = rng.standard_normal(bp.n1 + bp.n2)
                 lam = rng.standard_normal(bp.m)
                 assert_allclose(
-                    prim_step(cp, s, z, lam, bp),
-                    prim_step(equivalent, s, z, lam, bp),
+                    prim_step(plans[0], tau, z, lam),
+                    prim_step(plans[1], tau, z, lam),
                     atol=1e-10,
                 )
 
@@ -367,11 +408,10 @@ class TestNiceness:
 
     def test_infeasible_xi_rejected(self):
         p = small_qp()
-        cfg = make_config("prox-al", p, rho=1.0)
-        s = ScheduleParams(rho_t=1.0, tau_t=1.0, p=1)
+        plan = StepPlan(make_config("prox-al", p, rho=1.0), p)
         bad_xi = p.feasible_point + 1.0
         with pytest.raises(ConfigError, match="feasible"):
-            nice_residual(cfg, s, np.zeros(p.n), np.zeros(p.m), bad_xi, p)
+            nice_parts(plan, 1.0, np.zeros(p.n), np.zeros(p.m), bad_xi)
 
     def test_feasible_sampler_spans_null_space(self):
         p = small_qp()
@@ -542,9 +582,10 @@ def test_plan_matches_dense_solve(kind, name):
 
 @pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS}))
 def test_nice_parts_with_plan_is_bitwise_equal(kind, name):
-    # the plan only saves rebuilding the view and the stacked A per tuple;
-    # z_next comes from one plan for both, as in sample_niceness, since a
-    # plan that has seen a second c solves through its diagonalized pencil
+    # a reused plan only saves rebuilding the view, the stacked A and the
+    # certificate per tuple: a fresh plan gives bitwise the same parts; z_next
+    # comes from one plan for both, as in sample_niceness, since a plan that
+    # has seen a second c solves through its diagonalized pencil
     prob = pin_problem(name)
     cfg = make_config(kind, prob, rho=1.0)
     plan = StepPlan(cfg, prob)
@@ -552,14 +593,11 @@ def test_nice_parts_with_plan_is_bitwise_equal(kind, name):
     rng = np.random.default_rng(1)
     xis = feasible_sampler(prob, seed=2)
     for t in (1.0, 7.0):
-        sched = schedule_at(cfg.rho, t, default_p(cfg, prob))
+        tau = t ** (default_p(cfg, prob) - 1)
         z, lam, xi = rng.standard_normal(n), rng.standard_normal(m), next(xis)
-        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
-        got = nice_parts(cfg, sched, z, lam, xi, prob, z_next=z_next, plan=plan)
-        assert got == nice_parts(cfg, sched, z, lam, xi, prob, z_next=z_next)
-    other = make_config(kind, prob, rho=1.0)
-    with pytest.raises(ConfigError, match="another map or problem"):
-        nice_parts(other, sched, z, lam, xi, prob, plan=plan)
+        z_next = prim_step(plan, tau, z, lam)
+        got = nice_parts(plan, tau, z, lam, xi, z_next=z_next)
+        assert got == nice_parts(StepPlan(cfg, prob), tau, z, lam, xi, z_next=z_next)
 
 
 # (max_residual, max_scaled_residual) of sample_niceness(states=20, xis=8)
@@ -599,12 +637,14 @@ def test_pinned_sampling(kind, name):
 
 
 def test_sample_niceness_takes_a_plan_and_certificate():
-    # the report is bitwise the one sample_niceness builds for itself
+    # the report is bitwise the one sample_niceness builds for itself, and
+    # it reads the certificate the plan already holds
     prob = pin_problem("eq-qp")
     cfg = make_config("prox-lin-al", prob, rho=1.0)
     plan = StepPlan(cfg, prob)
-    cert = certificate(cfg, prob, plan=plan)
-    got = sample_niceness(cfg, prob, states=10, xis=4, plan=plan, cert=cert)
+    cert = plan.cert
+    got = sample_niceness(cfg, prob, states=10, xis=4, plan=plan)
+    assert plan.cert is cert
     assert got == sample_niceness(cfg, prob, states=10, xis=4)
     other = make_config("prox-lin-al", prob, rho=1.0)
     with pytest.raises(ConfigError, match="another map or problem"):
@@ -623,19 +663,19 @@ def test_stacked_nice_parts_matches_each_point(kind, name):
     rng = np.random.default_rng(3)
     stack = next(feasible_sampler(prob, seed=5, scale=1.5, size=6))
     for t in (1.0, 19.5):
-        sched = schedule_at(cfg.rho, t, default_p(cfg, prob))
+        tau = t ** (default_p(cfg, prob) - 1)
         z, lam = rng.standard_normal(n), rng.standard_normal(m)
-        z_next = prim_step(cfg, sched, z, lam, prob, plan=plan)
-        residual, scale = nice_parts(cfg, sched, z, lam, stack, prob, z_next=z_next, plan=plan)
+        z_next = prim_step(plan, tau, z, lam)
+        residual, scale = nice_parts(plan, tau, z, lam, stack, z_next=z_next)
         assert residual.shape == scale.shape == (6,)
         for row, xi in enumerate(stack):
-            want = nice_parts(cfg, sched, z, lam, xi, prob, z_next=z_next, plan=plan)
+            want = nice_parts(plan, tau, z, lam, xi, z_next=z_next)
             assert isinstance(want[0], float) and isinstance(want[1], float)
             assert_allclose((residual[row], scale[row]), want, rtol=1e-12, atol=0)
     bad = stack.copy()
     bad[3] += 1.0
     with pytest.raises(ConfigError, match="xi must be feasible") as single:
-        nice_parts(cfg, sched, z, lam, bad[3], prob, z_next=z_next, plan=plan)
+        nice_parts(plan, tau, z, lam, bad[3], z_next=z_next)
     with pytest.raises(ConfigError) as stacked:
-        nice_parts(cfg, sched, z, lam, bad, prob, z_next=z_next, plan=plan)
+        nice_parts(plan, tau, z, lam, bad, z_next=z_next)
     assert str(stacked.value) == str(single.value)
