@@ -8,8 +8,10 @@ is the reference. A problem with l1 or box terms is solved twice
 long run of the classic driver); each candidate identifies a face that
 `polish` corrects and solves on, and the two polished solutions must agree
 before either is trusted. The penalty route's prox weight is fixed within
-each continuation stage, so it factors once per stage (three times per
-reference), not once per step.
+each continuation stage, so it factors once per stage (at most three times
+per reference), not once per step; it stops at its first iterate, checked at
+steps 1, 2, 4, 8, ... of a stage, whose face already polishes to a verified
+KKT point.
 
 verify_rates checks the trajectory's objective gap and feasibility against
 B / (2 N^p) and B / (c N^p) row by row and fits a log-log slope to the
@@ -19,6 +21,7 @@ combined residual over the trailing decade of iterations.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +94,11 @@ def _solve_kkt(H, A, rhs_top, b):
     K = np.block([[H, A.T], [A, np.zeros((m, m))]])
     rhs = np.concatenate([rhs_top, b])
     try:
-        sol = scipy.linalg.solve(K, rhs, assume_a="sym")
-    except scipy.linalg.LinAlgError:
+        with warnings.catch_warnings():
+            # an ill-conditioned K takes the singular K's route, silently
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            sol = scipy.linalg.solve(K, rhs, assume_a="sym")
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     # one refinement step
     sol = sol + np.linalg.lstsq(K, rhs - K @ sol, rcond=None)[0]
@@ -169,7 +175,12 @@ def polish(sp, x_approx):
     to POLISH_ROUNDS face corrections, verified via the subdifferential
     distance. Without a nonsmooth term the face is empty and x_approx is not
     read: one solve either passes (NumericalError otherwise)."""
-    H, q, nonsmooth = _smooth_parts(sp)
+    return _polish_faces(sp, _smooth_parts(sp), x_approx)
+
+
+def _polish_faces(sp, parts, x_approx):
+    """polish's face loop on the `_smooth_parts` of sp."""
+    H, q, nonsmooth = parts
     face = _initial_face(nonsmooth, np.asarray(x_approx, dtype=float))
     scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(sp.b))
     for _ in range(POLISH_ROUNDS):
@@ -189,12 +200,16 @@ def polish(sp, x_approx):
 def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
     """Accelerated proximal gradient on Psi(x) + (beta/2)||Ax - b||^2 with
     warm-started continuation; the whole of Psi goes through its prox. Only
-    needs enough accuracy to identify the active face (polish does the rest).
+    needs enough accuracy to identify the active face (polish does the rest),
+    so at steps k = 1, 2, 4, 8, ... of each beta stage it runs polish's face
+    loop on the iterate and returns the first one that polishes to a verified
+    KKT point, with y_est = beta (A x - b) of the running stage.
     The prox weight L I is fixed within a beta stage, so each stage sets up
     one prox.Subproblem (one Cholesky of a quadratic part) for all its steps."""
     A, b = sp.A, sp.b
     lamA = linalg.lambda_max(A.T @ A)
     n = sp.n
+    parts = _smooth_parts(sp)
     x = sp.feasible_point.copy() if sp.feasible_point is not None else np.zeros(n)
     for beta in betas:
         L = beta * lamA + (sp.smooth.lipschitz_grad if sp.smooth is not None else 0.0)
@@ -212,7 +227,7 @@ def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
         t = 1.0
         x_prev = x.copy()
         phi_prev = phi(x)
-        for _ in range(max_iter):
+        for k in range(1, max_iter + 1):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
             v = x + ((t - 1.0) / t_next) * (x - x_prev)
             anchor = v - grad_s(v) / L
@@ -224,6 +239,13 @@ def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
             if phi_new > phi_prev:
                 t = 1.0  # adaptive restart
             phi_prev = phi_new
+            if k & (k - 1) == 0:
+                try:
+                    _polish_faces(sp, parts, x)
+                except (NumericalError, UnreliableReferenceError):
+                    pass  # not yet
+                else:
+                    return x, beta * (A @ x - b)
             if move <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
                 break
     y_est = betas[-1] * (A @ x - b)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ class TestVerify:
     def test_truncated_trajectory_is_io_error(self, qp_path, tmp_path, capsys):
         rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=100)
         assert rc == 0
-        lines = open(traj).read().splitlines(keepends=True)
+        lines = Path(traj).read_text().splitlines(keepends=True)
         with open(traj, "w") as fh:
             fh.writelines(lines[:-5])
         rc = main(
@@ -303,7 +304,7 @@ class TestVerify:
     def test_non_numeric_cell_is_io_error(self, qp_path, tmp_path, capsys):
         rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
         assert rc == 0
-        text = open(traj).read().splitlines()
+        text = Path(traj).read_text().splitlines()
         text[-1] = "abc" + text[-1][text[-1].index(","):]
         with open(traj, "w") as fh:
             fh.write("\n".join(text) + "\n")
@@ -436,7 +437,7 @@ class TestVerify:
     ):
         rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=100)
         assert rc == 0
-        lines = open(traj).read().splitlines()
+        lines = Path(traj).read_text().splitlines()
         fields = lines[-1].split(",")
         fields[3] = repr(float(fields[3]) + 1e6)  # psi_x column
         lines[-1] = ",".join(fields)
@@ -517,7 +518,7 @@ class TestMalformedInput:
             "traj": tmp_path / "t.csv",
             "manifest": tmp_path / "t.csv.manifest.json",
         }
-        paths["problem"].write_bytes(open(qp_path, "rb").read())
+        paths["problem"].write_bytes(Path(qp_path).read_bytes())
         assert solve_fast(str(paths["problem"]), paths["traj"], iters=20) == 0
         paths[artifact].write_bytes(content(qp_path))
         argv = [command, "--problem", str(paths["problem"])]

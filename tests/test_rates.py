@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,10 +267,12 @@ class TestBenchmarkNames:
             assert callable(fn) and fn.__module__ == f"flagopt.{layer}", span
 
 
-def per_step_penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
+def per_step_penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000, stop=None):
     """The reference implementation of the penalty route: the same loop with
     one argmin_composite, and so one fresh subproblem and factorization, on
-    every step."""
+    every step. With `stop`, it returns the first iterate at a step k = 1, 2,
+    4, ... of a stage for which stop(x) holds, with that stage's beta in
+    y_est."""
     A, b = sp.A, sp.b
     lamA = linalg.lambda_max(A.T @ A)
     n = sp.n
@@ -290,7 +293,7 @@ def per_step_penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
         t = 1.0
         x_prev = x.copy()
         phi_prev = phi(x)
-        for _ in range(max_iter):
+        for k in range(1, max_iter + 1):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
             v = x + ((t - 1.0) / t_next) * (x - x_prev)
             anchor = v - grad_s(v) / L
@@ -302,22 +305,55 @@ def per_step_penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
             if phi_new > phi_prev:
                 t = 1.0
             phi_prev = phi_new
+            if stop is not None and bin(k).count("1") == 1 and stop(x):
+                return x, beta * (A @ x - b)
             if move <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
                 break
     y_est = betas[-1] * (A @ x - b)
     return x, y_est
 
 
+def polishes(sp, x):
+    try:
+        polish(sp, x)
+    except (NumericalError, UnreliableReferenceError):
+        return False
+    return True
+
+
+def record_checks(monkeypatch, verify=True):
+    """Replace the route's check with one that records each checked iterate
+    and its outcome; with verify=False no check ever verifies."""
+    checks = []
+    check = rates._polish_faces
+
+    def recording(sp, parts, x):
+        try:
+            if not verify:
+                raise UnreliableReferenceError("never verifies")
+            out = check(sp, parts, x)
+        except (NumericalError, UnreliableReferenceError):
+            checks.append((x.copy(), False))
+            raise
+        checks.append((x.copy(), True))
+        return out
+
+    monkeypatch.setattr(rates, "_polish_faces", recording)
+    return checks
+
+
 class TestPenaltyRoute:
     @pytest.mark.parametrize("n,m,seed", [(12, 8, 5), (30, 20, 3)])
-    def test_bitwise_equal_to_per_step_prox(self, n, m, seed):
+    def test_bitwise_equal_to_per_step_prox(self, n, m, seed, monkeypatch):
         sp = flatten_block(generate(GenSpec(family="lasso-split", n=n, m=m, sigma=0.0, seed=seed)))
+        record_checks(monkeypatch, verify=False)
         x, y = _penalty_route(sp, max_iter=200)
         x_ref, y_ref = per_step_penalty_route(sp, max_iter=200)
         assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
     def test_one_cholesky_per_stage(self, monkeypatch):
         sp = flatten_block(generate(GenSpec(family="lasso-split", n=12, m=8, seed=5)))
+        record_checks(monkeypatch, verify=False)
         calls = []
         potrf = linalg._potrf
         monkeypatch.setattr(linalg, "_potrf", lambda *a, **k: calls.append(1) or potrf(*a, **k))
@@ -325,6 +361,55 @@ class TestPenaltyRoute:
         betas = (1e2, 1e4, 1e6)
         _penalty_route(sp, betas=betas, max_iter=200)
         assert len(calls) == len(betas)
+
+    def test_checks_only_at_powers_of_two(self, monkeypatch):
+        sp = flatten_block(generate(GenSpec(family="lasso-split", n=12, m=8, seed=5)))
+        checks = record_checks(monkeypatch, verify=False)
+        _penalty_route(sp, betas=(1e2, 1e4), max_iter=100)
+        assert len(checks) == 2 * 7  # k = 1, 2, 4, ..., 64 in each stage
+
+    @pytest.mark.parametrize("seed", [0, 3, 9])
+    def test_lasso_stops_at_first_polishing_checkpoint(self, seed, monkeypatch):
+        sp = flatten_block(generate(GenSpec(family="lasso-split", n=30, m=20, sigma=0.0, seed=seed)))
+        checks = record_checks(monkeypatch)
+        x, y = _penalty_route(sp)
+        # the first check, at k = 1 of the beta = 1e2 stage, already verifies
+        assert [ok for _, ok in checks] == [True]
+        assert np.array_equal(y, 1e2 * (sp.A @ x - sp.b))
+        x_ref, y_ref = per_step_penalty_route(sp, stop=lambda v: polishes(sp, v))
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+
+    def test_box_returns_the_first_iterate_that_polishes(self, monkeypatch):
+        p = box_problem(n=8, m=3, seed=1)
+        checks = record_checks(monkeypatch)
+        x, y = _penalty_route(p)
+        assert len(checks) > 1
+        assert [ok for _, ok in checks] == [False] * (len(checks) - 1) + [True]
+        route_checks = list(checks)
+        assert np.array_equal(route_checks[-1][0], x)
+        assert not any(polishes(p, v) for v, _ in route_checks[:-1]) and polishes(p, x)
+        x_ref, y_ref = per_step_penalty_route(p, stop=lambda v: polishes(p, v))
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+
+    def test_box_references_emit_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, m in [(8, 3), (20, 6)]:
+                for seed in range(20):
+                    reference_solve(box_problem(n=n, m=m, seed=seed))
+
+
+def test_ill_conditioned_kkt_takes_lstsq_silently():
+    # K's rcond is about 3e-18: scipy.linalg.solve would warn LinAlgWarning
+    H = np.diag([1.0, 1e-17, 2.0])
+    A = np.array([[1.0, 0.0, 1.0]])
+    rhs_top, b = np.array([1.0, 0.0, -1.0]), np.array([2.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x, y = rates._solve_kkt(H, A, rhs_top, b)
+    assert caught == []
+    assert_allclose(H @ x + A.T @ y, rhs_top, atol=1e-12)
+    assert_allclose(A @ x, b, atol=1e-12)
 
 
 class TestBoundConstant:
