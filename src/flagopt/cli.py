@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .driver import MAX_ITERS, RunParams, run, trajectory_from_csv
+from .driver import MAX_ITERS, MODES, RunParams, run, trajectory_from_csv
 from .errors import ConfigError, DataError, FlagoptError
 from .gen import FAMILIES, GenSpec, generate
 from .maps import MAP_KINDS, StepPlan, certificate, make_config, sample_niceness
@@ -166,17 +166,17 @@ def _vector(size):
 
 
 def _check_manifest(manifest, prob, problem_sha256):
-    """DataError unless every manifest field has its JSON type, numbers are
-    finite, iters lies in [1, MAX_ITERS], z0 / y0 fit the problem and the
-    recorded problem hash is that of the problem file."""
+    """DataError unless every manifest field has its JSON type and a valid value
+    (finite numbers, mode in MODES, p 1 or 2, iters in [1, MAX_ITERS], z0 / y0
+    sized to the problem) and the problem hash is that of the problem file."""
     if type(manifest) is not dict:
         raise DataError("manifest must be a JSON object")
     m, n = constraint_map(prob).shape
-    strings = ("map", "policy", "mode", "problem_sha256")
-    checks = {key: lambda v: type(v) is str for key in strings}
+    checks = {key: lambda v: type(v) is str for key in ("map", "policy", "problem_sha256")}
     checks.update(
         rho=_num, mu=_num, scale=_num, margin=_num, alpha=lambda v: v is None or _num(v),
-        p=lambda v: type(v) is int, iters=lambda v: type(v) is int and 1 <= v <= MAX_ITERS,
+        mode=lambda v: v in MODES, p=lambda v: type(v) is int and v in (1, 2),
+        iters=lambda v: type(v) is int and 1 <= v <= MAX_ITERS,
         z0=_vector(n), y0=_vector(m),
     )
     for key, ok in checks.items():

@@ -258,6 +258,8 @@ def trajectory_from_csv(path):
     if body.shape[1] != len(CSV_COLUMNS):
         raise DataError(f"{path}: malformed trajectory rows")
     cols = {name: body[:, i] for i, name in enumerate(CSV_COLUMNS)}
+    if not np.array_equal(cols["k"], np.arange(len(body))):
+        raise DataError(f"{path}: column k is not 0, 1, ..., {len(body) - 1}")
     cols["k"] = cols["k"].astype(int)
     return Trajectory(**cols)
 

@@ -1,17 +1,15 @@
 """Reference solutions and rate verification.
 
-Every reference is an exact KKT solve on an active face, verified through
-the subdifferential distance (`polish`). A purely quadratic problem has no
-nonsmooth term, so its face is empty and one KKT solve of the whole system
-is the reference. A problem with l1 or box terms is solved twice
-(quadratic-penalty continuation with proximal-gradient acceleration, and a
-long run of the classic driver); each candidate identifies a face that
-`polish` corrects and solves on, and the two polished solutions must agree
-before either is trusted. The penalty route's prox weight is fixed within
-each continuation stage, so it factors once per stage (at most three times
-per reference), not once per step; it stops at its first iterate, checked at
-steps 1, 2, 4, 8, ... of a stage, whose face already polishes to a verified
-KKT point.
+Every reference is an exact KKT solve on an active face (each solve gated
+by linalg._refined), verified through the subdifferential distance
+(`polish`). A purely quadratic problem has no nonsmooth term, so its face is
+empty and one KKT solve of the whole system is the reference. A problem with
+l1 or box terms is solved twice (quadratic-penalty continuation with
+proximal-gradient acceleration, and a long run of the classic driver); each
+candidate identifies a face that polish's face loop corrects and solves on,
+and the two verified pairs must agree before either is trusted. The penalty
+route factors its fixed prox weight once per continuation stage, and at steps
+1, 2, 4, 8, ... of a stage returns the first verified pair its face loop yields.
 
 verify_rates checks the trajectory's objective gap and feasibility against
 B / (2 N^p) and B / (c N^p) row by row and fits a log-log slope to the
@@ -90,20 +88,21 @@ def _smooth_parts(sp):
 
 
 def _solve_kkt(H, A, rhs_top, b):
+    """(x, y) with [[H, A'], [A, 0]] (x, y) = (rhs_top, b): a symmetric solve,
+    or lstsq when scipy finds K singular or ill-conditioned, gated by _refined."""
     n, m = H.shape[0], A.shape[0]
     K = np.block([[H, A.T], [A, np.zeros((m, m))]])
-    rhs = np.concatenate([rhs_top, b])
-    try:
-        with warnings.catch_warnings():
-            # an ill-conditioned K takes the singular K's route, silently
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            sol = scipy.linalg.solve(K, rhs, assume_a="sym")
-    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    # one refinement step
-    sol = sol + np.linalg.lstsq(K, rhs - K @ sol, rcond=None)[0]
-    if np.linalg.norm(K @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-        raise NumericalError("KKT system could not be solved accurately")
+
+    def inv(r):
+        try:
+            with warnings.catch_warnings():
+                # an ill-conditioned K takes the singular K's route, silently
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                return scipy.linalg.solve(K, r, assume_a="sym")
+        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+            return np.linalg.lstsq(K, r, rcond=None)[0]
+
+    sol = linalg._refined(inv, K.__matmul__, np.concatenate([rhs_top, b]), "KKT system")
     return sol[:n], sol[n:]
 
 
@@ -202,8 +201,8 @@ def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
     warm-started continuation; the whole of Psi goes through its prox. Only
     needs enough accuracy to identify the active face (polish does the rest),
     so at steps k = 1, 2, 4, 8, ... of each beta stage it runs polish's face
-    loop on the iterate and returns the first one that polishes to a verified
-    KKT point, with y_est = beta (A x - b) of the running stage.
+    loop on the iterate and returns the first verified (x, y) it yields; when
+    none does, the face loop's result on the last iterate (or its error).
     The prox weight L I is fixed within a beta stage, so each stage sets up
     one prox.Subproblem (one Cholesky of a quadratic part) for all its steps."""
     A, b = sp.A, sp.b
@@ -241,15 +240,12 @@ def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
             phi_prev = phi_new
             if k & (k - 1) == 0:
                 try:
-                    _polish_faces(sp, parts, x)
+                    return _polish_faces(sp, parts, x)
                 except (NumericalError, UnreliableReferenceError):
                     pass  # not yet
-                else:
-                    return x, beta * (A @ x - b)
             if move <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
                 break
-    y_est = betas[-1] * (A @ x - b)
-    return x, y_est
+    return _polish_faces(sp, parts, x)
 
 
 def _long_run_route(sp):
@@ -274,13 +270,14 @@ def _long_run_route(sp):
 
 def reference_solve(prob):
     """Verified reference solution with c = 2 ||y*||: polish on the empty
-    face when Psi has no nonsmooth term, else the two polished routes."""
+    face when Psi has no nonsmooth term, else the penalty route's verified
+    pair, checked against the polished long-run route."""
     sp = single_problem(prob)
     if not _smooth_parts(sp)[2]:
         x, y = polish(sp, np.zeros(sp.n))
     else:
-        xa, ya = polish(sp, _penalty_route(sp)[0])
-        xb, yb = polish(sp, _long_run_route(sp))
+        xa, ya = _penalty_route(sp)
+        xb, _ = polish(sp, _long_run_route(sp))
         disagreement = max(
             float(np.linalg.norm(xa - xb)),
             abs(eval_objective(sp, xa) - eval_objective(sp, xb)),

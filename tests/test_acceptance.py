@@ -364,9 +364,11 @@ def test_criterion_7_reference_oracle_integrity(qp_cases, lasso_cases, announce)
     worst_gap = -np.inf
     for case in lasso_cases:
         sp = single_problem(case["prob"])
-        xa, _ = polish(sp, _penalty_route(sp)[0])
-        xb, _ = polish(sp, _long_run_route(sp))
-        gap = float(np.linalg.norm(xa - xb))
+        # the penalty route returns the pair its own face loop verified
+        xa, ya = _penalty_route(sp)
+        xb, yb = polish(sp, _long_run_route(sp))
+        assert max(kkt_residual(sp, xa, ya), kkt_residual(sp, xb, yb)) <= 1e-9
+        gap = max(float(np.linalg.norm(xa - xb)), float(np.linalg.norm(ya - yb)))
         assert gap <= 1e-8
         worst_gap = max(worst_gap, gap)
     announce(

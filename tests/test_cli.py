@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, save_problem
+from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, load_problem, save_problem
 from flagopt import cli, maps
 from flagopt.cli import main
 from flagopt.driver import MAX_ITERS, trajectory_from_csv
+from flagopt.rates import reference_solve
 
 
 def sha256(path):
@@ -346,6 +347,8 @@ class TestVerify:
             ("rho", float("nan")),
             ("z0", ["0"] * 20),
             ("alpha", "1"),
+            ("p", 3),
+            ("mode", "turbo"),
         ],
     )
     def test_manifest_bad_value_is_io_error(self, qp_path, tmp_path, capsys, key, value):
@@ -371,6 +374,48 @@ class TestVerify:
         err = capsys.readouterr().err
         assert rc == 4
         assert err.count("\n") == 1 and repr(key) in err
+
+    def test_k_column_must_count_rows(self, tmp_path, capsys):
+        # a gap held at 0.4 B breaks B / (2k) from k = 2 on; rows relabelled
+        # k = 1 would each be checked against B / 2 and pass
+        prob = str(tmp_path / "p.json")
+        rc = main(
+            ["gen", "eq-qp", "--n", "10", "--m", "3", "--sigma", "1", "--seed", "1", "--out", prob]
+        )
+        assert rc == 0
+        traj = tmp_path / "t.csv"
+        rc = main(
+            [
+                "solve", "--problem", prob, "--map", "prox-lin-al", "--mode", "classic",
+                "--iters", "200", "--out", str(traj),
+            ]
+        )
+        assert rc == 0
+        report = tmp_path / "r.json"
+        verify = [
+            "verify", "--problem", prob, "--traj", str(traj),
+            "--manifest", str(traj) + ".manifest.json", "--out", str(report),
+        ]
+        assert main(verify) == 0
+        B = json.loads(report.read_text())["B"]
+        held = reference_solve(load_problem(prob)).psi_star + 0.4 * B
+        lines = traj.read_text().splitlines()
+        columns = lines[1].split(",")
+        k, psi = columns.index("k"), columns.index("psi_x")
+        rows = [line.split(",") for line in lines[2:]]
+
+        def rewrite(col, value):
+            for row in rows[1:]:
+                row[col] = value
+            traj.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+
+        rewrite(psi, repr(held))
+        assert main(verify) == 3
+        rewrite(k, "1")
+        capsys.readouterr()
+        assert main(verify) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "column k" in err
 
     def test_trajectory_of_another_problem_is_io_error(self, qp_path, tmp_path, capsys):
         rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)

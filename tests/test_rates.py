@@ -215,20 +215,35 @@ class TestReferenceMutations:
             polish(sp, x_star)
         assert len(solves) == rates.POLISH_ROUNDS
 
-    def test_perturbed_route_disagrees(self, monkeypatch):
-        bp = generate(GenSpec(family="lasso-split", n=12, m=8, seed=5))
+    @staticmethod
+    def perturb_once(monkeypatch, name):
+        """Shift x of every pair that rates.<name> returns by 1e-5."""
         calls = []
-        honest = rates.polish
+        honest = getattr(rates, name)
 
-        def second_route_off(sp, x_approx):
-            x, y = honest(sp, x_approx)
+        def perturbed(*args):
+            x, y = honest(*args)
             calls.append(1)
-            return (x + 1e-5 if len(calls) == 2 else x), y
+            return x + 1e-5, y
 
-        monkeypatch.setattr(rates, "polish", second_route_off)
+        monkeypatch.setattr(rates, name, perturbed)
+        return calls
+
+    def test_perturbed_route_disagrees(self, monkeypatch):
+        # the penalty route's pair is the reference's candidate as returned
+        bp = generate(GenSpec(family="lasso-split", n=12, m=8, seed=5))
+        calls = self.perturb_once(monkeypatch, "_penalty_route")
         with pytest.raises(UnreliableReferenceError, match="reference routes disagree"):
             reference_solve(bp)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_perturbed_long_run_polish_disagrees(self, monkeypatch):
+        # polish runs once per nonsmooth reference: on the long-run route
+        bp = generate(GenSpec(family="lasso-split", n=12, m=8, seed=5))
+        calls = self.perturb_once(monkeypatch, "polish")
+        with pytest.raises(UnreliableReferenceError, match="reference routes disagree"):
+            reference_solve(bp)
+        assert len(calls) == 1
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -270,9 +285,8 @@ class TestBenchmarkNames:
 def per_step_penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000, stop=None):
     """The reference implementation of the penalty route: the same loop with
     one argmin_composite, and so one fresh subproblem and factorization, on
-    every step. With `stop`, it returns the first iterate at a step k = 1, 2,
-    4, ... of a stage for which stop(x) holds, with that stage's beta in
-    y_est."""
+    every step. It returns the last iterate; with `stop`, the first iterate at
+    a step k = 1, 2, 4, ... of a stage for which stop(x) holds."""
     A, b = sp.A, sp.b
     lamA = linalg.lambda_max(A.T @ A)
     n = sp.n
@@ -306,11 +320,10 @@ def per_step_penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000, stop=None):
                 t = 1.0
             phi_prev = phi_new
             if stop is not None and bin(k).count("1") == 1 and stop(x):
-                return x, beta * (A @ x - b)
+                return x
             if move <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
                 break
-    y_est = betas[-1] * (A @ x - b)
-    return x, y_est
+    return x
 
 
 def polishes(sp, x):
@@ -321,15 +334,15 @@ def polishes(sp, x):
     return True
 
 
-def record_checks(monkeypatch, verify=True):
-    """Replace the route's check with one that records each checked iterate
-    and its outcome; with verify=False no check ever verifies."""
+def record_checks(monkeypatch, refused=0):
+    """Replace the route's face loop with one that records each checked
+    iterate and its outcome; the first `refused` checks never verify."""
     checks = []
     check = rates._polish_faces
 
     def recording(sp, parts, x):
         try:
-            if not verify:
+            if len(checks) < refused:
                 raise UnreliableReferenceError("never verifies")
             out = check(sp, parts, x)
         except (NumericalError, UnreliableReferenceError):
@@ -342,18 +355,28 @@ def record_checks(monkeypatch, verify=True):
     return checks
 
 
+def assert_polishes_to(sp, pair, x_approx):
+    """pair is bitwise polish(sp, x_approx)."""
+    want = polish(sp, x_approx)
+    assert all(np.array_equal(got, exp) for got, exp in zip(pair, want))
+
+
 class TestPenaltyRoute:
     @pytest.mark.parametrize("n,m,seed", [(12, 8, 5), (30, 20, 3)])
     def test_bitwise_equal_to_per_step_prox(self, n, m, seed, monkeypatch):
         sp = flatten_block(generate(GenSpec(family="lasso-split", n=n, m=m, sigma=0.0, seed=seed)))
-        record_checks(monkeypatch, verify=False)
-        x, y = _penalty_route(sp, max_iter=200)
-        x_ref, y_ref = per_step_penalty_route(sp, max_iter=200)
-        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+        # no check at k = 1, 2, ..., 128 of the three stages verifies, so the
+        # route takes all 3 x 200 steps, then polishes its last iterate
+        checks = record_checks(monkeypatch, refused=3 * 8)
+        pair = _penalty_route(sp, max_iter=200)
+        assert len(checks) == 3 * 8 + 1 and checks[-1][1]
+        x_ref = per_step_penalty_route(sp, max_iter=200)
+        assert np.array_equal(checks[-1][0], x_ref)
+        assert_polishes_to(sp, pair, x_ref)
 
     def test_one_cholesky_per_stage(self, monkeypatch):
         sp = flatten_block(generate(GenSpec(family="lasso-split", n=12, m=8, seed=5)))
-        record_checks(monkeypatch, verify=False)
+        record_checks(monkeypatch, refused=3 * 8)
         calls = []
         potrf = linalg._potrf
         monkeypatch.setattr(linalg, "_potrf", lambda *a, **k: calls.append(1) or potrf(*a, **k))
@@ -364,32 +387,36 @@ class TestPenaltyRoute:
 
     def test_checks_only_at_powers_of_two(self, monkeypatch):
         sp = flatten_block(generate(GenSpec(family="lasso-split", n=12, m=8, seed=5)))
-        checks = record_checks(monkeypatch, verify=False)
-        _penalty_route(sp, betas=(1e2, 1e4), max_iter=100)
-        assert len(checks) == 2 * 7  # k = 1, 2, 4, ..., 64 in each stage
+        checks = record_checks(monkeypatch, refused=math.inf)
+        # when no check verifies, the final polish's error is the route's
+        with pytest.raises(UnreliableReferenceError, match="never verifies"):
+            _penalty_route(sp, betas=(1e2, 1e4), max_iter=100)
+        # k = 1, 2, 4, ..., 64 in each stage, then the last iterate
+        assert len(checks) == 2 * 7 + 1
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_lasso_stops_at_first_polishing_checkpoint(self, seed, monkeypatch):
         sp = flatten_block(generate(GenSpec(family="lasso-split", n=30, m=20, sigma=0.0, seed=seed)))
         checks = record_checks(monkeypatch)
-        x, y = _penalty_route(sp)
+        pair = _penalty_route(sp)
         # the first check, at k = 1 of the beta = 1e2 stage, already verifies
         assert [ok for _, ok in checks] == [True]
-        assert np.array_equal(y, 1e2 * (sp.A @ x - sp.b))
-        x_ref, y_ref = per_step_penalty_route(sp, stop=lambda v: polishes(sp, v))
-        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+        x_ref = per_step_penalty_route(sp, stop=lambda v: polishes(sp, v))
+        assert np.array_equal(checks[0][0], x_ref)
+        assert_polishes_to(sp, pair, x_ref)
 
     def test_box_returns_the_first_iterate_that_polishes(self, monkeypatch):
         p = box_problem(n=8, m=3, seed=1)
         checks = record_checks(monkeypatch)
-        x, y = _penalty_route(p)
+        pair = _penalty_route(p)
         assert len(checks) > 1
         assert [ok for _, ok in checks] == [False] * (len(checks) - 1) + [True]
-        route_checks = list(checks)
-        assert np.array_equal(route_checks[-1][0], x)
+        route_checks = list(checks)  # polish below records checks too
+        x = route_checks[-1][0]
         assert not any(polishes(p, v) for v, _ in route_checks[:-1]) and polishes(p, x)
-        x_ref, y_ref = per_step_penalty_route(p, stop=lambda v: polishes(p, v))
-        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+        x_ref = per_step_penalty_route(p, stop=lambda v: polishes(p, v))
+        assert np.array_equal(x, x_ref)
+        assert_polishes_to(p, pair, x_ref)
 
     def test_box_references_emit_no_warning(self):
         with warnings.catch_warnings():
@@ -410,6 +437,41 @@ def test_ill_conditioned_kkt_takes_lstsq_silently():
     assert caught == []
     assert_allclose(H @ x + A.T @ y, rhs_top, atol=1e-12)
     assert_allclose(A @ x, b, atol=1e-12)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_lasso_reference_solves_each_kkt_system_once(monkeypatch):
+    # the route's check takes 4 face rounds and returns its verified pair;
+    # the long-run route's polish takes 1
+    sp = flatten_block(generate(GenSpec(family="lasso-split", n=30, m=20, sigma=0.0, seed=0)))
+    solves = count_calls(monkeypatch, rates, "_solve_kkt")
+    polish_calls = count_calls(monkeypatch, rates, "polish")
+    reference_solve(sp)
+    assert len(solves) == 5 and len(polish_calls) == 1
+
+
+def test_well_conditioned_kkt_takes_no_lstsq(monkeypatch):
+    # the first symmetric solve passes the residual gate: no refinement step
+    p = generate(GenSpec(family="eq-qp", n=20, m=6, sigma=1.0, seed=7))
+    lstsq = count_calls(monkeypatch, np.linalg, "lstsq")
+    solves = count_calls(monkeypatch, rates, "_solve_kkt")
+    reference_solve(p)
+    assert len(solves) == 1 and lstsq == []
+
+
+def test_inconsistent_singular_kkt_raises():
+    # K's second row is zero while its right-hand side is 1: no x solves it
+    H = np.diag([1.0, 0.0])
+    A = np.array([[1.0, 0.0]])
+    with pytest.raises(NumericalError, match="KKT system") as err:
+        rates._solve_kkt(H, A, np.array([0.0, 1.0]), np.array([0.0]))
+    assert type(err.value) is NumericalError
 
 
 class TestBoundConstant:
