@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .driver import MAX_ITERS, MODES, RunParams, run, trajectory_from_csv
+from .driver import MAX_ITERS, MODES, RunParams, mode_p, run, trajectory_from_csv
 from .errors import ConfigError, DataError, FlagoptError
 from .gen import FAMILIES, GenSpec, generate
 from .maps import MAP_KINDS, StepPlan, certificate, make_config, sample_niceness
@@ -217,6 +217,12 @@ def _verify_report(prob, problem_sha256, traj, manifest, tol):
         margin=manifest.get("margin", 1.0),
         alpha=manifest.get("alpha"),
     )
+    p = mode_p(manifest["mode"], cfg, prob)
+    if manifest["p"] != p:
+        raise DataError(
+            f"manifest 'p' is {manifest['p']}, but a {manifest['mode']} run of "
+            f"{manifest['map']} on this problem uses p = {p}"
+        )
     expected = manifest["iters"] + 1
     if traj.records != expected:
         raise DataError(

@@ -101,22 +101,20 @@ class ResolvedParams:
     plan: StepPlan
 
 
+def mode_p(mode, cfg, prob):
+    """The p a run in this mode uses: 2 for fast, 1 for classic, and the map's
+    default_p for ergodic."""
+    return {"fast": 2, "classic": 1}.get(mode) or default_p(cfg, prob)
+
+
 def resolve_params(prob, params):
     """Build the map's step plan, certify the map and fix (p, mu) for the
     requested mode."""
     plan = StepPlan(params.cfg, prob)
     cert = plan.cert
-    dp = default_p(params.cfg, prob)
-    if params.mode == "fast":
-        if dp != 2:
-            raise ConfigError(
-                "fast mode requires the strong convexity exploited by the map"
-            )
-        p = 2
-    elif params.mode == "classic":
-        p = 1
-    else:
-        p = dp
+    if params.mode == "fast" and default_p(params.cfg, prob) != 2:
+        raise ConfigError("fast mode requires the strong convexity exploited by the map")
+    p = mode_p(params.mode, params.cfg, prob)
     if params.mode == "ergodic":
         mu = 1.0 if params.mu is None else params.mu
         if not 0.0 < mu <= 1.0 + cert.delta + 1e-12:

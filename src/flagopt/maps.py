@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import ConfigError, NotNiceError
@@ -369,12 +368,19 @@ class StepPlan:
         if len(P) == 1:
             return _validated(NiceCertificate(kind, delta, P[0], Q[0], tuple(conds)))
         blocks = dict(P1=P[0], P2=P[1], Q1=Q[0], Q2=Q[1])
-        P, Q = scipy.linalg.block_diag(*P), scipy.linalg.block_diag(*Q)
+        P, Q = _block_diag(*P), _block_diag(*Q)
         return _validated(NiceCertificate(kind, delta, P, Q, tuple(conds), **blocks))
 
     def stats(self):
         """Per block: its factorization route and counts (prox.Subproblem.stats)."""
         return [solver.stats() for solver in self.solvers]
+
+
+def _block_diag(X1, X2):
+    n1, n = X1.shape[0], X1.shape[0] + X2.shape[0]
+    out = np.zeros((n, n))
+    out[:n1, :n1], out[n1:, n1:] = X1, X2
+    return out
 
 
 def certificate(cfg, prob):

@@ -19,11 +19,9 @@ combined residual over the trailing decade of iterations.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .driver import RunParams, flag_iterate, initial_state, resolve_params
@@ -88,19 +86,23 @@ def _smooth_parts(sp):
 
 
 def _solve_kkt(H, A, rhs_top, b):
-    """(x, y) with [[H, A'], [A, 0]] (x, y) = (rhs_top, b): a symmetric solve,
-    or lstsq when scipy finds K singular or ill-conditioned, gated by _refined."""
+    """(x, y) with [[H, A'], [A, 0]] (x, y) = (rhs_top, b): an LU solve, or
+    lstsq when K is singular or the LU solve is not finite or misses the
+    1e-10 residual gate, gated by _refined."""
     n, m = H.shape[0], A.shape[0]
     K = np.block([[H, A.T], [A, np.zeros((m, m))]])
 
     def inv(r):
-        try:
-            with warnings.catch_warnings():
-                # an ill-conditioned K takes the singular K's route, silently
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                return scipy.linalg.solve(K, r, assume_a="sym")
-        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-            return np.linalg.lstsq(K, r, rcond=None)[0]
+        # an ill-conditioned K takes the singular K's route, silently
+        with np.errstate(all="ignore"):
+            try:
+                x = np.linalg.solve(K, r)
+                e = r - K @ x
+                if math.sqrt(e @ e) <= 1e-10 * (1.0 + math.sqrt(r @ r)):
+                    return x
+            except np.linalg.LinAlgError:
+                pass
+        return np.linalg.lstsq(K, r, rcond=None)[0]
 
     sol = linalg._refined(inv, K.__matmul__, np.concatenate([rhs_top, b]), "KKT system")
     return sol[:n], sol[n:]

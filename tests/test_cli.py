@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flagopt
 from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, load_problem, save_problem
 from flagopt import cli, maps
 from flagopt.cli import main
@@ -94,6 +98,28 @@ class TestSolve:
         rc = solve_fast(qp_path, out, iters=1000)
         assert rc == 0
         assert trajectory_from_csv(out).records == 1001
+
+    def test_runs_without_scipy(self, qp_path, tmp_path):
+        # a fresh process: importing the CLI and one solve load no scipy module
+        script = (
+            "import sys\n"
+            "import flagopt.cli\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded(), ('import', loaded())\n"
+            "assert flagopt.cli.main(sys.argv[1:]) == 0\n"
+            "assert not loaded(), ('solve', loaded())\n"
+        )
+        args = [
+            "solve", "--problem", qp_path, "--map", "prox-lin-al", "--mode", "fast",
+            "--policy", "identity-scaled", "--scale", "0.5", "--rho", "0.05",
+            "--iters", "50", "--out", str(tmp_path / "t.csv"),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flagopt.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_not_nice_exits_naming_condition(self, lasso_path, tmp_path, capsys):
         # rho lambda_max(B'B) = 2 exceeds lambda_min(M2) = 1
@@ -374,6 +400,26 @@ class TestVerify:
         err = capsys.readouterr().err
         assert rc == 4
         assert err.count("\n") == 1 and repr(key) in err
+
+    def test_manifest_p_must_match_mode(self, qp_path, tmp_path, capsys):
+        # a fast run runs at p = 2; checked against the weaker p = 1 bound
+        # instead, it would pass whatever its O(1/N^2) bound says
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path)
+        assert rc == 0
+        manifest_path = str(traj) + ".manifest.json"
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        assert manifest["mode"] == "fast" and manifest["p"] == 2
+        manifest["p"] = 1
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        rc = main(
+            ["verify", "--problem", qp_path, "--traj", str(traj), "--manifest", manifest_path]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.count("\n") == 1 and "'p'" in err and "fast" in err
 
     def test_k_column_must_count_rows(self, tmp_path, capsys):
         # a gap held at 0.4 B breaks B / (2k) from k = 2 on; rows relabelled

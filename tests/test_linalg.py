@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from flagopt import DegenerateSubproblemError, NumericalError
+from flagopt import DegenerateSubproblemError, NumericalError, linalg
 from flagopt.linalg import Pencil, solve_spd
 
 
@@ -36,7 +36,7 @@ def test_corrupted_factor_fails_the_residual_gate(route):
     pencil.solve(rhs, c)
     assert pencil.route == route
     if route == "cholesky":
-        pencil.chol[0, 0] *= 1.5
+        pencil.Li[0, 0] *= 1.5
     else:
         pencil.lam[-1] *= 2.0
     with pytest.raises(NumericalError, match="residual"):
@@ -121,7 +121,7 @@ def test_slightly_perturbed_factor_is_refined(route):
     pencil.solve(rhs, c)
     assert pencil.route == route and pencil.counts["refinements"] == 0
     if route == "cholesky":
-        pencil.chol[0, 0] *= 1.0 + 1e-9
+        pencil.Li[0, 0] *= 1.0 + 1e-9
     else:
         pencil.W *= 1.0 + 1e-9
     x = pencil.solve(rhs, c)
@@ -136,20 +136,18 @@ def test_per_step_route_counts_refinements(monkeypatch):
     for c in (1.0, 3.0):
         pencil.solve(np.ones(3), c)
     assert pencil.route == "per-step" and pencil.counts["refinements"] == 0
-    cho_solve = scipy.linalg.cho_solve
-    monkeypatch.setattr(
-        scipy.linalg, "cho_solve", lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-9)
-    )
+    factor = linalg._inverse_factor
+    monkeypatch.setattr(linalg, "_inverse_factor", lambda V: factor(V) * (1.0 + 1e-9))
     pencil.solve(np.ones(3), 7.0)
     assert pencil.counts["refinements"] == 1
 
 
 @pytest.fixture
 def cholesky_fails(monkeypatch):
-    def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("forced")
+    def fail(V):
+        raise np.linalg.LinAlgError("forced")
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    monkeypatch.setattr(linalg, "_inverse_factor", fail)
 
 
 def test_solve_spd_fallback_passes_the_gate(cholesky_fails):
@@ -164,3 +162,35 @@ def test_solve_spd_fallback_rejects_a_nan_rhs(cholesky_fails):
     V = random_psd(rng, 6, 1.0)
     with pytest.raises(NumericalError, match="residual"):
         solve_spd(V, np.full(6, np.nan))
+
+
+# scipy serves as the independent oracle of the numpy factorizations
+
+
+@pytest.mark.parametrize("mirrored", [0, 1])
+def test_pencil_reduction_matches_scipy_generalized_eigh(mirrored):
+    rng = np.random.default_rng(5)
+    H0 = random_psd(rng, 30, 1.0)
+    # a K0 past PENCIL_COND sends the pencil to its mirrored form
+    K0 = np.diag(np.r_[rng.uniform(1.0, 3.0, 29), 1e-14]) if mirrored else random_psd(rng, 30, 1.0)
+    X, Y = (K0, H0) if mirrored else (H0, K0)
+    pencil = Pencil(H0, K0)
+    for c in (1.0, 2.0):
+        pencil.solve(np.ones(30), c)
+    assert pencil.route == "pencil-eigh" and pencil.mirrored == mirrored
+    lam = scipy.linalg.eigh(X, Y, eigvals_only=True)
+    assert_allclose(pencil.lam, lam, rtol=0, atol=1e-10 * np.max(np.abs(lam)))
+    W = pencil.W
+    assert_allclose(W.T @ Y @ W, np.eye(30), rtol=0, atol=1e-10)
+    assert_allclose(W.T @ X @ W, np.diag(pencil.lam), rtol=0, atol=1e-10 * np.max(np.abs(lam)))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 400])
+def test_blocked_triangular_inverse(n):
+    rng = np.random.default_rng(n)
+    L = scipy.linalg.cholesky(random_psd(rng, n, float(n)), lower=True)
+    Li = linalg._tril_inv(L)
+    assert not np.triu(Li, 1).any()
+    assert_allclose(Li @ L, np.eye(n), rtol=0, atol=1e-12)
+    oracle = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
+    assert np.linalg.norm(Li - oracle) <= 1e-10 * np.linalg.norm(oracle)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from flagopt import (
@@ -378,8 +379,8 @@ class TestPenaltyRoute:
         sp = flatten_block(generate(GenSpec(family="lasso-split", n=12, m=8, seed=5)))
         record_checks(monkeypatch, refused=3 * 8)
         calls = []
-        potrf = linalg._potrf
-        monkeypatch.setattr(linalg, "_potrf", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+        factor = linalg._inverse_factor
+        monkeypatch.setattr(linalg, "_inverse_factor", lambda V: calls.append(1) or factor(V))
         monkeypatch.setattr(linalg, "solve_spd", None)  # the per-step route would call it
         betas = (1e2, 1e4, 1e6)
         _penalty_route(sp, betas=betas, max_iter=200)
@@ -463,6 +464,19 @@ def test_well_conditioned_kkt_takes_no_lstsq(monkeypatch):
     solves = count_calls(monkeypatch, rates, "_solve_kkt")
     reference_solve(p)
     assert len(solves) == 1 and lstsq == []
+
+
+def test_kkt_solve_matches_scipy():
+    # scipy.linalg.solve is the independent oracle of the numpy KKT solve
+    rng = np.random.default_rng(6)
+    n, m = 40, 12
+    M = rng.standard_normal((n, n))
+    H, A = M @ M.T + np.eye(n), rng.standard_normal((m, n))
+    rhs_top, b = rng.standard_normal(n), rng.standard_normal(m)
+    K = np.block([[H, A.T], [A, np.zeros((m, m))]])
+    want = scipy.linalg.solve(K, np.concatenate([rhs_top, b]))
+    got = np.concatenate(rates._solve_kkt(H, A, rhs_top, b))
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_inconsistent_singular_kkt_raises():
