@@ -21,7 +21,7 @@ from .driver import MAX_ITERS, MODES, RunParams, mode_p, run, trajectory_from_cs
 from .errors import ConfigError, DataError, FlagoptError
 from .gen import FAMILIES, GenSpec, generate
 from .maps import MAP_KINDS, StepPlan, certificate, make_config, sample_niceness
-from .problems import constraint_map, feasibility_residual, load_problem, save_problem
+from .problems import feasibility_residual, load_problem, save_problem
 from .rates import bound_constant, reference_solve, verify_rates
 
 CERTIFY_TOL = 1e-7
@@ -80,11 +80,10 @@ def cmd_gen(args):
     )
     prob = generate(spec)
     save_problem(prob, args.out)
-    A = constraint_map(prob)
     resid = feasibility_residual(prob, prob.feasible_point)
     print(f"wrote {args.out}")
     print(
-        f"family={spec.family} n={A.shape[1]} m={A.shape[0]} sigma={spec.sigma} "
+        f"family={spec.family} n={prob.n} m={prob.m} sigma={spec.sigma} "
         f"seed={spec.seed} feasible-residual={resid:.3e}"
     )
     return 0
@@ -171,7 +170,7 @@ def _check_manifest(manifest, prob, problem_sha256):
     sized to the problem) and the problem hash is that of the problem file."""
     if type(manifest) is not dict:
         raise DataError("manifest must be a JSON object")
-    m, n = constraint_map(prob).shape
+    m, n = prob.A.shape
     checks = {key: lambda v: type(v) is str for key in ("map", "policy", "problem_sha256")}
     checks.update(
         rho=_num, mu=_num, scale=_num, margin=_num, alpha=lambda v: v is None or _num(v),

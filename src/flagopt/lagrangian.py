@@ -9,13 +9,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import rowdot
-from .problems import constraint_map, eval_objective
+from .problems import eval_objective
 
 
 def _lagrangian(p, x, y):
     """(Psi(x) + <y, Ax - b>, Ax - b)."""
     x = np.asarray(x, dtype=float)
-    r = x @ constraint_map(p).T - p.b
+    r = x @ p.A.T - p.b
     return eval_objective(p, x) + rowdot(r, np.asarray(y, dtype=float)), r
 
 
@@ -48,10 +48,3 @@ def delta_P(P, u, v, w):
         raise ConfigError("delta_P arguments must share a dimension")
     return 0.5 * (quad_norm(P, u - v) - quad_norm(P, u - w))
 
-
-def delta_euclid(u, v, w):
-    """delta_P with P = I, used for the multiplier terms."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return 0.5 * (rowdot(u - v, u - v) - rowdot(u - w, u - w))

@@ -51,7 +51,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, NotNiceError
 from .lagrangian import delta_P, eval_aug_lagrangian, quad_norm
-from .problems import BlockProblem, SmoothTerm, constraint_map, single_problem
+from .problems import SmoothTerm
 from .prox import Subproblem
 
 PSD_TOL = 1e-10
@@ -100,24 +100,22 @@ class Condition:
 
 @dataclass(frozen=True)
 class NiceCertificate:
+    """delta with P_i and Q_i per block of the map (one entry for single-block
+    maps); P and Q are their block diagonals."""
+
     kind: str
     delta: float
-    P: np.ndarray
-    Q: np.ndarray
+    block_P: tuple
+    block_Q: tuple
     conditions: tuple
-    P1: np.ndarray | None = None
-    P2: np.ndarray | None = None
-    Q1: np.ndarray | None = None
-    Q2: np.ndarray | None = None
 
-    @property
-    def block_P(self):
-        """P per block of the map (one entry for single-block maps)."""
-        return (self.P,) if self.P1 is None else (self.P1, self.P2)
+    @functools.cached_property
+    def P(self):
+        return _block_diag(self.block_P)
 
-    @property
-    def block_Q(self):
-        return (self.Q,) if self.Q1 is None else (self.Q1, self.Q2)
+    @functools.cached_property
+    def Q(self):
+        return _block_diag(self.block_Q)
 
 
 @dataclass(frozen=True)
@@ -281,12 +279,11 @@ def _view(kind, prob):
     """(table row, _View) of prob for the map kind."""
     spec = _spec(kind)
     if len(spec.blocks) == 1:
-        sp = single_problem(prob)
-        return spec, _View((sp.A,), (sp.f,), (sp.sigma,), sp.b, sp.smooth)
-    if not isinstance(prob, BlockProblem):
+        return spec, _View((prob.A,), (prob.f,), (prob.sigma,), prob.b, prob.smooth)
+    if prob.n1 is None:
         raise ConfigError(f"{kind} requires a two-block problem")
-    bp = prob
-    return spec, _View((bp.A, bp.B), (bp.f_term, bp.g_term), (bp.sigma_f, bp.sigma_g), bp.b)
+    ops, terms = zip(*prob.blocks)
+    return spec, _View(ops, terms, tuple(t.strong_convexity for t in terms), prob.b)
 
 
 def _weight_names(blocks):
@@ -335,7 +332,7 @@ class StepPlan:
         self.cfg, self.prob = cfg, prob
         self.spec, self.view = spec, view = _view(cfg.kind, prob)
         self.M = _weights(cfg, spec, view)
-        self.A = constraint_map(prob)
+        self.A = prob.A
         self.solvers = [
             Subproblem(
                 view.terms[i],
@@ -365,18 +362,17 @@ class StepPlan:
             L = view.smooth.lipschitz_grad
         G = [A.T @ A for A in view.ops]
         delta, P, Q, conds = spec.certify(self.cfg, view, self.M, G, L)
-        if len(P) == 1:
-            return _validated(NiceCertificate(kind, delta, P[0], Q[0], tuple(conds)))
-        blocks = dict(P1=P[0], P2=P[1], Q1=Q[0], Q2=Q[1])
-        P, Q = _block_diag(*P), _block_diag(*Q)
-        return _validated(NiceCertificate(kind, delta, P, Q, tuple(conds), **blocks))
+        return _validated(NiceCertificate(kind, delta, tuple(P), tuple(Q), tuple(conds)))
 
     def stats(self):
         """Per block: its factorization route and counts (prox.Subproblem.stats)."""
         return [solver.stats() for solver in self.solvers]
 
 
-def _block_diag(X1, X2):
+def _block_diag(blocks):
+    if len(blocks) == 1:
+        return blocks[0]
+    X1, X2 = blocks
     n1, n = X1.shape[0], X1.shape[0] + X2.shape[0]
     out = np.zeros((n, n))
     out[:n1, :n1], out[n1:, n1:] = X1, X2
@@ -399,10 +395,10 @@ def _validated(cert):
         raise NotNiceError(
             f"{cert.kind} is not certified: delta = {cert.delta:.6e} outside (0, 1]"
         )
-    for name in ("P", "Q", "P1", "P2", "Q1", "Q2"):
-        M = getattr(cert, name)
-        if M is not None:
-            linalg.check_psd(M, f"certificate {name}")
+    for name, blocks in (("P", cert.block_P), ("Q", cert.block_Q)):
+        labels = [name] if len(blocks) == 1 else [f"{name}1", f"{name}2"]
+        for label, X in zip(labels, blocks):
+            linalg.check_psd(X, f"certificate {label}")
     return cert
 
 
@@ -480,7 +476,7 @@ def feasible_sampler(prob, seed=0, scale=1.0, size=None):
     point per next(), or a (size, n) stack of them. A stack of k draws the
     same normal variates as k single points."""
     rng = np.random.default_rng(seed)
-    A = constraint_map(prob)
+    A = prob.A
     b = prob.b
     if prob.feasible_point is not None:
         x_part = prob.feasible_point

@@ -6,14 +6,20 @@ every proximal subproblem has a closed-form solver. Strong convexity is
 declared per term and validated, never inferred. Each term's value, and
 eval_objective, take one point, giving a float, or a (k, n) stack of points,
 giving one value per row.
+
+A two-block problem  min f(u) + g(v)  s.t.  A u + B v = b  is the same type
+on x = (u, v): the stacked map [A B], a Separable f whose parts are those of
+f and g, and the split point n1 = dim u (BlockProblem builds it). Two-block
+maps read (A_i, f_i) from its `blocks`; single-block maps see one variable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -284,6 +290,12 @@ class ConstrainedProblem:
         per-term contributions. Defaults to that sum.
     feasible_point : ndarray or None
         Optional stored point with A x = b (residual <= 1e-9).
+    n1 : int or None
+        Set on a two-block problem  min f_1(u) + f_2(v)  s.t.  A_1 u + A_2 v
+        = b  with x = (u, v) and u the first n1 coordinates: f is then a
+        Separable with n1 on a boundary between its parts, there is no
+        smooth term, and sigma = min(sigma_1, sigma_2). `blocks` holds
+        (A_i, f_i) per block.
     """
 
     f: object
@@ -292,6 +304,7 @@ class ConstrainedProblem:
     smooth: SmoothTerm | None = None
     sigma: float | None = None
     feasible_point: np.ndarray | None = None
+    n1: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.f, TERM_TYPES):
@@ -329,6 +342,12 @@ class ConstrainedProblem:
             resid = float(np.linalg.norm(A @ fp - b))
             if resid > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
                 raise ConfigError(f"feasible_point residual {resid:.3e} too large")
+        if self.n1 is not None:
+            if self.smooth is not None:
+                raise ConfigError("block problems do not carry a smooth term")
+            if _part_index(self.f, self.n1) is None:
+                raise ConfigError(f"n1 = {self.n1!r} is not a boundary between parts of f")
+            object.__setattr__(self, "n1", int(self.n1))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sigma", sigma)
@@ -341,6 +360,21 @@ class ConstrainedProblem:
     @property
     def m(self):
         return self.A.shape[0]
+
+    @functools.cached_property
+    def blocks(self):
+        """((A_1, f_1), (A_2, f_2)) of a two-block problem: A_i a contiguous
+        copy of block i's columns of A, f_i its part of f (a Separable when
+        the block has several)."""
+        if self.n1 is None:
+            raise ConfigError("not a two-block problem")
+        k = _part_index(self.f, self.n1)
+        groups = (self.f.parts[:k], self.f.parts[k:])
+        cols = (slice(None, self.n1), slice(self.n1, None))
+        return tuple(
+            (np.ascontiguousarray(self.A[:, c]), g[0] if len(g) == 1 else Separable(g))
+            for c, g in zip(cols, groups)
+        )
 
     def psi(self, x):
         v = self.f.value(x)
@@ -356,126 +390,77 @@ class ConstrainedProblem:
         return self.f.subgrad_dist(x, g)
 
 
-@dataclass(frozen=True)
-class BlockProblem:
-    """min f(u) + g(v)  s.t.  A u + B v = b, with per-block strong convexity."""
-
-    f_term: object
-    g_term: object
-    A: np.ndarray
-    B: np.ndarray
-    b: np.ndarray
-    sigma_f: float | None = None
-    sigma_g: float | None = None
-    feasible_point: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name, term in (("f_term", self.f_term), ("g_term", self.g_term)):
-            if not isinstance(term, TERM_TYPES):
-                raise ConfigError(f"unsupported {name} {type(term).__name__}")
-        A = _matrix(self.A, "A")
-        B = _matrix(self.B, "B")
-        b = _vector(self.b, "b")
-        if A.shape[0] != B.shape[0]:
-            raise ConfigError(
-                f"A and B must have equal row counts, got {A.shape[0]} and {B.shape[0]}"
-            )
-        if A.shape[0] != b.shape[0]:
-            raise ConfigError(f"rhs length {b.shape[0]} != row count {A.shape[0]}")
-        if A.shape[1] != self.f_term.dim:
-            raise ConfigError(
-                f"A has {A.shape[1]} columns but f dimension is {self.f_term.dim}"
-            )
-        if B.shape[1] != self.g_term.dim:
-            raise ConfigError(
-                f"B has {B.shape[1]} columns but g dimension is {self.g_term.dim}"
-            )
-        sf = self.f_term.strong_convexity if self.sigma_f is None else float(self.sigma_f)
-        sg = self.g_term.strong_convexity if self.sigma_g is None else float(self.sigma_g)
-        if abs(sf - self.f_term.strong_convexity) > 1e-12:
-            raise ConfigError("sigma_f does not match the declared f contribution")
-        if abs(sg - self.g_term.strong_convexity) > 1e-12:
-            raise ConfigError("sigma_g does not match the declared g contribution")
-        fp = self.feasible_point
-        if fp is not None:
-            fp = _vector(fp, "feasible_point")
-            if fp.shape[0] != A.shape[1] + B.shape[1]:
-                raise ConfigError("feasible_point dimension mismatch")
-            resid = float(np.linalg.norm(A @ fp[: A.shape[1]] + B @ fp[A.shape[1] :] - b))
-            if resid > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
-                raise ConfigError(f"feasible_point residual {resid:.3e} too large")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "sigma_f", sf)
-        object.__setattr__(self, "sigma_g", sg)
-        object.__setattr__(self, "feasible_point", fp)
-
-    @property
-    def n1(self):
-        return self.A.shape[1]
-
-    @property
-    def n2(self):
-        return self.B.shape[1]
-
-    @property
-    def m(self):
-        return self.A.shape[0]
-
-    def split(self, x):
-        x = np.asarray(x, dtype=float)
-        return x[..., : self.n1], x[..., self.n1 :]
+def _part_index(f, n1):
+    """k such that the first k parts of f span n1 coordinates, with parts on
+    both sides; None when n1 is no such boundary."""
+    if isinstance(f, Separable):
+        ends = [s.stop for s in f.slices()[:-1]]
+        if n1 in ends:
+            return ends.index(n1) + 1
+    return None
 
 
-def flatten_block(bp):
-    """Stack a block problem into a single-variable problem.
+def _check_block_sigmas(terms, sigma_f, sigma_g):
+    for name, term, declared in zip(("sigma_f", "sigma_g"), terms, (sigma_f, sigma_g)):
+        if declared is not None and abs(float(declared) - term.strong_convexity) > 1e-12:
+            raise ConfigError(f"{name} does not match the declared {name[-1]} contribution")
 
-    x = (u, v), constraint [A B] x = b, objective f(u) + g(v), sigma =
-    min(sigma_f, sigma_g) (the stacked objective is only min-strongly convex).
-    """
-    if not isinstance(bp, BlockProblem):
-        raise ConfigError("flatten_block expects a BlockProblem")
+
+def BlockProblem(f_term, g_term, A, B, b, sigma_f=None, sigma_g=None, feasible_point=None):
+    """The two-block problem min f(u) + g(v)  s.t.  A u + B v = b: the
+    ConstrainedProblem on x = (u, v) with map [A B] and the parts of f and g
+    as one Separable, split at n1 = dim u. sigma_f and sigma_g, when given,
+    must equal the terms' declared strong convexity."""
+    for name, term in (("f_term", f_term), ("g_term", g_term)):
+        if not isinstance(term, TERM_TYPES):
+            raise ConfigError(f"unsupported {name} {type(term).__name__}")
+    A = _matrix(A, "A")
+    B = _matrix(B, "B")
+    b = _vector(b, "b")
+    if A.shape[0] != B.shape[0]:
+        raise ConfigError(
+            f"A and B must have equal row counts, got {A.shape[0]} and {B.shape[0]}"
+        )
+    if A.shape[0] != b.shape[0]:
+        raise ConfigError(f"rhs length {b.shape[0]} != row count {A.shape[0]}")
+    if A.shape[1] != f_term.dim:
+        raise ConfigError(f"A has {A.shape[1]} columns but f dimension is {f_term.dim}")
+    if B.shape[1] != g_term.dim:
+        raise ConfigError(f"B has {B.shape[1]} columns but g dimension is {g_term.dim}")
+    _check_block_sigmas((f_term, g_term), sigma_f, sigma_g)
+    parts = [t.parts if isinstance(t, Separable) else (t,) for t in (f_term, g_term)]
     return ConstrainedProblem(
-        f=Separable((bp.f_term, bp.g_term)),
-        A=np.hstack([bp.A, bp.B]),
-        b=bp.b,
-        sigma=min(bp.sigma_f, bp.sigma_g),
-        feasible_point=bp.feasible_point,
+        f=Separable(parts[0] + parts[1]),
+        A=np.hstack([A, B]),
+        b=b,
+        feasible_point=feasible_point,
+        n1=A.shape[1],
     )
 
 
-def single_problem(p):
-    """p as a single-variable problem (block problems are flattened)."""
-    if isinstance(p, BlockProblem):
-        return flatten_block(p)
-    if isinstance(p, ConstrainedProblem):
-        return p
-    raise ConfigError(f"unsupported problem type {type(p).__name__}")
+def flatten_block(p):
+    """p as one variable x = (u, v): the same stacked problem without its
+    split, so sigma = min(sigma_f, sigma_g) (the stacked objective is only
+    min-strongly convex)."""
+    return replace(p, n1=None)
 
 
 def constraint_map(p):
-    """Full constraint matrix of a problem (stacked [A B] for block problems)."""
-    if isinstance(p, BlockProblem):
-        return np.hstack([p.A, p.B])
+    """The constraint matrix A (the stacked [A B] of a two-block problem)."""
     return p.A
 
 
 def feasibility_residual(p, x):
-    """||A x - b||_2 at x (block problems use the stacked map)."""
+    """||A x - b||_2 at x."""
     x = np.asarray(x, dtype=float)
-    A = constraint_map(p)
-    if x.shape[0] != A.shape[1]:
-        raise ConfigError(f"point dimension {x.shape[0]} != {A.shape[1]}")
-    return float(np.linalg.norm(A @ x - p.b))
+    if x.shape[0] != p.n:
+        raise ConfigError(f"point dimension {x.shape[0]} != {p.n}")
+    return float(np.linalg.norm(p.A @ x - p.b))
 
 
 def eval_objective(p, x):
     """Psi(x), +inf when x violates an indicator term; a (k, n) stack of
     points gives one value per row."""
-    if isinstance(p, BlockProblem):
-        u, v = p.split(x)
-        return p.f_term.value(u) + p.g_term.value(v)
     return p.psi(x)
 
 
@@ -499,8 +484,9 @@ def eval_objective(p, x):
 #            | {"kind": "zero", "dim": int}
 #            | {"kind": "separable", "parts": [<term>, ...]}
 # Smooth schema: {"term": <quadratic term>, "lipschitz_grad": float}
-# When "block" is present the top-level fields hold the flattened view; the
-# block pieces are recovered by slicing columns of A and the parts of f.
+# A two-block problem is stored as it is held: the stacked A, a separable f
+# split at n1 (a boundary between its parts), sigma = min(sigma_f, sigma_g),
+# and "block" with n1 and each block's declared strong convexity.
 
 
 def term_to_json(term):
@@ -545,12 +531,11 @@ def term_from_json(d):
 
 
 def problem_to_json(p):
-    if isinstance(p, BlockProblem):
-        flat = flatten_block(p)
-        doc = problem_to_json(flat)
-        doc["block"] = {"n1": p.n1, "sigma_f": p.sigma_f, "sigma_g": p.sigma_g}
-        return doc
-    doc = {
+    block = None
+    if p.n1 is not None:
+        sigma_f, sigma_g = (term.strong_convexity for _, term in p.blocks)
+        block = {"n1": p.n1, "sigma_f": sigma_f, "sigma_g": sigma_g}
+    return {
         "n": p.n,
         "m": p.m,
         "A": p.A.tolist(),
@@ -563,10 +548,9 @@ def problem_to_json(p):
             "lipschitz_grad": p.smooth.lipschitz_grad,
         },
         "sigma": p.sigma,
-        "block": None,
+        "block": block,
         "feasible_point": None if p.feasible_point is None else p.feasible_point.tolist(),
     }
-    return doc
 
 
 def problem_from_json(doc):
@@ -594,19 +578,15 @@ def _problem_from_doc(doc):
     if block is not None:
         if h is not None:
             raise DataError("block problems do not carry a smooth term")
-        if not isinstance(f, Separable) or len(f.parts) != 2:
-            raise DataError("block problem must have a two-part separable objective")
-        n1 = int(block["n1"])
-        return BlockProblem(
-            f_term=f.parts[0],
-            g_term=f.parts[1],
-            A=A[:, :n1],
-            B=A[:, n1:],
-            b=b,
-            sigma_f=block.get("sigma_f"),
-            sigma_g=block.get("sigma_g"),
-            feasible_point=fp,
-        )
+        n1 = block["n1"]
+        if _part_index(f, n1) is None:
+            raise DataError(
+                f"block n1 = {n1!r} is not a boundary between parts of a separable f"
+            )
+        prob = ConstrainedProblem(f=f, A=A, b=b, feasible_point=fp, n1=n1)
+        terms = [term for _, term in prob.blocks]
+        _check_block_sigmas(terms, block.get("sigma_f"), block.get("sigma_g"))
+        return prob
     smooth = None
     if h is not None:
         term = term_from_json(h["term"])

@@ -28,7 +28,7 @@ from .driver import RunParams, flag_iterate, initial_state, resolve_params
 from .errors import ConfigError, NumericalError, UnreliableReferenceError
 from .lagrangian import quad_norm
 from .maps import block_sigmas, make_config
-from .problems import L1, Quadratic, Separable, Zero, eval_objective, single_problem
+from .problems import L1, Quadratic, Separable, Zero, eval_objective
 from .prox import Subproblem
 
 REF_TOL = 1e-9
@@ -57,11 +57,10 @@ class ReferenceSolution:
 def kkt_residual(prob, x, y):
     """max of the feasibility norm and the distance of -A'y to the
     subdifferential of Psi at x."""
-    sp = single_problem(prob)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    stat = sp.subgrad_dist(x, -(sp.A.T @ y))
-    feas = float(np.linalg.norm(sp.A @ x - sp.b))
+    stat = prob.subgrad_dist(x, -(prob.A.T @ y))
+    feas = float(np.linalg.norm(prob.A @ x - prob.b))
     return max(stat, feas)
 
 
@@ -274,22 +273,21 @@ def reference_solve(prob):
     """Verified reference solution with c = 2 ||y*||: polish on the empty
     face when Psi has no nonsmooth term, else the penalty route's verified
     pair, checked against the polished long-run route."""
-    sp = single_problem(prob)
-    if not _smooth_parts(sp)[2]:
-        x, y = polish(sp, np.zeros(sp.n))
+    if not _smooth_parts(prob)[2]:
+        x, y = polish(prob, np.zeros(prob.n))
     else:
-        xa, ya = _penalty_route(sp)
-        xb, _ = polish(sp, _long_run_route(sp))
+        xa, ya = _penalty_route(prob)
+        xb, _ = polish(prob, _long_run_route(prob))
         disagreement = max(
             float(np.linalg.norm(xa - xb)),
-            abs(eval_objective(sp, xa) - eval_objective(sp, xb)),
+            abs(eval_objective(prob, xa) - eval_objective(prob, xb)),
         )
         if disagreement > ROUTE_AGREEMENT_TOL:
             raise UnreliableReferenceError(
                 f"reference routes disagree by {disagreement:.3e}"
             )
         x, y = xa, ya
-    psi = eval_objective(sp, x)
+    psi = eval_objective(prob, x)
     return ReferenceSolution(x_star=x, y_star=y, psi_star=psi, c=2.0 * float(np.linalg.norm(y)))
 
 

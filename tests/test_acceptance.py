@@ -21,7 +21,7 @@ from flagopt.driver import (
     run,
 )
 from flagopt.gen import GenSpec, generate
-from flagopt.lagrangian import delta_P, delta_euclid, eval_lagrangian
+from flagopt.lagrangian import delta_P, eval_lagrangian
 from flagopt.linalg import lambda_max
 from flagopt.maps import (
     MAP_KINDS,
@@ -38,7 +38,6 @@ from flagopt.problems import (
     constraint_map,
     eval_objective,
     flatten_block,
-    single_problem,
 )
 from flagopt.rates import (
     _long_run_route,
@@ -50,6 +49,8 @@ from flagopt.rates import (
     reference_solve,
     verify_rates,
 )
+
+from helpers import delta_euclid
 
 BOUND_TOL = 1e-9
 
@@ -363,7 +364,7 @@ def test_criterion_7_reference_oracle_integrity(qp_cases, lasso_cases, announce)
         worst_kkt = max(worst_kkt, res)
     worst_gap = -np.inf
     for case in lasso_cases:
-        sp = single_problem(case["prob"])
+        sp = case["prob"]
         # the penalty route returns the pair its own face loop verified
         xa, ya = _penalty_route(sp)
         xb, yb = polish(sp, _long_run_route(sp))
@@ -383,8 +384,9 @@ def test_criterion_8_equivalence_of_embedded_maps(announce):
         GenSpec(family="block-qp", n=12, m=5, sigma=1.0, seed=13, a_identity=True)
     )
     rho = 0.7
-    alpha = 1.0 / (rho * lambda_max(prob.B.T @ prob.B) + 1.0)
-    n1, n2 = prob.A.shape[1], prob.B.shape[1]
+    B = prob.blocks[1][0]
+    alpha = 1.0 / (rho * lambda_max(B.T @ B) + 1.0)
+    n1, n2 = prob.n1, prob.n - prob.n1
     cfg_cp = MapConfig(kind="chambolle-pock", rho=rho, alpha=alpha)
     cfg_pl = MapConfig(
         kind="prox-lin-admm",

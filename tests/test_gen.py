@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flagopt import BlockProblem, ConfigError, ConstrainedProblem
+from flagopt import ConfigError, ConstrainedProblem
 from flagopt.gen import FAMILIES, GenSpec, generate
 from flagopt.problems import (
     feasibility_residual,
@@ -62,40 +62,42 @@ class TestEqQp:
 class TestLassoSplit:
     def test_structure(self):
         p = generate(GenSpec(family="lasso-split", n=10, m=6, seed=1))
-        assert isinstance(p, BlockProblem)
-        assert p.n1 == 10 and p.n2 == 6
-        assert_allclose(p.B, -np.eye(6))
+        assert p.n1 is not None
+        (_, f), (B, g) = p.blocks
+        assert p.n1 == 10 and p.n - p.n1 == 6
+        assert_allclose(B, -np.eye(6))
         assert_allclose(p.b, np.zeros(6))
-        assert p.sigma_f == 1.0 and p.sigma_g == 0.0
+        assert f.strong_convexity == 1.0 and g.strong_convexity == 0.0
         assert feasibility_residual(p, p.feasible_point) == 0.0
 
     def test_f_block_conditioning(self):
         p = generate(GenSpec(family="lasso-split", n=8, m=4, conditioning=25.0))
-        eigs = np.linalg.eigvalsh(p.f_term.H)
+        eigs = np.linalg.eigvalsh(p.blocks[0][1].H)
         assert_allclose(eigs.min(), 1.0, rtol=1e-9)
         assert_allclose(eigs.max(), 25.0, rtol=1e-9)
 
     def test_l1_weight_positive(self):
         p = generate(GenSpec(family="lasso-split", n=8, m=4))
-        assert np.all(p.g_term.weight > 0)
+        assert np.all(p.blocks[1][1].weight > 0)
 
 
 class TestBlockQp:
     def test_structure(self):
         p = generate(GenSpec(family="block-qp", n=7, m=3, sigma=1.5, seed=2))
-        assert isinstance(p, BlockProblem)
-        assert p.n1 == 7 and p.n2 == 7 and p.m == 3
-        assert p.sigma_f == 0.0 and p.sigma_g == 1.5
+        assert p.n1 is not None
+        (_, f), (_, g) = p.blocks
+        assert p.n1 == 7 and p.n - p.n1 == 7 and p.m == 3
+        assert f.strong_convexity == 0.0 and g.strong_convexity == 1.5
         assert feasibility_residual(p, p.feasible_point) < 1e-9
 
     def test_a_identity(self):
         p = generate(GenSpec(family="block-qp", n=5, m=3, a_identity=True))
         assert p.n1 == 3
-        assert_allclose(p.A, np.eye(3))
+        assert_allclose(p.blocks[0][0], np.eye(3))
 
     def test_sigma_zero_allowed(self):
         p = generate(GenSpec(family="block-qp", n=5, m=2, sigma=0.0))
-        assert p.sigma_g == 0.0
+        assert p.blocks[1][1].strong_convexity == 0.0
 
 
 class TestSmoothComposite:
@@ -117,10 +119,8 @@ class TestSerialization:
     def test_round_trip(self, family, tmp_path):
         p = generate(GenSpec(family=family, n=6, m=3, sigma=1.0, seed=9))
         back = problem_from_json(problem_to_json(p))
-        assert type(back) is type(p)
-        x = np.full(
-            p.n1 + p.n2 if isinstance(p, BlockProblem) else p.n, 0.37
-        )
+        assert type(back) is type(p) and back.n1 == p.n1
+        x = np.full(p.n, 0.37)
         from flagopt.problems import eval_objective
 
         assert_allclose(eval_objective(back, x), eval_objective(p, x), rtol=1e-15)

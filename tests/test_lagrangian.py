@@ -12,16 +12,23 @@ from flagopt import (
     Quadratic,
     Separable,
     SmoothTerm,
+    RunParams,
     Zero,
     eval_objective,
+    flatten_block,
+    load_problem,
+    make_config,
+    run,
+    save_problem,
 )
 from flagopt.lagrangian import (
     delta_P,
-    delta_euclid,
     eval_aug_lagrangian,
     eval_lagrangian,
     quad_norm,
 )
+
+from helpers import delta_euclid
 
 
 def scalar_problem():
@@ -103,6 +110,28 @@ def mixed_problems():
         A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 5)), b=rng.standard_normal(3),
     )
     return single, block
+
+
+def test_block_with_a_separable_term_saves_flattens_and_runs(tmp_path):
+    # g = l1 + box: its parts join f's, with n1 on the boundary after f
+    block = mixed_problems()[1]
+    assert block.n1 == 3 and len(block.f.parts) == 3
+    save_problem(block, tmp_path / "p.json")
+    back = load_problem(tmp_path / "p.json")
+    flat = flatten_block(block)
+    assert back.n1 == 3 and flat.n1 is None
+    assert [type(t) for _, t in back.blocks] == [Quadratic, Separable]
+    X = np.random.default_rng(2).uniform(-1.5, 1.5, (6, 8))
+    for p in (back, flat):
+        assert np.array_equal(p.A, block.A)
+        assert np.array_equal(eval_objective(p, X), eval_objective(block, X))
+    cfg = make_config("prox-lin-al", block, rho=1.0)
+    traj = run(block, RunParams(cfg=cfg, mode="classic", iters=50))
+    assert traj.records == 51
+    assert np.all(np.isfinite(traj.psi_x)) and np.all(np.isfinite(traj.feas_x))
+    for p in (back, flat):
+        again = run(p, RunParams(cfg=cfg, mode="classic", iters=50))
+        assert np.array_equal(again.psi_x, traj.psi_x)
 
 
 @pytest.mark.parametrize("which", [0, 1])

@@ -171,8 +171,8 @@ class TestCertificates:
         cfg = MapConfig(kind="chambolle-pock", rho=1.0, alpha=0.5)
         cert = certificate(cfg, bp)
         assert_allclose(cert.delta, 0.5)
-        assert_allclose(cert.P2, [[2.0]])
-        assert_allclose(cert.P1, [[0.0]])
+        assert_allclose(cert.block_P[1], [[2.0]])
+        assert_allclose(cert.block_P[0], [[0.0]])
 
     def test_chambolle_pock_needs_identity_first_block(self):
         bp = small_block()
@@ -197,20 +197,21 @@ class TestCertificates:
 
     def test_prox_admm_delta(self):
         bp = small_block()
-        lamB = np.linalg.eigvalsh(bp.B.T @ bp.B).max()
-        cfg = MapConfig(kind="prox-admm", rho=1.0, M1=np.eye(bp.n1), M2=2.0 * np.eye(bp.n2))
+        B, n2 = bp.blocks[1][0], bp.n - bp.n1
+        lamB = np.linalg.eigvalsh(B.T @ B).max()
+        cfg = MapConfig(kind="prox-admm", rho=1.0, M1=np.eye(bp.n1), M2=2.0 * np.eye(n2))
         cert = certificate(cfg, bp)
         assert_allclose(cert.delta, 1.0 - lamB / (lamB + 2.0))
-        assert_allclose(cert.P2, 2.0 * np.eye(bp.n2) + bp.B.T @ bp.B)
-        assert_allclose(cert.Q2, np.zeros((bp.n2, bp.n2)))
+        assert_allclose(cert.block_P[1], 2.0 * np.eye(n2) + B.T @ B)
+        assert_allclose(cert.block_Q[1], np.zeros((n2, n2)))
 
     def test_block_certificate_stacks(self):
         bp = small_block()
         cfg = make_config("prox-jacobi", bp, rho=0.5)
         cert = certificate(cfg, bp)
         n1 = bp.n1
-        assert_allclose(cert.P[:n1, :n1], cert.P1)
-        assert_allclose(cert.P[n1:, n1:], cert.P2)
+        assert_allclose(cert.P[:n1, :n1], cert.block_P[0])
+        assert_allclose(cert.P[n1:, n1:], cert.block_P[1])
         assert np.count_nonzero(cert.P[:n1, n1:]) == 0
 
     def test_smooth_kind_requires_smooth_part(self):
@@ -320,14 +321,15 @@ class TestPrimStep:
         bp = small_block()
         cfg = make_config("prox-jacobi", bp, rho=0.5)
         rng = np.random.default_rng(1)
-        z = rng.standard_normal(bp.n1 + bp.n2)
+        z = rng.standard_normal(bp.n)
         lam = rng.standard_normal(bp.m)
         out = prim_step(StepPlan(cfg, bp), 1.0, z, lam)
         # recompute v+ by hand from the old u
-        u, v = bp.split(z)
-        V2 = 0.5 * bp.B.T @ bp.B + cfg.M2
-        g2 = bp.B.T @ lam + 0.5 * bp.B.T @ (bp.A @ u - bp.b) - cfg.M2 @ v
-        v_new = np.linalg.solve(bp.g_term.H + V2, -(bp.g_term.q + g2))
+        u, v = z[: bp.n1], z[bp.n1 :]
+        (A, _), (B, g) = bp.blocks
+        V2 = 0.5 * B.T @ B + cfg.M2
+        g2 = B.T @ lam + 0.5 * B.T @ (A @ u - bp.b) - cfg.M2 @ v
+        v_new = np.linalg.solve(g.H + V2, -(g.q + g2))
         assert_allclose(out[bp.n1 :], v_new, atol=1e-10)
 
     def test_chambolle_pock_matches_prox_lin_admm(self):
@@ -338,13 +340,13 @@ class TestPrimStep:
             kind="prox-lin-admm",
             rho=1.2,
             M1=np.zeros((bp.n1, bp.n1)),
-            M2=np.eye(bp.n2) / alpha,
+            M2=np.eye(bp.n - bp.n1) / alpha,
         )
         plans = StepPlan(cp, bp), StepPlan(equivalent, bp)
         rng = np.random.default_rng(7)
         for tau in (1.0, 3.0, 11.0):
             for _ in range(10):
-                z = rng.standard_normal(bp.n1 + bp.n2)
+                z = rng.standard_normal(bp.n)
                 lam = rng.standard_normal(bp.m)
                 assert_allclose(
                     prim_step(plans[0], tau, z, lam),

@@ -10,6 +10,7 @@ from flagopt import (
     Box,
     ConfigError,
     ConstrainedProblem,
+    DataError,
     L1,
     Quadratic,
     Separable,
@@ -140,10 +141,11 @@ class TestFlattenBlock:
             b=rng.standard_normal(2),
         )
         flat = flatten_block(bp)
+        (_, f), (_, g) = bp.blocks
         for _ in range(10):
             x = rng.standard_normal(5)
             u, v = x[:2], x[2:]
-            expected = bp.f_term.value(u) + bp.g_term.value(v)
+            expected = f.value(u) + g.value(v)
             assert eval_objective(flat, x) == pytest.approx(expected, abs=1e-12)
             assert eval_objective(bp, x) == pytest.approx(expected, abs=1e-12)
 
@@ -285,11 +287,12 @@ class TestJsonRoundTrip:
             feasible_point=np.zeros(5),
         )
         back = problem_from_json(problem_to_json(bp))
-        assert isinstance(back, BlockProblem)
-        assert_allclose(back.A, bp.A)
-        assert_allclose(back.B, bp.B)
-        assert back.g_term.weight == bp.g_term.weight
-        assert back.sigma_f == bp.sigma_f
+        assert back.n1 is not None
+        (A, f), (B, g) = back.blocks
+        assert_allclose(A, bp.blocks[0][0])
+        assert_allclose(B, bp.blocks[1][0])
+        assert g.weight == bp.blocks[1][1].weight
+        assert f.strong_convexity == bp.blocks[0][1].strong_convexity
 
     def test_smooth_round_trip(self):
         h = SmoothTerm(term=Quadratic(np.eye(2), np.ones(2)), lipschitz_grad=1.0)
@@ -303,3 +306,96 @@ class TestJsonRoundTrip:
         assert back.smooth is not None
         assert back.smooth.lipschitz_grad == 1.0
         assert back.sigma == 1.0
+
+
+def pinned_block():
+    """min 0.5 u'Hu + q'u + 0.5 + 0.5 ||v||_1  s.t.  u + B v = b, in literal data."""
+    return BlockProblem(
+        f_term=Quadratic(H=[[2.0, 0.0], [0.0, 1.0]], q=[1.0, -1.0], r=0.5, strong_convexity=1.0),
+        g_term=L1(weight=0.5, dim=2),
+        A=[[1.0, 0.0], [0.0, 1.0]],
+        B=[[1.0, 2.0], [0.0, -1.0]],
+        b=[1.0, 2.0],
+        feasible_point=[1.0, 2.0, 0.0, 0.0],
+    )
+
+
+# pinned_block() as save_problem wrote it when block problems had a class of
+# their own: such files must keep loading into an equal problem
+EARLIER_FILE = (
+    '{"A": [[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.0, -1.0]], "b": [1.0, 2.0], '
+    '"block": {"n1": 2, "sigma_f": 1.0, "sigma_g": 0.0}, "f": {"kind": "separable", '
+    '"parts": [{"H": [[2.0, 0.0], [0.0, 1.0]], "kind": "quadratic", "q": [1.0, -1.0], '
+    '"r": 0.5, "strong_convexity": 1.0}, {"dim": 2, "kind": "l1", "weight": 0.5}]}, '
+    '"feasible_point": [1.0, 2.0, 0.0, 0.0], "h": null, "m": 2, "n": 4, "sigma": 0.0}\n'
+)
+
+
+class TestBlockFileFormat:
+    def test_layout_is_pinned(self):
+        assert problem_to_json(pinned_block()) == {
+            "n": 4,
+            "m": 2,
+            "A": [[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.0, -1.0]],
+            "b": [1.0, 2.0],
+            "f": {
+                "kind": "separable",
+                "parts": [
+                    {
+                        "kind": "quadratic",
+                        "H": [[2.0, 0.0], [0.0, 1.0]],
+                        "q": [1.0, -1.0],
+                        "r": 0.5,
+                        "strong_convexity": 1.0,
+                    },
+                    {"kind": "l1", "weight": 0.5, "dim": 2},
+                ],
+            },
+            "h": None,
+            "sigma": 0.0,
+            "block": {"n1": 2, "sigma_f": 1.0, "sigma_g": 0.0},
+            "feasible_point": [1.0, 2.0, 0.0, 0.0],
+        }
+
+    def test_earlier_file_loads_into_an_equal_problem(self, tmp_path):
+        path = tmp_path / "earlier.json"
+        path.write_text(EARLIER_FILE, encoding="utf-8")
+        p, q = load_problem(path), pinned_block()
+        assert p.n1 == q.n1 == 2
+        assert problem_to_json(p) == problem_to_json(q)
+        for (A, f), (B, g) in zip(p.blocks, q.blocks):
+            assert np.array_equal(A, B) and A.flags.c_contiguous
+            assert term_to_json(f) == term_to_json(g)
+        save_problem(q, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text(encoding="utf-8") == EARLIER_FILE
+
+    @pytest.mark.parametrize("n1", [2, 3])
+    def test_any_part_boundary_loads(self, n1):
+        f = Separable((Quadratic(np.eye(2), np.zeros(2)), L1(0.5, 1), Box(-np.ones(1), np.ones(1))))
+        flat = ConstrainedProblem(f=f, A=np.ones((1, 4)), b=[0.0])
+        doc = problem_to_json(flat)
+        doc["block"] = {"n1": n1}
+        p = problem_from_json(doc)
+        (A1, f1), (A2, f2) = p.blocks
+        assert (A1.shape, A2.shape) == ((1, n1), (1, 4 - n1))
+        assert f1.dim == n1 and f2.dim == 4 - n1
+        assert problem_to_json(flatten_block(p)) == problem_to_json(flat)
+
+    @pytest.mark.parametrize("n1", [0, 1, 4, 2.5, "2"])
+    def test_n1_off_a_part_boundary_is_a_data_error(self, n1):
+        doc = problem_to_json(pinned_block())
+        doc["block"]["n1"] = n1
+        with pytest.raises(DataError, match="boundary"):
+            problem_from_json(doc)
+
+    def test_unsplit_objective_is_a_data_error(self):
+        flat = ConstrainedProblem(f=Zero(2), A=[[1.0, 1.0]], b=[0.0])
+        doc = problem_to_json(flat)
+        doc["block"] = {"n1": 1}
+        with pytest.raises(DataError, match="boundary"):
+            problem_from_json(doc)
+
+    def test_n1_off_a_part_boundary_is_a_config_error(self):
+        p = pinned_block()
+        with pytest.raises(ConfigError, match="boundary"):
+            ConstrainedProblem(f=p.f, A=p.A, b=p.b, n1=1)

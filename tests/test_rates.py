@@ -73,7 +73,7 @@ class TestQuadraticReference:
     def test_block_reference_is_stacked(self):
         bp = generate(GenSpec(family="block-qp", n=6, m=3, sigma=1.0, seed=2))
         ref = reference_solve(bp)
-        assert ref.x_star.shape == (bp.n1 + bp.n2,)
+        assert ref.x_star.shape == (bp.n,)
         assert kkt_residual(bp, ref.x_star, ref.y_star) <= 1e-8
 
 
@@ -525,16 +525,17 @@ class TestConditionP:
 
     def test_admm_gate(self):
         bp = generate(GenSpec(family="block-qp", n=5, m=2, sigma=4.0, seed=3))
-        lamB = np.linalg.eigvalsh(bp.B.T @ bp.B).max()
+        B, g = bp.blocks[1]
+        lamB = np.linalg.eigvalsh(B.T @ B).max()
         cfg = MapConfig(
             kind="prox-lin-admm",
             rho=1.0,
             M1=np.zeros((bp.n1, bp.n1)),
-            M2=(lamB + 0.5) * np.eye(bp.n2),
+            M2=(lamB + 0.5) * np.eye(bp.n - bp.n1),
         )
         cert = certificate(cfg, bp)
         gate = p2_condition(cert, bp)
-        assert gate == (lamB + 0.5 <= 0.5 * bp.sigma_g + 1e-9)
+        assert gate == (lamB + 0.5 <= 0.5 * g.strong_convexity + 1e-9)
 
 
 class TestSlope:
