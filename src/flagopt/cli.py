@@ -3,15 +3,14 @@
 Commands: gen (write a problem JSON), solve (run the driver, write a
 trajectory CSV plus a run manifest JSON), certify (certificate + residual
 sampling suite), verify (reference solve + rate bounds + slope), sweep (grid
-over maps x modes). FLAGOPT_TOL overrides the default tolerances. Exit codes:
-0 ok, 2 configuration (including not-nice certificates), 3 numerical, 4 I/O.
+over maps x modes). Exit codes: 0 ok, 2 configuration (including not-nice
+certificates), 3 numerical, 4 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,16 +30,6 @@ MANIFEST_KEYS = (
 )
 # the fields of a verify report that each sweep row carries
 SWEEP_KEYS = ("delta", "p", "bounds_hold", "first_violation", "slope", "condition_P")
-
-def env_tol(default):
-    raw = os.environ.get("FLAGOPT_TOL")
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"FLAGOPT_TOL is not a number: {raw!r}")
-
 
 def _write_json(path, doc):
     with open(path, "w") as fh:
@@ -143,7 +132,6 @@ def cmd_certify(args):
     report = sample_niceness(
         cfg, prob, states=args.states, xis=args.xis, seed=args.seed, plan=plan
     )
-    tol = env_tol(args.tol)
     print(
         f"sampling: p={report['p']} checked={report['checked']} "
         f"max-residual={report['max_residual']:.3e} "
@@ -151,7 +139,7 @@ def cmd_certify(args):
     )
     if report["checked"] == 0:
         print("sampling: no sampled point lies in the domain of Psi; nothing was tested")
-    ok = report["checked"] > 0 and report["max_scaled_residual"] <= tol
+    ok = report["checked"] > 0 and report["max_scaled_residual"] <= args.tol
     print(f"certified: {'yes' if ok else 'no'}")
     return 0 if ok else 3
 
@@ -241,7 +229,7 @@ def cmd_verify(args):
     prob, problem_sha256 = load_problem(args.problem, with_sha256=True)
     traj = trajectory_from_csv(args.traj)
     manifest = _load_json(args.manifest)
-    report = _verify_report(prob, problem_sha256, traj, manifest, env_tol(args.tol))
+    report = _verify_report(prob, problem_sha256, traj, manifest, args.tol)
     if args.out:
         _write_json(args.out, report)
         print(f"wrote {args.out}")
@@ -270,7 +258,7 @@ def cmd_sweep(args):
                 traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=args.iters))
                 if ref is None:
                     ref = reference_solve(prob)
-                rep = _rate_report(prob, cfg, traj, ref, traj.meta, env_tol(VERIFY_TOL))
+                rep = _rate_report(prob, cfg, traj, ref, traj.meta, VERIFY_TOL)
                 row.update({key: rep[key] for key in SWEEP_KEYS})
             except FlagoptError as exc:
                 row.update(status=f"skipped: {exc}")

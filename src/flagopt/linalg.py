@@ -9,7 +9,6 @@ from .errors import ConfigError, DegenerateSubproblemError, NumericalError
 SYM_TOL = 1e-10
 PSD_TOL = 1e-10
 SINGULAR_FLOOR = 1e-12
-PENCIL_COND = 1e10
 ROUTES = ("cholesky", "pencil-eigh", "per-step")
 TRIL_LEAF = 64
 
@@ -138,18 +137,17 @@ def solve_spd(V, rhs, name="subproblem", counts=None):
 
 
 class Pencil:
-    """Solves (H0 + c K0) x = rhs, H0 and K0 symmetric, for the values of c
-    that one run brings.
+    """Solves (H0 + c K0) x = rhs, H0 and K0 symmetric positive semidefinite,
+    for the values of c that one run brings.
 
-    While c keeps one value, the inverse Cholesky factor Li of V(c) serves
-    every solve. At a second value the pencil is diagonalized once and for
-    good by Cholesky reduction (Golub & Van Loan 8.7): with K0 = L L'
-    positive definite, Li H0 Li' = U diag(lam) U' and W = Li' U give
-    W'K0W = I, W'H0W = diag(lam) and V(c)^-1 = W diag(1 / (lam + c)) W';
-    else H0 positive definite gives the mirrored W'H0W = I, W'K0W = diag(lam)
-    and W diag(1 / (1 + c lam)) W'.
-    An end counts as definite when ||W||_F^2 ||end||_F = trace(end^-1)
-    ||end||_F <= PENCIL_COND. With neither, each solve is a solve_spd of V(c).
+    At the first value c1 the inverse Cholesky factor Li of V(c1) = L L'
+    serves every solve while c keeps that value. At a second value the pencil
+    is diagonalized once and for good against that same factor (Cholesky
+    reduction, Golub & Van Loan 8.7): Li K0 Li' = U diag(lam) U' and
+    W = Li' U give W'V(c1)W = I, W'K0W = diag(lam) and
+    V(c)^-1 = W diag(1 / (1 + (c - c1) lam)) W'. H0 >= 0 puts lam in
+    [0, 1/c1], so each divisor is at least min(1, c/c1) > 0. When V(c1) has
+    no Cholesky factor, or eigh fails, each solve is a solve_spd of V(c).
     Every route goes through _refined: each solve is gated, and refined only
     when it fails the gate. counts holds the factorizations per route and
     the refinement steps.
@@ -161,24 +159,16 @@ class Pencil:
         self.counts = dict.fromkeys(ROUTES + ("refinements",), 0)
 
     def _factor(self, c):
-        if self.route is None:
-            self.V = self.H0 + c * self.K0
-            try:
-                self.Li, self.route, self.c = _inverse_factor(self.V), "cholesky", c
-            except np.linalg.LinAlgError:
-                self.route, self.c = "per-step", None
-        else:
-            self.route, self.V, self.Li = "per-step", None, None
-            for mirrored, (X, Y) in enumerate(((self.H0, self.K0), (self.K0, self.H0))):
-                try:
-                    Li = _inverse_factor(Y)
-                    lam, U = np.linalg.eigh(Li @ X @ Li.T)
-                except np.linalg.LinAlgError:
-                    continue
-                W = Li.T @ U
-                if np.sum(W * W) * np.linalg.norm(Y) <= PENCIL_COND:
-                    self.route, self.lam, self.W, self.mirrored = "pencil-eigh", lam, W, mirrored
-                    break
+        try:
+            if self.route is None:
+                V = self.H0 + c * self.K0
+                self.Li, self.V, self.c, self.route = _inverse_factor(V), V, c, "cholesky"
+            else:
+                Li, self.Li, self.V = self.Li, None, None
+                self.lam, U = np.linalg.eigh(Li @ self.K0 @ Li.T)
+                self.W, self.route = Li.T @ U, "pencil-eigh"
+        except np.linalg.LinAlgError:
+            self.route = "per-step"
         self.counts[self.route] += self.route != "per-step"
 
     def solve(self, rhs, c):
@@ -190,6 +180,6 @@ class Pencil:
         if self.route == "cholesky":
             inv, apply = (lambda r: _inverse_factor_solve(self.Li, r)), self.V.__matmul__
         else:
-            W, d = self.W, 1.0 / (1.0 + c * self.lam if self.mirrored else self.lam + c)
+            W, d = self.W, 1.0 / (1.0 + (c - self.c) * self.lam)
             inv, apply = (lambda r: W @ (d * (W.T @ r))), (lambda x: self.H0 @ x + c * (self.K0 @ x))
         return _refined(inv, apply, rhs, self.name, self.counts)

@@ -13,8 +13,10 @@ import flagopt
 from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, load_problem, save_problem
 from flagopt import cli, maps
 from flagopt.cli import main
-from flagopt.driver import MAX_ITERS, trajectory_from_csv
+from flagopt.driver import CSV_COLUMNS, MAX_ITERS, trajectory_from_csv
 from flagopt.rates import reference_solve
+
+PSI_X, FEAS_X = CSV_COLUMNS.index("psi_x"), CSV_COLUMNS.index("feas_x")
 
 
 def sha256(path):
@@ -523,25 +525,47 @@ class TestVerify:
         assert rc == 4
         assert err.count("\n") == 1 and "'problem_sha256'" in err
 
-    def test_tampered_trajectory_fails_then_env_tol_loosens(
-        self, qp_path, tmp_path, monkeypatch, capsys
-    ):
+    def tampered(self, qp_path, tmp_path, edit):
+        # a 100-iteration fast run whose CSV rows edit(fields, last) rewrites
+        # in place; returns the verify arguments
         rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=100)
         assert rc == 0
         lines = Path(traj).read_text().splitlines()
-        fields = lines[-1].split(",")
-        fields[3] = repr(float(fields[3]) + 1e6)  # psi_x column
-        lines[-1] = ",".join(fields)
-        with open(traj, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        args = [
+        first = lines.index(",".join(CSV_COLUMNS)) + 1
+        for i in range(first, len(lines)):
+            fields = lines[i].split(",")
+            edit(fields, i == len(lines) - 1)
+            lines[i] = ",".join(fields)
+        Path(traj).write_text("\n".join(lines) + "\n")
+        return [
             "verify", "--problem", qp_path, "--traj", str(traj),
             "--manifest", str(traj) + ".manifest.json",
         ]
+
+    def test_tampered_trajectory_fails_then_tol_loosens(
+        self, qp_path, tmp_path, monkeypatch, capsys
+    ):
+        def raise_last_psi(fields, last):
+            if last:
+                fields[PSI_X] = repr(float(fields[PSI_X]) + 1e6)
+
+        args = self.tampered(qp_path, tmp_path, raise_last_psi)
         assert main(args) == 3
         assert "fail" in capsys.readouterr().out
-        monkeypatch.setenv("FLAGOPT_TOL", "1e9")
-        assert main(args) == 0
+        monkeypatch.setenv("FLAGOPT_TOL", "1e9")  # no environment variable sets a tolerance
+        assert main(args) == 3
+        assert main([*args, "--tol", "1e9"]) == 0
+
+    def test_nan_trajectory_fails_the_bound_check(self, qp_path, tmp_path, capsys):
+        # NaN compares false with any bound: the check must read
+        # "not gap <= bound", or a NaN run would pass
+        def nan_values(fields, last):
+            fields[PSI_X] = fields[FEAS_X] = "nan"
+
+        args = self.tampered(qp_path, tmp_path, nan_values)
+        capsys.readouterr()
+        assert main(args) == 3
+        assert "bounds: fail first-violation=1 " in capsys.readouterr().out
 
     def test_ergodic_report_notes_constant_discrepancy(self, qp_path, tmp_path):
         traj = tmp_path / "e.csv"

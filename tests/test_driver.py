@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flagopt import ConfigError, ConstrainedProblem, NumericalError, Quadratic
-from flagopt import driver
+from flagopt import driver, linalg
 from flagopt.driver import (
     CHUNK,
     MAX_ITERS,
@@ -269,20 +269,25 @@ class TestRun:
             ("prox-admm", GenSpec(family="block-qp", n=20, m=6, sigma=1.0, seed=0), 2),
         ],
     )
-    def test_factorizations_per_block(self, kind, spec, blocks):
+    def test_factorizations_per_block(self, kind, spec, blocks, monkeypatch):
         # classic mode keeps one value of c: one Cholesky per block; fast mode
         # moves c every step: one Cholesky, then one pencil decomposition
+        # against that same factor, so each block factors once in both modes
         prob = generate(spec)
         cfg = make_config(kind, prob, rho=1.0)
+        calls, factor = [], linalg._inverse_factor
+        monkeypatch.setattr(linalg, "_inverse_factor", lambda V: calls.append(1) or factor(V))
         once = {"cholesky": 1, "pencil-eigh": 0, "per-step": 0}
         for mode, route, counts in (
             ("classic", "cholesky", once),
             ("fast", "pencil-eigh", dict(once, **{"pencil-eigh": 1})),
         ):
+            calls.clear()
             traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=30))
             stats = traj.meta["subproblems"]
             want = {"route": route, "factorizations": counts, "refinements": 0}
             assert stats == [want] * blocks, stats
+            assert len(calls) == blocks
 
     @pytest.mark.parametrize("mode", ["classic", "fast", "ergodic"])
     def test_chunked_columns_match_per_row(self, mode):

@@ -44,13 +44,15 @@ def test_corrupted_factor_fails_the_residual_gate(route):
 
 
 def test_fallback_when_neither_end_is_definite():
+    # singular H0 and K0: the pencil is reduced against V(c1), which is
+    # definite, so no step needs a fresh factorization
     H0, K0 = np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])
     pencil = Pencil(H0, K0)
     rhs = np.array([1.0, 2.0, 3.0])
     for c in (1.0, 3.0, 7.0):
         assert_allclose(pencil.solve(rhs, c), rhs / np.diag(H0 + c * K0))
-    assert pencil.route == "per-step"
-    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 0, "per-step": 2, "refinements": 0}
+    assert pencil.route == "pencil-eigh"
+    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "per-step": 0, "refinements": 0}
 
 
 def test_fallback_keeps_degenerate_error():
@@ -62,15 +64,15 @@ def test_fallback_keeps_degenerate_error():
 
 
 def test_ill_conditioned_end_is_not_used():
-    # K0 passes a Cholesky, but its condition number 1e14 is past
-    # PENCIL_COND: the pencil is diagonalized from the H0 end instead
+    # K0 has condition number 1e14; the reduction factors only V(c1), so
+    # the solve stays as accurate as with a well-conditioned K0
     rng = np.random.default_rng(2)
     H0, K0 = random_psd(rng, 6, 1.0), np.diag([1.0, 2.0, 1.0, 3.0, 1.0, 1e-14])
     pencil = Pencil(H0, K0)
     rhs = rng.standard_normal(6)
     for c in (1.0, 2.0):
         x = pencil.solve(rhs, c)
-    assert pencil.route == "pencil-eigh" and pencil.mirrored
+    assert pencil.route == "pencil-eigh"
     assert_allclose((H0 + 2.0 * K0) @ x, rhs, atol=1e-10)
 
 
@@ -88,9 +90,11 @@ def test_solve_spd_rejects_a_non_finite_rhs(bad):
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), (1.0, 2.0), "per-step"),
     ],
 )
-def test_nan_rhs_fails_the_residual_gate_on_every_route(H0, K0, c_values, route):
+def test_nan_rhs_fails_the_residual_gate_on_every_route(H0, K0, c_values, route, monkeypatch):
     # a NaN residual compares false with any bound, so the gate must be
     # "not resid <= tol" rather than "resid > tol"
+    if route == "per-step":
+        fail_first_factor(monkeypatch)
     pencil = Pencil(H0, K0)
     for c in c_values[:-1]:
         pencil.solve(np.ones(2), c)
@@ -132,6 +136,7 @@ def test_slightly_perturbed_factor_is_refined(route):
 def test_per_step_route_counts_refinements(monkeypatch):
     # the per-step route refines inside solve_spd; the count reaches the pencil
     H0, K0 = np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])
+    fail_first_factor(monkeypatch)
     pencil = Pencil(H0, K0)
     for c in (1.0, 3.0):
         pencil.solve(np.ones(3), c)
@@ -140,6 +145,20 @@ def test_per_step_route_counts_refinements(monkeypatch):
     monkeypatch.setattr(linalg, "_inverse_factor", lambda V: factor(V) * (1.0 + 1e-9))
     pencil.solve(np.ones(3), 7.0)
     assert pencil.counts["refinements"] == 1
+
+
+def fail_first_factor(monkeypatch):
+    # the pencil's own Cholesky of V(c1) fails, which sends it to the
+    # per-step route; the solve_spd calls after it factor as usual
+    factor, calls = linalg._inverse_factor, []
+
+    def first_fails(V):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return factor(V)
+
+    monkeypatch.setattr(linalg, "_inverse_factor", first_fails)
 
 
 @pytest.fixture
@@ -167,22 +186,22 @@ def test_solve_spd_fallback_rejects_a_nan_rhs(cholesky_fails):
 # scipy serves as the independent oracle of the numpy factorizations
 
 
-@pytest.mark.parametrize("mirrored", [0, 1])
-def test_pencil_reduction_matches_scipy_generalized_eigh(mirrored):
+def test_pencil_reduction_matches_scipy_generalized_eigh():
+    # rank-deficient ends put eigenvalues at both ends of [0, 1/c1]
     rng = np.random.default_rng(5)
-    H0 = random_psd(rng, 30, 1.0)
-    # a K0 past PENCIL_COND sends the pencil to its mirrored form
-    K0 = np.diag(np.r_[rng.uniform(1.0, 3.0, 29), 1e-14]) if mirrored else random_psd(rng, 30, 1.0)
-    X, Y = (K0, H0) if mirrored else (H0, K0)
+    M, N = rng.standard_normal((30, 20)), rng.standard_normal((30, 20))
+    H0, K0, c1 = M @ M.T, N @ N.T, 2.0
     pencil = Pencil(H0, K0)
-    for c in (1.0, 2.0):
+    for c in (c1, 5.0):
         pencil.solve(np.ones(30), c)
-    assert pencil.route == "pencil-eigh" and pencil.mirrored == mirrored
-    lam = scipy.linalg.eigh(X, Y, eigvals_only=True)
+    assert pencil.route == "pencil-eigh"
+    V1 = H0 + c1 * K0
+    lam = scipy.linalg.eigh(K0, V1, eigvals_only=True)
     assert_allclose(pencil.lam, lam, rtol=0, atol=1e-10 * np.max(np.abs(lam)))
+    assert np.all(pencil.lam >= -1e-12) and np.all(pencil.lam <= 1.0 / c1 + 1e-12)
     W = pencil.W
-    assert_allclose(W.T @ Y @ W, np.eye(30), rtol=0, atol=1e-10)
-    assert_allclose(W.T @ X @ W, np.diag(pencil.lam), rtol=0, atol=1e-10 * np.max(np.abs(lam)))
+    assert_allclose(W.T @ V1 @ W, np.eye(30), rtol=0, atol=1e-10)
+    assert_allclose(W.T @ K0 @ W, np.diag(pencil.lam), rtol=0, atol=1e-10 * np.max(np.abs(lam)))
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 400])
