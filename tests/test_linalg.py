@@ -186,11 +186,22 @@ def test_solve_spd_fallback_rejects_a_nan_rhs(cholesky_fails):
 # scipy serves as the independent oracle of the numpy factorizations
 
 
-def test_pencil_reduction_matches_scipy_generalized_eigh():
-    # rank-deficient ends put eigenvalues at both ends of [0, 1/c1]
+def pencil_ends(case, rng):
+    # 0: both ends definite; 1: a K0 with condition 1e14; 2: H0 and K0 of
+    # rank 20 at n = 30, which put eigenvalues at both ends of [0, 1/c1]
+    if case == 2:
+        M, N = rng.standard_normal((30, 20)), rng.standard_normal((30, 20))
+        return M @ M.T, N @ N.T
+    H0 = random_psd(rng, 30, 1.0)
+    K0 = np.diag(np.r_[rng.uniform(1.0, 3.0, 29), 1e-14]) if case else random_psd(rng, 30, 1.0)
+    return H0, K0
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_pencil_reduction_matches_scipy_generalized_eigh(case):
     rng = np.random.default_rng(5)
-    M, N = rng.standard_normal((30, 20)), rng.standard_normal((30, 20))
-    H0, K0, c1 = M @ M.T, N @ N.T, 2.0
+    H0, K0 = pencil_ends(case, rng)
+    c1 = 2.0
     pencil = Pencil(H0, K0)
     for c in (c1, 5.0):
         pencil.solve(np.ones(30), c)
