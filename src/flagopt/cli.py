@@ -180,11 +180,10 @@ def _check_manifest(manifest, prob, problem_sha256):
         )
 
 
-def _rate_report(prob, cfg, traj, ref, record, tol):
+def _rate_report(prob, cfg, cert, traj, ref, record, tol):
     """verify_rates of a run of the map cfg against ref, with B from the map's
-    certificate and the run's p, mu, z0 and y0 as `record` (a manifest or
-    Trajectory.meta) holds them. The report also carries delta, p, B and c."""
-    cert = certificate(cfg, prob)
+    certificate cert and the run's p, mu, z0 and y0 as `record` (a manifest
+    or Trajectory.meta) holds them. The report also carries delta, p, B and c."""
     p = record["p"]
     z0, y0 = (np.asarray(record[key], dtype=float) for key in ("z0", "y0"))
     B = bound_constant(cert.P, ref.x_star, z0, y0, record["mu"], cfg.rho, ref.c, p)
@@ -215,7 +214,8 @@ def _verify_report(prob, problem_sha256, traj, manifest, tol):
         raise DataError(
             f"trajectory has {traj.records} rows, expected {expected}"
         )
-    report = _rate_report(prob, cfg, traj, reference_solve(prob), manifest, tol)
+    ref = reference_solve(prob)
+    report = _rate_report(prob, cfg, certificate(cfg, prob), traj, ref, manifest, tol)
     if manifest["mode"] == "ergodic":
         report["note"] = (
             "ergodic averages certified against the bounds as printed "
@@ -255,10 +255,11 @@ def cmd_sweep(args):
             row = {"map": kind, "mode": mode}
             try:
                 cfg = make_config(kind, prob, rho=args.rho)
-                traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=args.iters))
+                plan = StepPlan(cfg, prob)
+                traj = run(prob, RunParams(cfg=cfg, mode=mode, iters=args.iters), plan=plan)
                 if ref is None:
                     ref = reference_solve(prob)
-                rep = _rate_report(prob, cfg, traj, ref, traj.meta, VERIFY_TOL)
+                rep = _rate_report(prob, cfg, plan.cert, traj, ref, traj.meta, VERIFY_TOL)
                 row.update({key: rep[key] for key in SWEEP_KEYS})
             except FlagoptError as exc:
                 row.update(status=f"skipped: {exc}")

@@ -63,7 +63,7 @@ def compute_lambda(y, rho_k, t_k, ax_minus_b):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunParams:
     """Driver configuration: the primal map, mode, and iteration budget.
 
@@ -107,10 +107,13 @@ def mode_p(mode, cfg, prob):
     return {"fast": 2, "classic": 1}.get(mode) or default_p(cfg, prob)
 
 
-def resolve_params(prob, params):
-    """Build the map's step plan, certify the map and fix (p, mu) for the
-    requested mode."""
-    plan = StepPlan(params.cfg, prob)
+def resolve_params(prob, params, plan=None):
+    """Certify the map on its step plan (built here unless given) and fix
+    (p, mu) for the requested mode."""
+    if plan is None:
+        plan = StepPlan(params.cfg, prob)
+    elif plan.cfg is not params.cfg or plan.prob is not prob:
+        raise ConfigError("run: the plan was built for another map or problem")
     cert = plan.cert
     if params.mode == "fast" and default_p(params.cfg, prob) != 2:
         raise ConfigError("fast mode requires the strong convexity exploited by the map")
@@ -128,7 +131,7 @@ def resolve_params(prob, params):
     return ResolvedParams(mode=params.mode, p=p, mu=mu, rho=params.cfg.rho, plan=plan)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlagState:
     k: int
     t: float
@@ -197,7 +200,7 @@ def ergodic_weight_sum(t, p):
     return t * t if p == 2 else t
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Per-iteration record, one row per state x^k / z^k (row 0 = start).
 
@@ -337,12 +340,13 @@ class _Recorder:
             raise NumericalError(f"iteration {i}: {c} is not finite ({out[c][i]})")
 
 
-def run(prob, params, reference=None, bound=None):
+def run(prob, params, reference=None, bound=None, plan=None):
     """Run the driver for params.iters iterations and record the trajectory.
 
     reference (optional) enables the s_k column: the rho t_{k-1}^p augmented
     Lagrangian gap at (x^k, y*) against psi*. bound (optional, with
     reference) fills bound_fn = B / (2 k^p) and bound_feas = B / (c k^p).
+    plan (a fresh StepPlan of params.cfg on prob) is built here unless given.
 
     Rows are recorded in chunks of CHUNK, so the recording holds at most
     CHUNK x (2n + m) floats besides the output columns. A chunk's columns
@@ -352,7 +356,7 @@ def run(prob, params, reference=None, bound=None):
     and the first such column in CSV_COLUMNS order, and raises
     NumericalError; no trajectory is returned.
     """
-    resolved = resolve_params(prob, params)
+    resolved = resolve_params(prob, params, plan)
     state = start = initial_state(prob, params, resolved)
     p, mode = resolved.p, resolved.mode
     N = params.iters

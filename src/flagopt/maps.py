@@ -8,8 +8,9 @@ feasible xi,
         <= tau_t Delta_P(xi, z, z+) - (tau_t/2) ||z+ - z||_Q^2
            - (sigma/2) ||xi - z+||^2 - (delta rho_t / 2) ||A z+ - b||^2.
 
-Every map kind is one row of KINDS: its blocks, their update order, and its
-certificate formula. One generic step updates block i of z = (z_1, z_2) by
+Every map kind is one row of KINDS: its blocks and their update order, from
+which one formula derives its certificate. One generic step updates block i
+of z = (z_1, z_2) by
 
     z_i+ = argmin_x  f_i(x) + <g_i, x> + 0.5 x'V_i(c) x,
     g_i  = A_i'(lambda + rho_t r_i) - w_i M_i z_i [+ q | + grad h(z)],
@@ -34,8 +35,8 @@ right numerically at one state and one xi, or a (k, n) stack of xi: the terms
 in z+ alone are computed once, the rest with matrix-matrix products.
 sample_niceness calls it once per state with that state's points, and counts
 only points with finite Psi(xi) (elsewhere the left side is -inf and nothing
-is tested). Certificates are produced exactly per each kind's closed-form
-(delta, P, Q) with every spectral margin recorded.
+is tested). A certificate is the closed form (delta, P, Q) of the block
+flags (_certify), with every spectral margin recorded.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ STATE_SCALE = 2.0
 XI_SCALE = 1.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapConfig:
     """Map kind plus its proximal weight data and base penalty rho."""
 
@@ -98,7 +99,7 @@ class Condition:
         return self.margin > 0 if self.strict else self.margin >= -PSD_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NiceCertificate:
     """delta with P_i and Q_i per block of the map (one entry for single-block
     maps); P and Q are their block diagonals."""
@@ -132,26 +133,6 @@ class Block:
     accelerated: bool = True
 
 
-@dataclass(frozen=True)
-class Kind:
-    """One row of KINDS.
-
-    certify(cfg, view, M, G, L) -> (delta, P_i list, Q_i list, conditions),
-    from the weights M_i, the Grams G_i = A_i'A_i and the Lipschitz constant L
-    of a linearized smooth part (else 0). floor: the auto policy's M_i is
-    (floor_i rho lambda_max(G_i) [+ L] + margin) I. jacobi: each block reads
-    the others' old values. smooth_linearized: the single block requires h and
-    steps on grad h(z). alpha: M1 = 0 and M2 = I / alpha from the step alpha.
-    """
-
-    blocks: tuple
-    certify: object
-    floor: tuple
-    jacobi: bool = False
-    smooth_linearized: bool = False
-    alpha: bool = False
-
-
 class _View(NamedTuple):
     """A problem as the blocks of a map kind: operators A_i, terms f_i, strong
     convexity sigma_i, right-hand side b, smooth part (single block only)."""
@@ -175,47 +156,45 @@ def _nonneg(name, X):
     return Condition(name, linalg.lambda_min(X), strict=False)
 
 
-def _dominance(cfg, M, G, i, factor=1):
-    """(lambda_min(M_i), rho lambda_max(A_i'A_i), condition that M_i dominates
-    factor * rho A_i'A_i)."""
-    lam, rl = linalg.lambda_min(M[i]), cfg.rho * linalg.lambda_max(G[i])
-    op = "AB"[i]
-    coef = "rho" if factor == 1 else f"{factor} rho"
-    name = f"lambda_min(M{i + 1}) - {coef} lambda_max({op}'{op}) > 0"
-    return lam, rl, Condition(name, lam - factor * rl)
+def _floor(spec, block):
+    """f = [jacobi] + [the block linearizes the penalty]: how many times
+    rho lambda_max(A_i'A_i) the block's weight M_i must exceed."""
+    return int(spec.jacobi) + int(not block.exact)
 
 
-def _single_cert(cfg, view, M, G, L):
-    # P = M, less rho A'A when the penalty is linearized; Q = P, less L I
-    # when the smooth part is linearized
+def _certify(cfg, view, M, G, L):
+    """The certificate the block flags of the kind give.
+
+    The lead block (the single block, or the first of a Gauss-Seidel pair)
+    has P = M [- rho A'A when it linearizes the penalty], Q = P [- L I when
+    the smooth part is linearized], and needs lambda_min(Q) >= 0. Any other
+    block i is coupled: P_i = M_i [+ rho A_i'A_i when exact], Q_i = 0, and it
+    needs lambda_min(M_i) - f rho l_i > 0 (f = _floor, l_i =
+    lambda_max(A_i'A_i)). It costs rho l_i / (rho l_i + lambda_min(M_i)) of
+    delta when exact and rho l_i / lambda_min(M_i) when linearized; delta is
+    1 less the largest cost, counted twice under Jacobi updates.
+    """
     spec = KINDS[cfg.kind]
-    P, name = M[0], "M"
-    if not spec.blocks[0].exact:
-        P, name = P - cfg.rho * G[0], name + " - rho A'A"
-    Q = P
-    if spec.smooth_linearized:
-        Q, name = P - L * np.eye(P.shape[0]), name + " - L I"
-    return 1.0, [P], [Q], [_nonneg(f"lambda_min({name}) >= 0", Q)]
-
-
-def _prox_admm_cert(cfg, view, M, G, L):
-    lam2 = linalg.lambda_min(M[1])
-    rl2 = cfg.rho * linalg.lambda_max(G[1])
-    delta = 1.0 - rl2 / (rl2 + lam2) if lam2 > 0 else 0.0
-    conds = [_nonneg("lambda_min(M1) >= 0", M[0]), Condition("lambda_min(M2) > 0", lam2)]
-    return delta, [M[0], M[1] + cfg.rho * G[1]], [M[0], np.zeros_like(M[1])], conds
-
-
-def _lin_admm_cert(cfg, view, M, G, L):
-    # Gauss-Seidel with a linearized second block; P1 = Q1 = M1 [- rho A'A
-    # when the first block linearizes the penalty too]
-    P1, name = M[0], "M1"
-    if not KINDS[cfg.kind].blocks[0].exact:
-        P1, name = P1 - cfg.rho * G[0], name + " - rho A'A"
-    lam2, rl2, cond2 = _dominance(cfg, M, G, 1)
-    delta = 1.0 - rl2 / lam2 if lam2 > 0 else 0.0
-    conds = [_nonneg(f"lambda_min({name}) >= 0", P1), cond2]
-    return delta, [P1, M[1]], [P1, np.zeros_like(M[1])], conds
+    P, Q, conds, costs = [], [], [], []
+    for i, (block, name) in enumerate(zip(spec.blocks, _weight_names(len(M)))):
+        if i == 0 and not spec.jacobi:
+            P_i = M[i] if block.exact else M[i] - cfg.rho * G[i]
+            Q_i = P_i - L * np.eye(len(P_i)) if spec.smooth_linearized else P_i
+            name += "" if block.exact else " - rho A'A"
+            name += " - L I" if spec.smooth_linearized else ""
+            conds.append(_nonneg(f"lambda_min({name}) >= 0", Q_i))
+        else:
+            lam, rl = linalg.lambda_min(M[i]), cfg.rho * linalg.lambda_max(G[i])
+            P_i = M[i] + cfg.rho * G[i] if block.exact else M[i]
+            Q_i = np.zeros_like(M[i])
+            f, op = _floor(spec, block), "AB"[i]
+            coef = f" - {'rho' if f == 1 else '2 rho'} lambda_max({op}'{op})" if f else ""
+            conds.append(Condition(f"lambda_min({name}){coef} > 0", lam - f * rl if f else lam))
+            costs.append((rl / (rl + lam) if block.exact else rl / lam) if lam > 0 else 1.0)
+        P.append(P_i)
+        Q.append(Q_i)
+    delta = 1.0 - (2.0 if spec.jacobi else 1.0) * max(costs) if costs else 1.0
+    return delta, P, Q, conds
 
 
 def _chambolle_pock_cert(cfg, view, M, G, L):
@@ -227,22 +206,35 @@ def _chambolle_pock_cert(cfg, view, M, G, L):
     return delta, list(M), [M[0], np.zeros_like(M[1])], conds
 
 
-def _prox_jacobi_cert(cfg, view, M, G, L):
-    doms = [_dominance(cfg, M, G, i) for i in (0, 1)]
-    delta = 1.0 - 2.0 * max(rl / (rl + lam) if rl + lam > 0 else 1.0 for lam, rl, _ in doms)
-    P = [M[i] + cfg.rho * G[i] for i in (0, 1)]
-    return delta, P, [np.zeros_like(X) for X in P], [c for _, _, c in doms]
-
-
 def _pcpm_cert(cfg, view, M, G, L):
     if (view.sigmas[0] > 0) != (view.sigmas[1] > 0):
         raise ConfigError(
             "pcpm treats both blocks the same: sigma_f and sigma_g must "
             "share the regime (both zero or both positive)"
         )
-    doms = [_dominance(cfg, M, G, i, factor=2) for i in (0, 1)]
-    delta = 1.0 - 2.0 * max(rl / lam if lam > 0 else 1.0 for lam, rl, _ in doms)
-    return delta, list(M), [np.zeros_like(X) for X in M], [c for _, _, c in doms]
+    return _certify(cfg, view, M, G, L)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One row of KINDS: its blocks and their update order.
+
+    jacobi: each block reads the others' old values (else Gauss-Seidel).
+    smooth_linearized: the single block requires h and steps on grad h(z).
+    alpha: M1 = 0 and M2 = I / alpha from the step alpha. certify(cfg, view,
+    M, G, L) -> (delta, P_i list, Q_i list, conditions), from the weights
+    M_i, the Grams G_i = A_i'A_i and the Lipschitz constant L of a linearized
+    smooth part (else 0), is the shared formula _certify; only chambolle-pock
+    (A = I and its alpha condition) and pcpm (a regime check first) set
+    their own. The auto policy's M_i is (f rho lambda_max(G_i) [+ L] +
+    margin) I with the f of block i that _certify's conditions use (_floor).
+    """
+
+    blocks: tuple
+    certify: object = _certify
+    jacobi: bool = False
+    smooth_linearized: bool = False
+    alpha: bool = False
 
 
 EXACT = Block(exact=True)
@@ -250,18 +242,16 @@ LINEARIZED = Block(exact=False)
 ADMM_FIRST = Block(exact=True, accelerated=False)
 
 KINDS = {
-    "prox-al": Kind((EXACT,), _single_cert, floor=(0,)),
-    "prox-lin-al": Kind((LINEARIZED,), _single_cert, floor=(1,)),
-    "smooth-prox-al": Kind((EXACT,), _single_cert, floor=(0,), smooth_linearized=True),
-    "smooth-lin-al": Kind((LINEARIZED,), _single_cert, floor=(1,), smooth_linearized=True),
-    "prox-admm": Kind((ADMM_FIRST, EXACT), _prox_admm_cert, floor=(0, 0)),
-    "prox-lin-admm": Kind((ADMM_FIRST, LINEARIZED), _lin_admm_cert, floor=(0, 1)),
-    "chambolle-pock": Kind(
-        (ADMM_FIRST, LINEARIZED), _chambolle_pock_cert, floor=(0, 1), alpha=True
-    ),
-    "prox-jacobi": Kind((EXACT, EXACT), _prox_jacobi_cert, floor=(1, 1), jacobi=True),
-    "pcpm": Kind((LINEARIZED, LINEARIZED), _pcpm_cert, floor=(2, 2), jacobi=True),
-    "full-lin-admm": Kind((LINEARIZED, LINEARIZED), _lin_admm_cert, floor=(1, 1)),
+    "prox-al": Kind((EXACT,)),
+    "prox-lin-al": Kind((LINEARIZED,)),
+    "smooth-prox-al": Kind((EXACT,), smooth_linearized=True),
+    "smooth-lin-al": Kind((LINEARIZED,), smooth_linearized=True),
+    "prox-admm": Kind((ADMM_FIRST, EXACT)),
+    "prox-lin-admm": Kind((ADMM_FIRST, LINEARIZED)),
+    "chambolle-pock": Kind((ADMM_FIRST, LINEARIZED), _chambolle_pock_cert, alpha=True),
+    "prox-jacobi": Kind((EXACT, EXACT), jacobi=True),
+    "pcpm": Kind((LINEARIZED, LINEARIZED), _pcpm_cert, jacobi=True),
+    "full-lin-admm": Kind((LINEARIZED, LINEARIZED)),
 }
 MAP_KINDS = tuple(KINDS)
 
@@ -572,9 +562,10 @@ def make_config(kind, prob, rho, policy="auto", scale=1.0, margin=1.0, alpha=Non
     else:
         linearized = view.smooth is not None and spec.smooth_linearized
         L = view.smooth.lipschitz_grad if linearized else 0.0
+        floors = [_floor(spec, block) for block in spec.blocks]
         s = [
-            (c * rho * linalg.lambda_max(A.T @ A) if c else 0.0) + L + margin
-            for c, A in zip(spec.floor, view.ops)
+            (f * rho * linalg.lambda_max(A.T @ A) if f else 0.0) + L + margin
+            for f, A in zip(floors, view.ops)
         ]
     if spec.alpha:
         return MapConfig(kind=kind, rho=rho, alpha=1.0 / s[1] if alpha is None else alpha)

@@ -19,7 +19,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def _per_point(v, x):
     return float(v) if x.ndim == 1 else v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadratic:
     """0.5 x'Hx + q'x + r with symmetric PSD H.
 
@@ -132,7 +132,7 @@ class L1:
         return float(np.linalg.norm(d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Indicator of the box [lo, hi] (componentwise)."""
 
@@ -196,14 +196,11 @@ class Zero:
         x = np.asarray(x, dtype=float)
         return _per_point(np.zeros(x.shape[:-1]), x)
 
-    def grad(self, x):
-        return np.zeros(self.dim)
-
     def subgrad_dist(self, x, g):
         return float(np.linalg.norm(np.asarray(g, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Separable:
     """Sum of terms on consecutive slices of the stacked variable."""
 
@@ -246,10 +243,12 @@ class Separable:
         return float(np.sqrt(sum(d * d for d in ds)))
 
 
-TERM_TYPES = (Quadratic, L1, Box, Zero, Separable)
+# each term type under its JSON "kind"; its other JSON keys are its fields
+TERM_KINDS = {"quadratic": Quadratic, "l1": L1, "box": Box, "zero": Zero, "separable": Separable}
+TERM_TYPES = tuple(TERM_KINDS.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothTerm:
     """Differentiable quadratic h with declared gradient Lipschitz constant L."""
 
@@ -270,7 +269,7 @@ class SmoothTerm:
         object.__setattr__(self, "lipschitz_grad", L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstrainedProblem:
     """min f(x) + h(x)  s.t.  A x = b, with declared strong convexity sigma.
 
@@ -490,44 +489,33 @@ def eval_objective(p, x):
 
 
 def term_to_json(term):
-    if isinstance(term, Quadratic):
-        return {
-            "kind": "quadratic",
-            "H": term.H.tolist(),
-            "q": term.q.tolist(),
-            "r": term.r,
-            "strong_convexity": term.strong_convexity,
-        }
-    if isinstance(term, L1):
-        return {"kind": "l1", "weight": term.weight, "dim": term.dim}
-    if isinstance(term, Box):
-        return {"kind": "box", "lo": term.lo.tolist(), "hi": term.hi.tolist()}
-    if isinstance(term, Zero):
-        return {"kind": "zero", "dim": term.dim}
-    if isinstance(term, Separable):
-        return {"kind": "separable", "parts": [term_to_json(p) for p in term.parts]}
+    for kind, cls in TERM_KINDS.items():
+        if isinstance(term, cls):
+            doc = {"kind": kind}
+            for field in fields(cls):
+                value = getattr(term, field.name)
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()
+                elif isinstance(value, tuple):  # the parts of a Separable
+                    value = [term_to_json(part) for part in value]
+                doc[field.name] = value
+            return doc
     raise ConfigError(f"unsupported term {type(term).__name__}")
 
 
 def term_from_json(d):
     try:
         kind = d["kind"]
-        if kind == "quadratic":
-            return Quadratic(
-                H=d["H"], q=d["q"], r=d.get("r", 0.0),
-                strong_convexity=d.get("strong_convexity", 0.0),
-            )
-        if kind == "l1":
-            return L1(weight=d["weight"], dim=d["dim"])
-        if kind == "box":
-            return Box(lo=d["lo"], hi=d["hi"])
-        if kind == "zero":
-            return Zero(dim=d["dim"])
-        if kind == "separable":
-            return Separable(tuple(term_from_json(p) for p in d["parts"]))
+        cls = TERM_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise DataError(f"unknown term kind {kind!r}")
+        # a field with a default may be left out
+        args = {f.name: d[f.name] for f in fields(cls) if f.default is MISSING or f.name in d}
+        if cls is Separable:
+            args["parts"] = tuple(term_from_json(p) for p in args["parts"])
+        return cls(**args)
     except KeyError as e:
         raise DataError(f"term JSON missing field {e}") from None
-    raise DataError(f"unknown term kind {kind!r}")
 
 
 def problem_to_json(p):

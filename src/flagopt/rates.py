@@ -38,7 +38,7 @@ POLISH_ROUNDS = 5
 LONG_RUN_CAP = 60000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSolution:
     """Optimal primal/dual pair with the dual-bound radius c >= 2 ||y*||."""
 

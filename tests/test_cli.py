@@ -731,6 +731,21 @@ class TestSweep:
             # no bound was checked, so the sweep says neither ok nor VIOLATED
             assert "bounds=n/a" in printed and rep["first_violation"] is None
 
+    def test_row_certifies_once(self, qp_path, capsys, monkeypatch):
+        # the row's report reads the certificate of the plan its run stepped
+        calls = []
+        spec = maps.KINDS["prox-lin-al"]
+
+        def counted(*args):
+            calls.append(1)
+            return spec.certify(*args)
+
+        monkeypatch.setitem(maps.KINDS, "prox-lin-al", dataclasses.replace(spec, certify=counted))
+        argv = ["sweep", "--problem", qp_path, "--maps", "prox-lin-al", "--iters", "50"]
+        assert main(argv) == 0
+        assert "condition-P=met" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_unknown_map_rejected(self, qp_path, capsys):
         rc = main(["sweep", "--problem", qp_path, "--maps", "nope"])
         assert rc == 2

@@ -25,7 +25,7 @@ from flagopt.driver import (
 )
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_lagrangian
-from flagopt.maps import MapConfig, make_config
+from flagopt.maps import MapConfig, StepPlan, make_config
 from flagopt.problems import eval_objective
 
 
@@ -107,6 +107,21 @@ class TestResolve:
         resolve_params(p, RunParams(cfg=cfg, mode="ergodic", mu=1.5))
         with pytest.raises(ConfigError, match="mu"):
             resolve_params(p, RunParams(cfg=cfg, mode="ergodic", mu=2.5))
+
+    def test_run_takes_a_plan(self):
+        # a fresh plan given to run steps bitwise as the one run builds, and
+        # the run's certificate is the plan's
+        p = make_qp()
+        cfg = make_config("prox-lin-al", p, rho=1.0)
+        params = RunParams(cfg=cfg, mode="fast", iters=20)
+        plan = StepPlan(cfg, p)
+        got = run(p, params, plan=plan)
+        assert np.array_equal(got.psi_x, run(p, params).psi_x)
+        assert got.meta["delta"] is plan.cert.delta
+        other = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), mode="fast", iters=20)
+        for args in ((p, other), (make_qp(), params)):
+            with pytest.raises(ConfigError, match="another map or problem"):
+                run(*args, plan=plan)
 
     def test_bad_mode(self):
         p = make_qp()

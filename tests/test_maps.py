@@ -543,6 +543,131 @@ def test_pinned_finals(kind, name):
         assert all(s["refinements"] == 0 for s in traj.meta["subproblems"]), mode
 
 
+def cert_problem(name):
+    """Small problems with integer data for the pinned certificates."""
+    def quad(*diag):
+        return Quadratic(H=np.diag(diag), q=np.zeros(len(diag)), strong_convexity=min(diag))
+
+    if name == "single":
+        return ConstrainedProblem(f=quad(2.0, 1.0), A=[[1.0, 3.0]], b=[1.0])
+    if name == "smooth":
+        h = SmoothTerm(term=Quadratic(H=np.diag([0.5, 0.25]), q=np.zeros(2)), lipschitz_grad=0.5)
+        return ConstrainedProblem(f=quad(1.0, 1.0), A=[[1.0, 3.0]], b=[1.0], smooth=h)
+    A = [[1.0]] if name == "block-id" else [[2.0]]
+    return BlockProblem(f_term=quad(1.0), g_term=quad(2.0, 1.0), A=A, B=[[1.0, 3.0]], b=[1.0])
+
+
+# kind -> (problem, auto-policy weights: the scale c of each M_i = c I, or
+# alpha; delta; block P; block Q; conditions as (name, margin, strict)) at
+# rho = 0.7, recorded from the implementation that wrote out each kind's
+# certificate formula in its own function.
+PINNED_CERTS = {
+    "prox-al": (
+        "single", (1.0,), 1.0,
+        [[[1.0, 0.0], [0.0, 1.0]]],
+        [[[1.0, 0.0], [0.0, 1.0]]],
+        (
+            ("lambda_min(M) >= 0", 1.0, False),
+        ),
+    ),
+    "prox-lin-al": (
+        "single", (8.0,), 1.0,
+        [[[7.3, -2.0999999999999996], [-2.0999999999999996, 1.7000000000000002]]],
+        [[[7.3, -2.0999999999999996], [-2.0999999999999996, 1.7000000000000002]]],
+        (
+            ("lambda_min(M - rho A'A) >= 0", 1.0000000000000002, False),
+        ),
+    ),
+    "smooth-prox-al": (
+        "smooth", (1.5,), 1.0,
+        [[[1.5, 0.0], [0.0, 1.5]]],
+        [[[1.0, 0.0], [0.0, 1.0]]],
+        (
+            ("lambda_min(M - L I) >= 0", 1.0, False),
+        ),
+    ),
+    "smooth-lin-al": (
+        "smooth", (8.5,), 1.0,
+        [[[7.8, -2.0999999999999996], [-2.0999999999999996, 2.2]]],
+        [[[7.3, -2.0999999999999996], [-2.0999999999999996, 1.7000000000000002]]],
+        (
+            ("lambda_min(M - rho A'A - L I) >= 0", 1.0000000000000002, False),
+        ),
+    ),
+    "prox-admm": (
+        "block", (1.0, 1.0), 0.125,
+        [[[1.0]], [[1.7, 2.0999999999999996], [2.0999999999999996, 7.3]]],
+        [[[1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        (
+            ("lambda_min(M1) >= 0", 1.0, False),
+            ("lambda_min(M2) > 0", 1.0, True),
+        ),
+    ),
+    "prox-lin-admm": (
+        "block", (1.0, 8.0), 0.125,
+        [[[1.0]], [[8.0, 0.0], [0.0, 8.0]]],
+        [[[1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        (
+            ("lambda_min(M1) >= 0", 1.0, False),
+            ("lambda_min(M2) - rho lambda_max(B'B) > 0", 1.0, True),
+        ),
+    ),
+    "chambolle-pock": (
+        "block-id", ("alpha", 0.125), 0.125,
+        [[[0.0]], [[8.0, 0.0], [0.0, 8.0]]],
+        [[[0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        (
+            ("1 - rho alpha lambda_max(B'B) > 0", 0.125, True),
+        ),
+    ),
+    "prox-jacobi": (
+        "block", (3.8, 8.0), 0.06666666666666665,
+        [[[6.6]], [[8.7, 2.0999999999999996], [2.0999999999999996, 14.3]]],
+        [[[0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        (
+            ("lambda_min(M1) - rho lambda_max(A'A) > 0", 1.0, True),
+            ("lambda_min(M2) - rho lambda_max(B'B) > 0", 1.0, True),
+        ),
+    ),
+    "pcpm": (
+        "block", (6.6, 15.0), 0.06666666666666665,
+        [[[6.6]], [[15.0, 0.0], [0.0, 15.0]]],
+        [[[0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        (
+            ("lambda_min(M1) - 2 rho lambda_max(A'A) > 0", 1.0, True),
+            ("lambda_min(M2) - 2 rho lambda_max(B'B) > 0", 1.0, True),
+        ),
+    ),
+    "full-lin-admm": (
+        "block", (3.8, 8.0), 0.125,
+        [[[1.0]], [[8.0, 0.0], [0.0, 8.0]]],
+        [[[1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        (
+            ("lambda_min(M1 - rho A'A) >= 0", 1.0, False),
+            ("lambda_min(M2) - rho lambda_max(B'B) > 0", 1.0, True),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_pinned_certificate(kind):
+    name, weights, delta, block_P, block_Q, conditions = PINNED_CERTS[kind]
+    prob = cert_problem(name)
+    cfg = make_config(kind, prob, rho=0.7)
+    if weights[0] == "alpha":
+        assert cfg.alpha == weights[1]
+    else:
+        Ms = [cfg.M] if len(weights) == 1 else [cfg.M1, cfg.M2]
+        for M, c in zip(Ms, weights, strict=True):
+            assert np.array_equal(M, c * np.eye(len(M)))
+    cert = certificate(cfg, prob)
+    assert cert.delta == delta
+    for got, want in ((cert.block_P, block_P), (cert.block_Q, block_Q)):
+        assert [X.tolist() for X in got] == want
+    assert tuple((c.name, c.margin, c.strict) for c in cert.conditions) == conditions
+
+
 def dense_subproblem_solve(term, g, V):
     """argmin term(x) + <g, x> + 0.5 x'Vx part by part: solve_spd on the
     quadratic parts, the closed-form prox on l1 parts (V diagonal there)."""

@@ -20,6 +20,8 @@ from flagopt import (
     feasibility_residual,
     flatten_block,
 )
+from flagopt.gen import GenSpec, generate
+from flagopt.maps import certificate, make_config
 from flagopt.problems import (
     load_problem,
     problem_from_json,
@@ -249,6 +251,23 @@ class TestProblemValidation:
         SmoothTerm(term=h, lipschitz_grad=2.0)
         with pytest.raises(ConfigError):
             SmoothTerm(term=h, lipschitz_grad=1.0)
+
+
+def test_array_holders_compare_by_identity():
+    # problems, terms, configurations and certificates hold arrays: == is
+    # identity, gives a bool, and each of them hashes
+    spec = GenSpec(family="smooth-composite", n=8, m=3, seed=0)
+    p, q = generate(spec), generate(spec)
+    cfg = make_config("prox-lin-al", p, rho=1.0)
+    pairs = [
+        (p, q), (p.f, q.f), (p.smooth, q.smooth), (p.smooth.term, q.smooth.term),
+        (Box(lo=[0.0], hi=[1.0]), Box(lo=[0.0], hi=[1.0])),
+        (Separable((Zero(1), Zero(2))), Separable((Zero(1), Zero(2)))),
+        (cfg, make_config("prox-lin-al", p, rho=1.0)), (certificate(cfg, p), certificate(cfg, p)),
+    ]
+    for obj, twin in pairs:
+        assert (obj == obj) is True and (obj == twin) is False and (obj != twin) is True
+        assert hash(obj) == hash(obj)
 
 
 class TestJsonRoundTrip:
