@@ -57,10 +57,9 @@ def next_t(t, p):
 
 
 def compute_lambda(y, rho_k, t_k, ax_minus_b):
-    """Extrapolated multiplier y + rho_k (t_k - 1)(A x - b)."""
-    return np.asarray(y, dtype=float) + rho_k * (t_k - 1.0) * np.asarray(
-        ax_minus_b, dtype=float
-    )
+    """Extrapolated multiplier y + rho_k (t_k - 1)(A x - b) of arrays y and
+    ax_minus_b."""
+    return y + rho_k * (t_k - 1.0) * ax_minus_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,21 +164,21 @@ def initial_state(prob, params, resolved):
 def flag_iterate(state, resolved, prob):
     """One outer iteration under the resolved params; returns the successor
     state."""
-    p, mu, rho = resolved.p, resolved.mu, resolved.rho
+    p, mu = resolved.p, resolved.mu
     A = resolved.plan.A
     b = prob.b
     t_k = state.t
-    rho_k = rho * t_k ** (p - 1)
+    tau = t_k ** (p - 1)
+    rho_k = resolved.rho * tau
     if resolved.mode == "ergodic":
         lam = state.y
     else:
-        lam = compute_lambda(state.y, rho_k, t_k, A @ state.x - b)
-    z_new = prim_step(resolved.plan, t_k ** (p - 1), state.z, lam)
-    w = A @ z_new - b
-    y_new = state.y + mu * rho_k * w
+        lam = compute_lambda(state.y, rho_k, t_k, A.dot(state.x) - b)
+    z_new = prim_step(resolved.plan, tau, state.z, lam)
+    y_new = state.y + mu * rho_k * (A.dot(z_new) - b)
     if resolved.mode == "ergodic":
         x_new = None
-        acc = state.zbar_acc + t_k ** (p - 1) * z_new
+        acc = state.zbar_acc + tau * z_new
     else:
         x_new = (1.0 - 1.0 / t_k) * state.x + (1.0 / t_k) * z_new
         acc = None
@@ -233,10 +232,14 @@ class Trajectory:
         if timestamp is None:
             timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         data = np.column_stack([getattr(self, c) for c in CSV_COLUMNS])
+        # one %-format per CHUNK rows: the bytes np.savetxt(fmt="%.17g") writes
+        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(f"# written {timestamp}\n")
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+            for lo in range(0, len(data), CHUNK):
+                rows = data[lo : lo + CHUNK]
+                fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def trajectory_from_csv(path):

@@ -29,6 +29,8 @@ def check_symmetric(M, name="matrix", tol=SYM_TOL):
     M = as_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ConfigError(f"{name} has non-finite entries")
     resid = float(np.max(np.abs(M - M.T), initial=0.0))
     if resid > tol * max(1.0, float(np.max(np.abs(M), initial=0.0))):
         raise ConfigError(f"{name} is not symmetric (residual {resid:.3e})")
@@ -84,28 +86,24 @@ def _inverse_factor(V):
     return _tril_inv(np.linalg.cholesky(V))
 
 
-def _inverse_factor_solve(Li, r):
-    # ndarray.dot: at n <= 20 the @ operator's dispatch doubles the cost
-    return Li.T.dot(Li.dot(r))
-
-
-def _refined(inv, apply, rhs, name, counts=None):
+def _refined(inv, apply, rhs, name, counts=None, *args):
     """inv(rhs), refined by one step only when it fails the residual gate
     ||rhs - apply(x)|| <= 1e-10 * (1 + ||rhs||); NumericalError when the
     refined solution fails the gate too, or at once when rhs is not finite.
     A NaN residual fails both checks. counts["refinements"] (when given)
-    counts the refinement steps taken."""
-    tol = 1e-10 * (1.0 + math.sqrt(rhs @ rhs))
+    counts the refinement steps taken. args (a pencil's c) follow the
+    vector in each call of inv and apply."""
+    tol = 1e-10 * (1.0 + math.sqrt(rhs.dot(rhs)))
     if not math.isfinite(tol) and not np.isfinite(rhs).all():
         raise NumericalError(f"{name}: linear solve residual not finite (non-finite rhs)")
-    x = inv(rhs)
-    r = rhs - apply(x)
-    if not math.sqrt(r @ r) <= tol:
+    x = inv(rhs, *args)
+    r = rhs - apply(x, *args)
+    if not math.sqrt(r.dot(r)) <= tol:
         if counts is not None:
             counts["refinements"] += 1
-        x = x + inv(r)
-        r = rhs - apply(x)
-        resid = math.sqrt(r @ r)
+        x = x + inv(r, *args)
+        r = rhs - apply(x, *args)
+        resid = math.sqrt(r.dot(r))
         if not resid <= tol:
             raise NumericalError(f"{name}: linear solve residual {resid:.3e} too large")
     return x
@@ -124,7 +122,7 @@ def solve_spd(V, rhs, name="subproblem", counts=None):
     rhs = as_array(rhs)
     try:
         Li = _inverse_factor(V)
-        inv = lambda r: _inverse_factor_solve(Li, r)
+        inv = lambda r: Li.T.dot(Li.dot(r))
     except np.linalg.LinAlgError:
         lo = lambda_min(V)
         if lo < SINGULAR_FLOOR:
@@ -149,8 +147,10 @@ class Pencil:
     [0, 1/c1], so each divisor is at least min(1, c/c1) > 0. When V(c1) has
     no Cholesky factor, or eigh fails, each solve is a solve_spd of V(c).
     Every route goes through _refined: each solve is gated, and refined only
-    when it fails the gate. counts holds the factorizations per route and
-    the refinement steps.
+    when it fails the gate. Each factorization binds its route's inv(r, c)
+    and apply(x, c) once, on the arrays the pencil holds (Li, V, W, lam),
+    so a change made to those in place reaches every later solve. counts
+    holds the factorizations per route and the refinement steps.
     """
 
     def __init__(self, H0, K0, name="subproblem"):
@@ -162,11 +162,20 @@ class Pencil:
         try:
             if self.route is None:
                 V = self.H0 + c * self.K0
-                self.Li, self.V, self.c, self.route = _inverse_factor(V), V, c, "cholesky"
+                # ndarray.dot: at n <= 20 the @ operator's dispatch doubles the cost
+                Li = _inverse_factor(V)
+                Lt = Li.T
+                self.inv, self.apply = (lambda r, c: Lt.dot(Li.dot(r))), (lambda x, c: V.dot(x))
+                self.Li, self.V, self.c, self.route = Li, V, c, "cholesky"
             else:
-                Li, self.Li, self.V = self.Li, None, None
-                self.lam, U = np.linalg.eigh(Li @ self.K0 @ Li.T)
-                self.W, self.route = Li.T @ U, "pencil-eigh"
+                # release V (its closures hold it too) before eigh: peak memory at large n
+                Li, self.Li, self.V, self.inv, self.apply = self.Li, None, None, None, None
+                lam, U = np.linalg.eigh(Li @ self.K0 @ Li.T)
+                W, H0, K0, c1 = Li.T @ U, self.H0, self.K0, self.c
+                Wt = W.T
+                self.inv = lambda r, c: W.dot((1.0 / (1.0 + (c - c1) * lam)) * Wt.dot(r))
+                self.apply = lambda x, c: H0.dot(x) + c * K0.dot(x)
+                self.lam, self.W, self.route = lam, W, "pencil-eigh"
         except np.linalg.LinAlgError:
             self.route = "per-step"
         self.counts[self.route] += self.route != "per-step"
@@ -177,9 +186,4 @@ class Pencil:
         if self.route == "per-step":
             self.counts["per-step"] += 1
             return solve_spd(self.H0 + c * self.K0, rhs, self.name, self.counts)
-        if self.route == "cholesky":
-            inv, apply = (lambda r: _inverse_factor_solve(self.Li, r)), self.V.__matmul__
-        else:
-            W, d = self.W, 1.0 / (1.0 + (c - self.c) * self.lam)
-            inv, apply = (lambda r: W @ (d * (W.T @ r))), (lambda x: self.H0 @ x + c * (self.K0 @ x))
-        return _refined(inv, apply, rhs, self.name, self.counts)
+        return _refined(self.inv, self.apply, rhs, self.name, self.counts, c)

@@ -26,8 +26,10 @@ with M_i in K0_i on accelerated blocks and in H0_i otherwise, rho A_i'A_i on
 blocks that keep the penalty exactly, and H the smooth part h = 0.5 x'Hx +
 q'x that a single-block map folds in (else it steps on grad h(z)); a
 quadratic f_i adds its own Hessian to H0_i. A StepPlan is one map on one
-problem: it builds the pencils once and its certificate on first use, and
-prim_step(plan, tau_t, z, lambda) takes the schedule through tau_t alone.
+problem: it builds the pencils and compiles each block's step (StepPlan.steps)
+once, and its certificate on first use. prim_step(plan, tau_t, z, lambda)
+runs those records with ndarray.dot products, in the operations of the
+formula above, and takes the schedule through tau_t alone.
 Two-block maps use the block form of the inequality: accelerated blocks are
 weighted by tau_t and contribute their strong convexity, the others carry
 weight 1 and no sigma term. nice_parts(plan, tau_t, ...) evaluates left minus
@@ -76,14 +78,14 @@ class MapConfig:
 
     def __post_init__(self):
         _spec(self.kind)
-        if self.rho <= 0:
-            raise ConfigError("base penalty rho must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ConfigError(f"base penalty rho must be positive and finite, got {self.rho!r}")
         for name in ("M", "M1", "M2"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, linalg.check_psd(val, name))
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,6 @@ class _View(NamedTuple):
     @property
     def dims(self):
         return [A.shape[1] for A in self.ops]
-
-    def split(self, z):
-        n1 = self.ops[0].shape[1]
-        return [z] if len(self.ops) == 1 else [z[..., :n1], z[..., n1:]]
 
 
 def _nonneg(name, X):
@@ -316,13 +314,20 @@ class StepPlan:
     """One map on one problem: its block view, weights M_i, stacked constraint
     map A, a prox.Subproblem per block for its pencil V_i(c) (checked once and
     factored as needed), and its certificate, computed on first use. The
-    Grams A_i'A_i enter K0_i on exact blocks and are not kept."""
+    Grams A_i'A_i enter K0_i on exact blocks and are not kept.
+
+    steps[i] is block i's step, compiled once: (reads, A_i' as a view, M_i,
+    accelerated, q, H, solve), with reads the products B_j z_j of r_i as
+    (B_j, j, fresh), fresh when z_j is an earlier block's new value
+    (Gauss-Seidel); g_i gains q (h folded into V_i) or H z + q = grad h(z)
+    (h linearized; H is None otherwise). parts[i] is the block's slice of z.
+    """
 
     def __init__(self, cfg, prob):
         self.cfg, self.prob = cfg, prob
         self.spec, self.view = spec, view = _view(cfg.kind, prob)
         self.M = _weights(cfg, spec, view)
-        self.A = prob.A
+        self.A, self.neg_b = prob.A, -prob.b
         self.solvers = [
             Subproblem(
                 view.terms[i],
@@ -331,6 +336,19 @@ class StepPlan:
             )
             for i in range(len(self.M))
         ]
+        n1, ops = view.ops[0].shape[1], view.ops
+        self.parts = [slice(None)] if len(ops) == 1 else [slice(None, n1), slice(n1, None)]
+        q = None if view.smooth is None else view.smooth.term.q
+        H = view.smooth.term.H if q is not None and spec.smooth_linearized else None
+        self.steps = []
+        for i, block in enumerate(spec.blocks):
+            reads = tuple(
+                (B, j, j < i and not spec.jacobi)
+                for j, B in enumerate(ops)
+                if j != i or not block.exact
+            )
+            solve = self.solvers[i].solve
+            self.steps.append((reads, ops[i].T, self.M[i], block.accelerated, q, H, solve))
 
     @functools.cached_property
     def cert(self):
@@ -394,26 +412,26 @@ def _validated(cert):
 
 def prim_step(plan, tau, z, lam):
     """One primal update z+ of the plan's map from (z, lambda) at tau_t = tau
-    (so rho_t = rho tau); the plan carries the factorizations across calls."""
+    (so rho_t = rho tau): the plan's block records run in order, and the
+    plan carries the factorizations across calls."""
     if not 0.0 < tau < math.inf:
         raise ConfigError(f"prim_step needs a positive finite tau_t, got {tau!r}")
-    spec, view = plan.spec, plan.view
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if z.shape != (plan.A.shape[1],) or lam.shape != view.b.shape:
+    if z.shape != (plan.A.shape[1],) or lam.shape != plan.neg_b.shape:
         raise ConfigError("prim_step dimension mismatch")
     rho_t = plan.cfg.rho * tau
-    old = view.split(z)
+    old = [z[part] for part in plan.parts]
     new = list(old)
-    for i, (block, A, solver) in enumerate(zip(spec.blocks, view.ops, plan.solvers)):
-        src = old if spec.jacobi else new
-        parts = [B @ src[j] for j, B in enumerate(view.ops) if j != i or not block.exact]
-        r = sum(parts, -view.b)
-        w = tau if block.accelerated else 1.0
-        g = A.T @ (lam + rho_t * r) - w * (plan.M[i] @ old[i])
-        if view.smooth is not None:
-            g = g + (view.smooth.term.grad(z) if spec.smooth_linearized else view.smooth.term.q)
-        new[i] = solver.solve(g, tau)
+    for i, (reads, At, M, accelerated, q, H, solve) in enumerate(plan.steps):
+        r = plan.neg_b
+        for B, j, fresh in reads:
+            r = r + B.dot((new if fresh else old)[j])
+        Mz = M.dot(old[i])
+        g = At.dot(lam + rho_t * r) - (tau * Mz if accelerated else Mz)
+        if q is not None:
+            g = g + (q if H is None else H.dot(z) + q)
+        new[i] = solve(g, tau)
     return new[0] if len(new) == 1 else np.concatenate(new)
 
 
@@ -428,8 +446,7 @@ def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
     z = np.asarray(z, dtype=float)
     xi = np.asarray(xi, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    A, spec, view = plan.A, plan.spec, plan.view
-    b = prob.b
+    A, b = plan.A, prob.b
     feas_xi = np.atleast_1d(np.linalg.norm(xi @ A.T - b, axis=-1))
     infeasible = np.flatnonzero(feas_xi > 1e-9 * (1.0 + float(np.linalg.norm(b))))
     if infeasible.size:
@@ -445,10 +462,9 @@ def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
     pen_term = 0.5 * delta * rho_t * feas_next**2
 
     bregman = q_term = sc_term = 0.0
-    points = (view.split(xi), view.split(z), view.split(z_next))
-    for block, sigma, P, Q, xi_i, z_i, zn_i in zip(
-        spec.blocks, view.sigmas, cert.block_P, cert.block_Q, *points
-    ):
+    blocks = zip(plan.spec.blocks, plan.parts, plan.view.sigmas, cert.block_P, cert.block_Q)
+    for block, part, sigma, P, Q in blocks:
+        xi_i, z_i, zn_i = xi[..., part], z[part], z_next[part]
         w = tau if block.accelerated else 1.0
         bregman += w * delta_P(P, xi_i, z_i, zn_i)
         q_term += 0.5 * w * quad_norm(Q, zn_i - z_i)
@@ -568,6 +584,9 @@ def make_config(kind, prob, rho, policy="auto", scale=1.0, margin=1.0, alpha=Non
             for f, A in zip(floors, view.ops)
         ]
     if spec.alpha:
-        return MapConfig(kind=kind, rho=rho, alpha=1.0 / s[1] if alpha is None else alpha)
+        alpha = (1.0 / s[1] if s[1] else math.inf) if alpha is None else alpha
+        return MapConfig(kind=kind, rho=rho, alpha=alpha)
     weights = zip(_weight_names(len(s)), s, view.dims)
-    return MapConfig(kind=kind, rho=rho, **{name: c * np.eye(n) for name, c, n in weights})
+    with np.errstate(invalid="ignore"):  # c = inf: MapConfig names the non-finite M_i
+        weights = {name: c * np.eye(n) for name, c, n in weights}
+    return MapConfig(kind=kind, rho=rho, **weights)

@@ -287,6 +287,31 @@ class TestCertify:
         assert "lambda_min(M2) - rho lambda_max(B'B) > 0" in capsys.readouterr().err
 
 
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--rho", "nan"], "rho must be positive and finite, got nan"),
+            (["--rho", "inf"], "rho must be positive and finite, got inf"),
+            (["--policy", "identity-scaled", "--scale", "nan"], "M has non-finite entries"),
+            (["--policy", "identity-scaled", "--scale", "inf"], "M has non-finite entries"),
+            (["--margin", "nan"], "M has non-finite entries"),
+        ],
+    )
+    def test_refused_before_any_output(self, qp_path, tmp_path, capsys, command, flags, message):
+        # a refused configuration prints one line on stderr and nothing else
+        out = tmp_path / "t.csv"
+        argv = [command, "--problem", qp_path, "--map", "prox-al", *flags]
+        rc = main(argv + (["--out", str(out)] if command == "solve" else []))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestVerify:
     def run_pipeline(self, qp_path, tmp_path, iters=400):
         traj = tmp_path / "t.csv"

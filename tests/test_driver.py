@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from flagopt import ConfigError, ConstrainedProblem, NumericalError, Quadratic
 from flagopt import driver, linalg
 from flagopt.driver import (
     CHUNK,
+    CSV_COLUMNS,
     MAX_ITERS,
     FlagState,
     RunParams,
@@ -25,7 +27,7 @@ from flagopt.driver import (
 )
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_lagrangian
-from flagopt.maps import MapConfig, StepPlan, make_config
+from flagopt.maps import MapConfig, StepPlan, make_config, prim_step
 from flagopt.problems import eval_objective
 
 
@@ -276,6 +278,48 @@ class TestRun:
         for col in ("k", "t", "rho_k", "psi_x", "feas_x", "psi_z", "feas_z", "y_norm"):
             assert_allclose(getattr(back, col), getattr(traj, col), rtol=1e-15)
         assert np.isnan(back.s_k).all()
+
+    def test_csv_bytes_match_savetxt(self, tmp_path):
+        # one %-format per CHUNK rows writes np.savetxt's bytes, NaN s_k and
+        # bound cells, signed zeros, infinities and subnormals included
+        p = make_qp()
+        cfg = make_config("prox-lin-al", p, rho=1.0)
+        traj = run(p, RunParams(cfg=cfg, mode="fast", iters=2 * CHUNK + 5))
+        assert np.isnan(traj.s_k).all() and np.isnan(traj.bound_fn).all()
+        traj.psi_z[1:5] = (-0.0, -np.inf, np.inf, 5e-324)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path, timestamp="T")
+        buf = io.BytesIO()
+        data = np.column_stack([getattr(traj, c) for c in CSV_COLUMNS])
+        np.savetxt(buf, data, delimiter=",", fmt="%.17g")
+        header = "# written T\n" + ",".join(CSV_COLUMNS) + "\n"
+        assert path.read_bytes() == header.encode() + buf.getvalue()
+
+    @pytest.mark.parametrize("mode,route", [("classic", "cholesky"), ("fast", "pencil-eigh")])
+    def test_gate_stays_on_the_hot_path(self, mode, route):
+        # a factor changed in place after the plan's first steps reaches every
+        # solve of the run: off by 1e-9 relative, each solve is refined; off
+        # by half, the residual gate raises
+        prob = make_qp()
+        cfg = make_config("prox-lin-al", prob, rho=1.0)
+        params = RunParams(cfg=cfg, mode=mode, iters=20)
+        for factor in (1.0 + 1e-9, 1.5):
+            plan = StepPlan(cfg, prob)
+            m, n = plan.A.shape
+            for tau in (1.0,) if route == "cholesky" else (1.0, 2.5):
+                prim_step(plan, tau, np.zeros(n), np.zeros(m))
+            pencil = plan.solvers[0].pencils[0]
+            assert pencil.route == route and pencil.counts["refinements"] == 0
+            if route == "cholesky":
+                pencil.Li *= factor
+            else:
+                pencil.W *= factor
+            if factor == 1.5:
+                with pytest.raises(NumericalError, match="linear solve residual"):
+                    run(prob, params, plan=plan)
+            else:
+                traj = run(prob, params, plan=plan)
+                assert traj.meta["subproblems"][0]["refinements"] > 0
 
     @pytest.mark.parametrize(
         "kind,spec,blocks",

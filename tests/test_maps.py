@@ -12,7 +12,6 @@ from flagopt import (
     L1,
     NotNiceError,
     Quadratic,
-    Separable,
     SmoothTerm,
     Zero,
 )
@@ -20,7 +19,6 @@ from flagopt import driver
 from flagopt.driver import RunParams, run
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_aug_lagrangian
-from flagopt.linalg import solve_spd
 from flagopt.maps import (
     KINDS,
     MAP_KINDS,
@@ -35,7 +33,7 @@ from flagopt.maps import (
     sample_niceness,
 )
 from flagopt.problems import flatten_block
-from flagopt.prox import soft_threshold
+from helpers import dense_prim_step, dense_subproblem_solve
 
 
 def one_d_problem(sigma=1.0, b=1.0):
@@ -668,22 +666,6 @@ def test_pinned_certificate(kind):
     assert tuple((c.name, c.margin, c.strict) for c in cert.conditions) == conditions
 
 
-def dense_subproblem_solve(term, g, V):
-    """argmin term(x) + <g, x> + 0.5 x'Vx part by part: solve_spd on the
-    quadratic parts, the closed-form prox on l1 parts (V diagonal there)."""
-    parts = term.parts if isinstance(term, Separable) else (term,)
-    out, start = [], 0
-    for part in parts:
-        s = slice(start, start + part.dim)
-        start += part.dim
-        if isinstance(part, L1):
-            d = np.diag(V)[s]
-            out.append(soft_threshold(-g[s] / d, part.weight / d))
-        else:
-            out.append(solve_spd(part.H + V[s, s], -(part.q + g[s])))
-    return np.concatenate(out)
-
-
 @pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS}))
 def test_plan_matches_dense_solve(kind, name):
     # V_i(c) assembled densely as w M_i [+ rho c A_i'A_i] [+ H], w = c on
@@ -705,6 +687,29 @@ def test_plan_matches_dense_solve(kind, name):
             got = plan.solvers[i].solve(g, c)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (i, c)
         assert plan.solvers[i].stats()["route"] in ("pencil-eigh", "diagonal")
+
+
+# every pinned case, plus prox-al and prox-lin-al folding the smooth part into V
+FOLDED_H = {("prox-al", "smooth"), ("prox-lin-al", "smooth")}
+
+
+@pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS} | FOLDED_H))
+def test_prim_step_matches_dense_oracle(kind, name):
+    # the whole step, g_i from the docstring formula included, against the
+    # dense oracle; tau = 1 runs the first Cholesky, 2.5 and 60 the pencil.
+    # The formula's operations in their order through the plan's own solvers
+    # give prim_step's bits: the compiled records reassociate nothing.
+    prob = pin_problem(name)
+    plan = StepPlan(make_config(kind, prob, rho=1.0), prob)
+    m, n = plan.A.shape
+    rng = np.random.default_rng(4)
+    for tau in (1.0, 2.5, 60.0):
+        z, lam = rng.standard_normal(n), rng.standard_normal(m)
+        got = prim_step(plan, tau, z, lam)
+        own = dense_prim_step(plan, tau, z, lam, lambda i, g: plan.solvers[i].solve(g, tau))
+        assert np.array_equal(got, own), tau
+        want = dense_prim_step(plan, tau, z, lam)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), tau
 
 
 @pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS}))
