@@ -10,14 +10,14 @@ certificates), 3 numerical, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from . import linalg
 from .driver import MAX_ITERS, MODES, RunParams, mode_p, run, trajectory_from_csv
-from .errors import ConfigError, DataError, FlagoptError
+from .errors import ConfigError, DataError, FlagoptError, NumericalError
 from .gen import FAMILIES, GenSpec, generate
 from .maps import MAP_KINDS, StepPlan, certificate, make_config, sample_niceness
 from .problems import feasibility_residual, load_problem, save_problem
@@ -32,9 +32,14 @@ MANIFEST_KEYS = (
 SWEEP_KEYS = ("delta", "p", "bounds_hold", "first_violation", "slope", "condition_P")
 
 def _write_json(path, doc):
+    """Write doc as strict JSON; NumericalError, and no file, when it holds a
+    NaN or an infinity (which JSON cannot represent)."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError(f"{path}: not written: it would hold a non-finite number") from None
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_json(path):
@@ -85,7 +90,6 @@ def cmd_solve(args):
         cfg=cfg, mode=args.mode, iters=args.iters, mu=args.mu
     )
     traj = run(prob, params)
-    traj.to_csv(args.out)
     manifest_path = args.manifest or args.out + ".manifest.json"
     manifest = {
         "map": args.map,
@@ -104,6 +108,9 @@ def cmd_solve(args):
         "subproblems": traj.meta["subproblems"],
         "problem_sha256": problem_sha256,
     }
+    # verify's schema: a field it would refuse is refused here, before any file
+    _check_manifest(manifest, prob, problem_sha256, error=ConfigError)
+    traj.to_csv(args.out)
     _write_json(manifest_path, manifest)
     print(f"wrote {args.out} ({traj.records} rows) and {manifest_path}")
     print(
@@ -121,12 +128,8 @@ def cmd_certify(args):
     cert = plan.cert
     print(f"kind: {cert.kind}")
     print(f"delta: {cert.delta:.12g}")
-    print(
-        f"P spectrum: [{linalg.lambda_min(cert.P):.6g}, {linalg.lambda_max(cert.P):.6g}]"
-    )
-    print(
-        f"Q spectrum: [{linalg.lambda_min(cert.Q):.6g}, {linalg.lambda_max(cert.Q):.6g}]"
-    )
+    for name, (lo, hi) in cert.extremes.items():
+        print(f"{name} spectrum: [{lo:.6g}, {hi:.6g}]")
     for cond in cert.conditions:
         print(f"condition: {cond.name}  margin={cond.margin:.6g}")
     report = sample_niceness(
@@ -152,12 +155,14 @@ def _vector(size):
     return lambda v: type(v) is list and len(v) == size and all(map(_num, v))
 
 
-def _check_manifest(manifest, prob, problem_sha256):
-    """DataError unless every manifest field has its JSON type and a valid value
-    (finite numbers, mode in MODES, p 1 or 2, iters in [1, MAX_ITERS], z0 / y0
-    sized to the problem) and the problem hash is that of the problem file."""
+def _check_manifest(manifest, prob, problem_sha256, error=DataError):
+    """`error` (DataError for a manifest read, ConfigError for one solve is
+    about to write) unless every manifest field has its JSON type and a valid
+    value (finite numbers, mode in MODES, p 1 or 2, iters in [1, MAX_ITERS],
+    z0 / y0 sized to the problem) and the problem hash is that of the problem
+    file."""
     if type(manifest) is not dict:
-        raise DataError("manifest must be a JSON object")
+        raise error("manifest must be a JSON object")
     m, n = prob.A.shape
     checks = {key: lambda v: type(v) is str for key in ("map", "policy", "problem_sha256")}
     checks.update(
@@ -169,12 +174,12 @@ def _check_manifest(manifest, prob, problem_sha256):
     for key, ok in checks.items():
         if key not in manifest:
             if key in MANIFEST_KEYS:
-                raise DataError(f"manifest is missing key {key!r}")
+                raise error(f"manifest is missing key {key!r}")
         elif not ok(manifest[key]):
             value = f"{manifest[key]!r:.60}"
-            raise DataError(f"manifest {key!r} has a wrong type, size or value: {value}")
+            raise error(f"manifest {key!r} has a wrong type, size or value: {value}")
     if manifest["problem_sha256"] != problem_sha256:
-        raise DataError(
+        raise error(
             "manifest 'problem_sha256' does not match the problem file: "
             "the trajectory was solved on another problem"
         )
@@ -281,7 +286,10 @@ def cmd_sweep(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The flagopt argument parser, built once per process: parse_args fills a
+    fresh namespace on each call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="flagopt",
         description="Accelerated Lagrangian solver and rate-verification harness",

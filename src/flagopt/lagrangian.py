@@ -2,7 +2,7 @@
 Delta_P(u, v, w) = 0.5 (||u - v||_P^2 - ||u - w||_P^2).
 
 Every function here takes one point, giving a float, or points stacked along
-a leading axis, giving one value per row.
+leading axes, giving one value per point.
 """
 
 import numpy as np
@@ -25,8 +25,9 @@ def eval_lagrangian(p, x, y):
 
 
 def eval_aug_lagrangian(p, x, y, rho):
-    """Lagrangian plus (rho/2) ||Ax - b||^2; rho = 0 recovers the Lagrangian."""
-    if rho < 0:
+    """Lagrangian plus (rho/2) ||Ax - b||^2; rho = 0 recovers the Lagrangian.
+    rho may be an array that broadcasts against the values (one per state)."""
+    if np.any(np.asarray(rho) < 0):
         raise ConfigError("rho must be nonnegative")
     v, r = _lagrangian(p, x, y)
     return v + 0.5 * rho * rowdot(r, r)

@@ -18,8 +18,8 @@ def as_array(a, dtype=float):
 
 
 def rowdot(a, b):
-    """<a, b> along the last axis: a float for two vectors, one value per row
-    when either is a (k, n) stack of points."""
+    """<a, b> along the last axis: a float for two vectors, one value per point
+    when either is a stack of points (leading axes broadcast)."""
     if a.ndim == 1 and b.ndim == 1:
         return float(a @ b)
     return np.einsum("...i,...i->...", a, b)
@@ -37,26 +37,35 @@ def check_symmetric(M, name="matrix", tol=SYM_TOL):
     return 0.5 * (M + M.T)
 
 
-def _spectrum(M):
+def _eigvalsh(S):
     # the whole spectrum: LAPACK's index-subset drivers fail ("Internal Error")
     # on some matrices whose extreme eigenvalue is repeated
-    M = check_symmetric(M)
-    return np.linalg.eigvalsh(M) if M.shape[0] else np.zeros(1)
+    return np.linalg.eigvalsh(S) if S.shape[0] else np.zeros(1)
+
+
+def spectrum(M, name="matrix"):
+    """The eigenvalues of the symmetric M, ascending (check_symmetric first)."""
+    return _eigvalsh(check_symmetric(M, name))
 
 
 def lambda_min(M):
-    return float(_spectrum(M)[0])
+    return float(spectrum(M)[0])
 
 
 def lambda_max(M):
-    return float(_spectrum(M)[-1])
+    return float(spectrum(M)[-1])
+
+
+def require_psd(eigs, name="matrix", tol=PSD_TOL):
+    """ConfigError naming `name` when its ascending spectrum eigs has an
+    eigenvalue below -tol."""
+    if eigs[0] < -tol:
+        raise ConfigError(f"{name} is not positive semidefinite (lambda_min {eigs[0]:.3e})")
 
 
 def check_psd(M, name="matrix", tol=PSD_TOL):
     M = check_symmetric(M, name)
-    lo = lambda_min(M)
-    if lo < -tol:
-        raise ConfigError(f"{name} is not positive semidefinite (lambda_min {lo:.3e})")
+    require_psd(_eigvalsh(M), name, tol)
     return M
 
 

@@ -33,12 +33,14 @@ formula above, and takes the schedule through tau_t alone.
 Two-block maps use the block form of the inequality: accelerated blocks are
 weighted by tau_t and contribute their strong convexity, the others carry
 weight 1 and no sigma term. nice_parts(plan, tau_t, ...) evaluates left minus
-right numerically at one state and one xi, or a (k, n) stack of xi: the terms
-in z+ alone are computed once, the rest with matrix-matrix products.
-sample_niceness calls it once per state with that state's points, and counts
-only points with finite Psi(xi) (elsewhere the left side is -inf and nothing
-is tested). A certificate is the closed form (delta, P, Q) of the block
-flags (_certify), with every spectral margin recorded.
+right numerically at one state and one xi, at one state and a (X, n) stack of
+xi, or at a stack of k states with X points each: the terms in z+ alone are
+computed once per state, the rest with matrix-matrix products.
+sample_niceness calls it once per chunk of states (SAMPLE_FLOATS bounds the
+chunk's stacked points), and counts only points with finite Psi(xi)
+(elsewhere the left side is -inf and nothing is tested). A certificate is
+the closed form (delta, P, Q) of the block flags (_certify), with every
+spectral margin recorded; each distinct matrix it reads is decomposed once.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ PSD_TOL = 1e-10
 SAMPLED_TAUS = (1.0, 2.5, 7.0, 19.5, 60.0)
 STATE_SCALE = 2.0
 XI_SCALE = 1.5
+# sample_niceness steps its states in chunks whose stacked points hold at most
+# this many floats (64 KB), so one nice_parts call serves a chunk while peak
+# memory stays that of a single state's (xis, n) stack at large n
+SAMPLE_FLOATS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +110,15 @@ class Condition:
 @dataclass(frozen=True, eq=False)
 class NiceCertificate:
     """delta with P_i and Q_i per block of the map (one entry for single-block
-    maps); P and Q are their block diagonals."""
+    maps); P and Q are their block diagonals, and extremes maps "P" and "Q"
+    to their (lambda_min, lambda_max), read off the blocks' spectra."""
 
     kind: str
     delta: float
     block_P: tuple
     block_Q: tuple
     conditions: tuple
+    extremes: dict
 
     @functools.cached_property
     def P(self):
@@ -150,8 +158,15 @@ class _View(NamedTuple):
         return [A.shape[1] for A in self.ops]
 
 
-def _nonneg(name, X):
-    return Condition(name, linalg.lambda_min(X), strict=False)
+class _Spectra(dict):
+    """The spectrum of each distinct array one certificate reads, decomposed
+    once (linalg.spectrum, which names the array `name` on a failed symmetry
+    check); each entry holds its array, so no id is reused meanwhile."""
+
+    def __call__(self, X, name="matrix"):
+        if id(X) not in self:
+            self[id(X)] = (X, linalg.spectrum(X, name))
+        return self[id(X)][1]
 
 
 def _floor(spec, block):
@@ -160,7 +175,7 @@ def _floor(spec, block):
     return int(spec.jacobi) + int(not block.exact)
 
 
-def _certify(cfg, view, M, G, L):
+def _certify(cfg, view, M, G, L, spectra):
     """The certificate the block flags of the kind give.
 
     The lead block (the single block, or the first of a Gauss-Seidel pair)
@@ -180,9 +195,10 @@ def _certify(cfg, view, M, G, L):
             Q_i = P_i - L * np.eye(len(P_i)) if spec.smooth_linearized else P_i
             name += "" if block.exact else " - rho A'A"
             name += " - L I" if spec.smooth_linearized else ""
-            conds.append(_nonneg(f"lambda_min({name}) >= 0", Q_i))
+            margin = float(spectra(Q_i)[0])
+            conds.append(Condition(f"lambda_min({name}) >= 0", margin, strict=False))
         else:
-            lam, rl = linalg.lambda_min(M[i]), cfg.rho * linalg.lambda_max(G[i])
+            lam, rl = float(spectra(M[i])[0]), cfg.rho * float(spectra(G[i])[-1])
             P_i = M[i] + cfg.rho * G[i] if block.exact else M[i]
             Q_i = np.zeros_like(M[i])
             f, op = _floor(spec, block), "AB"[i]
@@ -195,22 +211,22 @@ def _certify(cfg, view, M, G, L):
     return delta, P, Q, conds
 
 
-def _chambolle_pock_cert(cfg, view, M, G, L):
+def _chambolle_pock_cert(cfg, view, M, G, L, spectra):
     A, m = view.ops[0], view.b.shape[0]
     if A.shape[1] != m or np.max(np.abs(A - np.eye(m)), initial=0.0) > 1e-12:
         raise ConfigError("chambolle-pock requires the first block map A = I")
-    delta = 1.0 - cfg.rho * cfg.alpha * linalg.lambda_max(G[1])
+    delta = 1.0 - cfg.rho * cfg.alpha * float(spectra(G[1])[-1])
     conds = [Condition("1 - rho alpha lambda_max(B'B) > 0", delta)]
     return delta, list(M), [M[0], np.zeros_like(M[1])], conds
 
 
-def _pcpm_cert(cfg, view, M, G, L):
+def _pcpm_cert(cfg, view, M, G, L, spectra):
     if (view.sigmas[0] > 0) != (view.sigmas[1] > 0):
         raise ConfigError(
             "pcpm treats both blocks the same: sigma_f and sigma_g must "
             "share the regime (both zero or both positive)"
         )
-    return _certify(cfg, view, M, G, L)
+    return _certify(cfg, view, M, G, L, spectra)
 
 
 @dataclass(frozen=True)
@@ -220,12 +236,13 @@ class Kind:
     jacobi: each block reads the others' old values (else Gauss-Seidel).
     smooth_linearized: the single block requires h and steps on grad h(z).
     alpha: M1 = 0 and M2 = I / alpha from the step alpha. certify(cfg, view,
-    M, G, L) -> (delta, P_i list, Q_i list, conditions), from the weights
-    M_i, the Grams G_i = A_i'A_i and the Lipschitz constant L of a linearized
-    smooth part (else 0), is the shared formula _certify; only chambolle-pock
-    (A = I and its alpha condition) and pcpm (a regime check first) set
-    their own. The auto policy's M_i is (f rho lambda_max(G_i) [+ L] +
-    margin) I with the f of block i that _certify's conditions use (_floor).
+    M, G, L, spectra) -> (delta, P_i list, Q_i list, conditions), from the
+    weights M_i, the Grams G_i = A_i'A_i, the Lipschitz constant L of a
+    linearized smooth part (else 0) and the certificate's _Spectra, is the
+    shared formula _certify; only chambolle-pock (A = I and its alpha
+    condition) and pcpm (a regime check first) set their own. The auto
+    policy's M_i is (f rho lambda_max(G_i) [+ L] + margin) I with the f of
+    block i that _certify's conditions use (_floor).
     """
 
     blocks: tuple
@@ -369,8 +386,9 @@ class StepPlan:
                 )
             L = view.smooth.lipschitz_grad
         G = [A.T @ A for A in view.ops]
-        delta, P, Q, conds = spec.certify(self.cfg, view, self.M, G, L)
-        return _validated(NiceCertificate(kind, delta, tuple(P), tuple(Q), tuple(conds)))
+        spectra = _Spectra()
+        delta, P, Q, conds = spec.certify(self.cfg, view, self.M, G, L, spectra)
+        return _validated(kind, delta, P, Q, conds, spectra)
 
     def stats(self):
         """Per block: its factorization route and counts (prox.Subproblem.stats)."""
@@ -392,22 +410,30 @@ def certificate(cfg, prob):
     return StepPlan(cfg, prob).cert
 
 
-def _validated(cert):
-    for cond in cert.conditions:
+def _validated(kind, delta, P, Q, conds, spectra):
+    """The certificate, once its conditions hold (NotNiceError naming the
+    first that fails), delta lies in (0, 1] and every P_i and Q_i is PSD
+    (ConfigError); the spectra give the PSD checks and the extremes."""
+    for cond in conds:
         if not cond.holds():
             raise NotNiceError(
-                f"{cert.kind} is not certified: {cond.name} fails "
+                f"{kind} is not certified: {cond.name} fails "
                 f"(margin {cond.margin:.6e})"
             )
-    if not 0.0 < cert.delta <= 1.0 + 1e-12:
+    if not 0.0 < delta <= 1.0 + 1e-12:
         raise NotNiceError(
-            f"{cert.kind} is not certified: delta = {cert.delta:.6e} outside (0, 1]"
+            f"{kind} is not certified: delta = {delta:.6e} outside (0, 1]"
         )
-    for name, blocks in (("P", cert.block_P), ("Q", cert.block_Q)):
+    extremes = {}
+    for name, blocks in (("P", P), ("Q", Q)):
         labels = [name] if len(blocks) == 1 else [f"{name}1", f"{name}2"]
+        lo, hi = math.inf, -math.inf
         for label, X in zip(labels, blocks):
-            linalg.check_psd(X, f"certificate {label}")
-    return cert
+            eigs = spectra(X, f"certificate {label}")
+            linalg.require_psd(eigs, f"certificate {label}")
+            lo, hi = min(lo, float(eigs[0])), max(hi, float(eigs[-1]))
+        extremes[name] = (lo, hi)
+    return NiceCertificate(kind, delta, tuple(P), tuple(Q), tuple(conds), extremes)
 
 
 def prim_step(plan, tau, z, lam):
@@ -438,8 +464,11 @@ def prim_step(plan, tau, z, lam):
 def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
     """(residual, scale) of the niceness inequality of the plan's map at the
     state (z, lambda), tau_t = tau and one feasible xi (floats), or each row
-    of a (k, n) stack of them (one value per row). The terms in z+ alone are
-    computed once for the stack; delta defaults to the certificate's."""
+    of a (X, n) stack of them (one value per row). States stack as well: z
+    and z_next of shape (k, 1, n), lambda (k, 1, m) and tau (k, 1) test
+    state j on the points xi[j] of a (k, X, n) stack, giving (k, X) values;
+    stacked states need their z_next. The terms in z+ alone are computed once
+    per state; delta defaults to the certificate's."""
     cert, prob = plan.cert, plan.prob
     if delta is None:
         delta = cert.delta
@@ -447,24 +476,26 @@ def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
     xi = np.asarray(xi, dtype=float)
     lam = np.asarray(lam, dtype=float)
     A, b = plan.A, prob.b
-    feas_xi = np.atleast_1d(np.linalg.norm(xi @ A.T - b, axis=-1))
+    feas_xi = np.linalg.norm(xi @ A.T - b, axis=-1).ravel()
     infeasible = np.flatnonzero(feas_xi > 1e-9 * (1.0 + float(np.linalg.norm(b))))
     if infeasible.size:
         raise ConfigError(f"xi must be feasible (residual {feas_xi[infeasible[0]]:.3e})")
     if z_next is None:
+        if z.ndim > 1:
+            raise ConfigError("nice_parts needs z_next for a stack of states")
         z_next = prim_step(plan, tau, z, lam)
     rho_t = plan.cfg.rho * tau
 
     lhs = eval_aug_lagrangian(prob, z_next, lam, rho_t) - eval_aug_lagrangian(
         prob, xi, lam, rho_t
     )
-    feas_next = float(np.linalg.norm(A @ z_next - b))
+    feas_next = np.linalg.norm(z_next @ A.T - b, axis=-1)
     pen_term = 0.5 * delta * rho_t * feas_next**2
 
     bregman = q_term = sc_term = 0.0
     blocks = zip(plan.spec.blocks, plan.parts, plan.view.sigmas, cert.block_P, cert.block_Q)
     for block, part, sigma, P, Q in blocks:
-        xi_i, z_i, zn_i = xi[..., part], z[part], z_next[part]
+        xi_i, z_i, zn_i = xi[..., part], z[..., part], z_next[..., part]
         w = tau if block.accelerated else 1.0
         bregman += w * delta_P(P, xi_i, z_i, zn_i)
         q_term += 0.5 * w * quad_norm(Q, zn_i - z_i)
@@ -515,11 +546,15 @@ def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None
 
     Draws `states` random (z, lambda, tau_t) tuples (tau_t cycles through
     SAMPLED_TAUS when the map's default p is 2, else tau_t = 1) and `xis`
-    feasible points per state, evaluates each state's points as one stack, and
-    returns the worst residual both raw and relative to scale = 1 + sum of
-    absolute inequality terms. A point outside the domain of Psi (where an
-    indicator term is +inf) makes the left side -inf, so the inequality holds
-    there trivially: such points count neither in `checked` nor in the maxima.
+    feasible points per state. It walks the states in chunks of
+    max(1, SAMPLE_FLOATS // (xis n)): each chunk draws its states and points
+    at once (the same random streams as one state at a time), steps each
+    state with prim_step, and evaluates the chunk in one stacked nice_parts
+    call. It returns the worst residual both raw and relative to scale = 1 +
+    sum of absolute inequality terms. A point outside the domain of Psi
+    (where an indicator term is +inf) makes the left side -inf, so the
+    inequality holds there trivially: such points count neither in `checked`
+    nor in the maxima.
     plan (a StepPlan of cfg on prob) is built here unless given.
     """
     for name, count in (("states", states), ("xis", xis)):
@@ -532,20 +567,28 @@ def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None
     cert = plan.cert
     p = default_p(cfg, prob)
     rng = np.random.default_rng(seed)
-    xi_gen = feasible_sampler(prob, seed=seed + 1, scale=XI_SCALE, size=xis)
     m, n = plan.A.shape
+    chunk = min(states, max(1, SAMPLE_FLOATS // (xis * n)))
+    xi_gen = feasible_sampler(prob, seed=seed + 1, scale=XI_SCALE, size=chunk * xis)
     center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
     taus = itertools.cycle(SAMPLED_TAUS if p == 2 else (1.0,))
 
     max_raw = -np.inf
     max_scaled = -np.inf
     checked = 0
-    for _ in range(states):
-        z = center + STATE_SCALE * rng.standard_normal(n)
-        lam = STATE_SCALE * rng.standard_normal(m)
-        tau = next(taus)
-        z_next = prim_step(plan, tau, z, lam)
-        residual, scale = nice_parts(plan, tau, z, lam, next(xi_gen), z_next=z_next, delta=delta)
+    for start in range(0, states, chunk):
+        k = min(chunk, states - start)
+        # per state, n values of z then m of lambda: the stream of one draw each
+        draws = rng.standard_normal((k, n + m))
+        z = center + STATE_SCALE * draws[:, :n]
+        lam = STATE_SCALE * draws[:, n:]
+        tau = list(itertools.islice(taus, k))
+        z_next = np.array([prim_step(plan, *state) for state in zip(tau, z, lam)])
+        xi = next(xi_gen)[: k * xis].reshape(k, xis, n)
+        residual, scale = nice_parts(
+            plan, np.array(tau)[:, None], z[:, None], lam[:, None], xi,
+            z_next=z_next[:, None], delta=delta,
+        )
         tested = residual > -np.inf
         residual, scale = residual[tested], scale[tested]
         checked += residual.size

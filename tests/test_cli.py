@@ -14,6 +14,7 @@ from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, load_problem
 from flagopt import cli, maps
 from flagopt.cli import main
 from flagopt.driver import CSV_COLUMNS, MAX_ITERS, trajectory_from_csv
+from flagopt.maps import MAP_KINDS
 from flagopt.rates import reference_solve
 
 PSI_X, FEAS_X = CSV_COLUMNS.index("psi_x"), CSV_COLUMNS.index("feas_x")
@@ -94,6 +95,21 @@ class TestGen:
         assert rc == 4
 
 
+# map kind -> (gen family, sigma, extra gen flags) of a problem it certifies on
+KIND_FAMILIES = {
+    "prox-al": ("eq-qp", "1", []),
+    "prox-lin-al": ("eq-qp", "1", []),
+    "smooth-prox-al": ("smooth-composite", "1", []),
+    "smooth-lin-al": ("smooth-composite", "1", []),
+    "prox-admm": ("block-qp", "1", []),
+    "prox-lin-admm": ("block-qp", "1", []),
+    "chambolle-pock": ("block-qp", "1", ["--a-identity"]),
+    "prox-jacobi": ("block-qp", "1", []),
+    "pcpm": ("block-qp", "0", []),
+    "full-lin-admm": ("block-qp", "0", []),
+}
+
+
 class TestSolve:
     def test_row_count(self, qp_path, tmp_path):
         out = tmp_path / "t.csv"
@@ -122,6 +138,34 @@ class TestSolve:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags", [["--alpha", "nan"], ["--scale", "nan"], ["--alpha", "inf"]]
+    )
+    def test_unwritable_manifest_value_writes_nothing(self, qp_path, tmp_path, capsys, flags):
+        # prox-al under the auto policy reads neither alpha nor scale, but its
+        # manifest records both: a value verify would refuse is refused here
+        out = tmp_path / "t.csv"
+        argv = ["solve", "--problem", qp_path, "--map", "prox-al", *flags, "--iters", "20"]
+        rc = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"manifest {flags[0][2:]!r} has a wrong type, size or value" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_every_kind_writes_a_manifest_verify_reads(self, tmp_path, kind):
+        family, sigma, flags = KIND_FAMILIES[kind]
+        path = str(tmp_path / "p.json")
+        gen = ["gen", family, "--n", "8", "--m", "3", "--sigma", sigma, "--seed", "1"]
+        assert main([*gen, *flags, "--out", path]) == 0
+        out = str(tmp_path / "t.csv")
+        solve = ["solve", "--problem", path, "--map", kind, "--iters", "20"]
+        assert main([*solve, "--out", out]) == 0
+        with open(out + ".manifest.json") as fh:
+            manifest = json.load(fh)
+        cli._check_manifest(manifest, *load_problem(path, with_sha256=True))
 
     def test_not_nice_exits_naming_condition(self, lasso_path, tmp_path, capsys):
         # rho lambda_max(B'B) = 2 exceeds lambda_min(M2) = 1
@@ -275,6 +319,18 @@ class TestCertify:
         assert rc == 3
         assert "checked=0 " in out
         assert "certified: no" in out
+
+    def test_parser_is_built_once_and_keeps_no_value(self, qp_path, capsys):
+        # one parser serves every call in a process; a flag given to one call
+        # does not become the next call's default
+        argv = ["certify", "--problem", qp_path, "--map", "prox-lin-al", "--states", "5"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--rho", "0.5"]) == 0
+        half = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == default != half
+        assert cli.build_parser() is cli.build_parser()
 
     def test_failed_condition_named(self, lasso_path, capsys):
         rc = main(
@@ -591,6 +647,20 @@ class TestVerify:
         capsys.readouterr()
         assert main(args) == 3
         assert "bounds: fail first-violation=1 " in capsys.readouterr().out
+
+    def test_non_finite_report_is_not_written(self, qp_path, tmp_path, capsys):
+        # no row of a NaN run is finite, so the report's largest excess over
+        # the bound is -inf, which strict JSON cannot hold
+        def nan_values(fields, last):
+            fields[PSI_X] = fields[FEAS_X] = "nan"
+
+        report = tmp_path / "r.json"
+        args = self.tampered(qp_path, tmp_path, nan_values)
+        capsys.readouterr()
+        assert main([*args, "--out", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite number" in err
+        assert not report.exists()
 
     def test_ergodic_report_notes_constant_discrepancy(self, qp_path, tmp_path):
         traj = tmp_path / "e.csv"

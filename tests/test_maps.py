@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from flagopt import (
     SmoothTerm,
     Zero,
 )
-from flagopt import driver
+from flagopt import driver, linalg, maps
 from flagopt.driver import RunParams, run
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_aug_lagrangian
@@ -811,3 +813,174 @@ def test_stacked_nice_parts_matches_each_point(kind, name):
     with pytest.raises(ConfigError) as stacked:
         nice_parts(plan, tau, z, lam, bad, z_next=z_next)
     assert str(stacked.value) == str(single.value)
+
+
+def per_state_sampling(cfg, prob, states, xis, seed=0):
+    """sample_niceness as a loop over states and points: one draw of z and
+    one of lambda per state, its xis points from a (xis, n) sampler, and
+    single-state, single-point prim_step and nice_parts calls."""
+    plan = StepPlan(cfg, prob)
+    m, n = plan.A.shape
+    rng = np.random.default_rng(seed)
+    points = feasible_sampler(prob, seed=seed + 1, scale=maps.XI_SCALE, size=xis)
+    center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
+    taus = itertools.cycle(maps.SAMPLED_TAUS if default_p(cfg, prob) == 2 else (1.0,))
+    checked, max_raw, max_scaled = 0, -math.inf, -math.inf
+    for _ in range(states):
+        z = center + maps.STATE_SCALE * rng.standard_normal(n)
+        lam = maps.STATE_SCALE * rng.standard_normal(m)
+        tau = next(taus)
+        z_next = prim_step(plan, tau, z, lam)
+        for xi in next(points):
+            residual, scale = nice_parts(plan, tau, z, lam, xi, z_next=z_next)
+            if residual > -math.inf:
+                checked += 1
+                max_raw, max_scaled = max(max_raw, residual), max(max_scaled, residual / scale)
+    return checked, max_raw, max_scaled
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("kind,name", sorted(PINNED_SAMPLING))
+def test_chunked_sampling_matches_a_per_state_loop(kind, name, chunk, monkeypatch):
+    # None: the default chunk holds all 20 states; 3: seven chunks, the last
+    # of two states
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    if chunk is not None:
+        monkeypatch.setattr(maps, "SAMPLE_FLOATS", chunk * 8 * prob.n + 1)
+    report = sample_niceness(cfg, prob, states=20, xis=8)
+    checked, max_raw, max_scaled = per_state_sampling(cfg, prob, states=20, xis=8)
+    assert report["checked"] == checked
+    assert_allclose(report["max_residual"], max_raw, rtol=1e-12, atol=0)
+    assert_allclose(report["max_scaled_residual"], max_scaled, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("floats", [maps.SAMPLE_FLOATS, 5 * 6 * 12])
+@pytest.mark.parametrize("kind,name", [("prox-lin-al", "eq-qp"), ("prox-jacobi", "block")])
+def test_prim_step_receives_the_per_state_draws(kind, name, floats, monkeypatch):
+    # the states drawn a chunk at a time are bitwise those drawn one at a
+    # time: n normal values for z, then m for lambda, and tau_t in turn
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    m, n = prob.m, prob.n
+    seen = []
+
+    def recorded(plan, tau, z, lam):
+        seen.append((tau, z.copy(), lam.copy()))
+        return prim_step(plan, tau, z, lam)
+
+    monkeypatch.setattr(maps, "prim_step", recorded)
+    monkeypatch.setattr(maps, "SAMPLE_FLOATS", floats)
+    sample_niceness(cfg, prob, states=13, xis=6, seed=4)
+    rng = np.random.default_rng(4)
+    center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
+    taus = itertools.cycle(maps.SAMPLED_TAUS if default_p(cfg, prob) == 2 else (1.0,))
+    assert len(seen) == 13
+    for tau, z, lam in seen:
+        assert type(tau) is float and tau == next(taus)
+        assert np.array_equal(z, center + maps.STATE_SCALE * rng.standard_normal(n))
+        assert np.array_equal(lam, maps.STATE_SCALE * rng.standard_normal(m))
+
+
+@pytest.mark.parametrize(
+    "states,xis,calls",
+    [
+        (100, 20, 3),  # 34 states a chunk (8160 floats at n = 12): 34, 34, 32
+        (20, 8, 1),  # every state in one chunk
+        (5, 700, 5),  # one state's 700 points (8400 floats) exceed the bound: a state a chunk
+    ],
+)
+def test_one_nice_parts_call_per_chunk(states, xis, calls, monkeypatch):
+    prob = pin_problem("eq-qp")
+    cfg = make_config("prox-lin-al", prob, rho=1.0)
+    shapes = []
+
+    def spied(plan, tau, z, lam, xi, **kwargs):
+        shapes.append(xi.shape)
+        return nice_parts(plan, tau, z, lam, xi, **kwargs)
+
+    monkeypatch.setattr(maps, "nice_parts", spied)
+    sample_niceness(cfg, prob, states=states, xis=xis)
+    assert len(shapes) == calls
+    assert sum(k for k, _, _ in shapes) == states
+    for k, rows, n in shapes:
+        assert (rows, n) == (xis, prob.n)
+        assert k * rows * n <= max(maps.SAMPLE_FLOATS, xis * prob.n)
+
+
+@pytest.mark.parametrize("kind,name", sorted(PINNED_SAMPLING))
+def test_stacked_states_match_each_state(kind, name):
+    # one call on (k, 1, n) states with a (k, X, n) stack of points gives,
+    # state by state, the single-state call on that state's points
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    plan = StepPlan(cfg, prob)
+    m, n = plan.A.shape
+    rng = np.random.default_rng(6)
+    taus = [t ** (default_p(cfg, prob) - 1) for t in (1.0, 2.5, 19.5, 60.0)]
+    z, lam = rng.standard_normal((4, n)), rng.standard_normal((4, m))
+    z_next = np.array([prim_step(plan, *state) for state in zip(taus, z, lam)])
+    stack = next(feasible_sampler(prob, seed=7, scale=1.5, size=4 * 5)).reshape(4, 5, n)
+    residual, scale = nice_parts(
+        plan, np.array(taus)[:, None], z[:, None], lam[:, None], stack, z_next=z_next[:, None]
+    )
+    assert residual.shape == scale.shape == (4, 5)
+    for j, tau in enumerate(taus):
+        want = nice_parts(plan, tau, z[j], lam[j], stack[j], z_next=z_next[j])
+        assert_allclose(residual[j], want[0], rtol=1e-12, atol=0)
+        assert_allclose(scale[j], want[1], rtol=1e-12, atol=0)
+    with pytest.raises(ConfigError, match="needs z_next for a stack of states"):
+        nice_parts(plan, np.array(taus)[:, None], z[:, None], lam[:, None], stack)
+    bad = stack.copy()
+    bad[2, 3] += 1.0
+    with pytest.raises(ConfigError) as single:
+        nice_parts(plan, taus[2], z[2], lam[2], bad[2], z_next=z_next[2])
+    with pytest.raises(ConfigError) as stacked:
+        nice_parts(
+            plan, np.array(taus)[:, None], z[:, None], lam[:, None], bad, z_next=z_next[:, None]
+        )
+    assert str(stacked.value) == str(single.value)
+
+
+# eigvalsh calls per certificate: one per distinct matrix it reads. P = Q on
+# a lead block without a linearized smooth part, and a coupled linearized
+# block's P_i is its M_i: each is decomposed once. Coupled blocks add M_i,
+# A_i'A_i and (exact) M_i + rho A_i'A_i, and Q_i = 0 is one more matrix.
+CERT_SPECTRA = {
+    "prox-al": 1,  # M
+    "prox-lin-al": 1,  # M - rho A'A
+    "smooth-prox-al": 2,  # M, M - L I
+    "smooth-lin-al": 2,  # M - rho A'A, M - rho A'A - L I
+    "prox-admm": 5,  # M1; M2, B'B, M2 + rho B'B, 0
+    "prox-lin-admm": 4,  # M1; M2, B'B, 0
+    "chambolle-pock": 4,  # B'B, M1 = 0, M2, Q2 = 0
+    "prox-jacobi": 8,  # M_i, A_i'A_i, M_i + rho A_i'A_i, 0 for each block
+    "pcpm": 6,  # M_i, A_i'A_i, 0 for each block
+    "full-lin-admm": 4,  # M1 - rho A'A; M2, B'B, 0
+}
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_certificate_decomposes_each_matrix_once(kind, monkeypatch):
+    prob = cert_problem(PINNED_CERTS[kind][0])
+    plan = StepPlan(make_config(kind, prob, rho=0.7), prob)
+    calls = {"eigvalsh": 0, "check_symmetric": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eigvalsh")
+    counted(linalg, "check_symmetric")
+    cert = plan.cert
+    assert calls == {"eigvalsh": CERT_SPECTRA[kind], "check_symmetric": CERT_SPECTRA[kind]}
+    monkeypatch.undo()
+    # the extremes cmd_certify prints are those of the block diagonals
+    for name, X in (("P", cert.P), ("Q", cert.Q)):
+        want = (linalg.lambda_min(X), linalg.lambda_max(X))
+        assert_allclose(cert.extremes[name], want, rtol=1e-12, atol=1e-14)
