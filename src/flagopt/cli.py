@@ -50,15 +50,17 @@ def _load_json(path):
         raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _build_config(prob, args):
+def _build_config(prob, rec):
+    """The map configuration of the map flags in rec: vars() of certify's or
+    solve's arguments, or a run manifest (scale, margin, alpha may be absent)."""
     return make_config(
-        args.map,
+        rec["map"],
         prob,
-        rho=args.rho,
-        policy=args.policy,
-        scale=args.scale,
-        margin=args.margin,
-        alpha=args.alpha,
+        rho=rec["rho"],
+        policy=rec["policy"],
+        scale=rec.get("scale", 1.0),
+        margin=rec.get("margin", 1.0),
+        alpha=rec.get("alpha"),
     )
 
 
@@ -85,7 +87,7 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     prob, problem_sha256 = load_problem(args.problem, with_sha256=True)
-    cfg = _build_config(prob, args)
+    cfg = _build_config(prob, vars(args))
     params = RunParams(
         cfg=cfg, mode=args.mode, iters=args.iters, mu=args.mu
     )
@@ -123,7 +125,7 @@ def cmd_solve(args):
 
 def cmd_certify(args):
     prob = load_problem(args.problem)
-    cfg = _build_config(prob, args)
+    cfg = _build_config(prob, vars(args))
     plan = StepPlan(cfg, prob)
     cert = plan.cert
     print(f"kind: {cert.kind}")
@@ -199,15 +201,7 @@ def _rate_report(prob, cfg, cert, traj, ref, record, tol):
 
 def _verify_report(prob, problem_sha256, traj, manifest, tol):
     _check_manifest(manifest, prob, problem_sha256)
-    cfg = make_config(
-        manifest["map"],
-        prob,
-        rho=manifest["rho"],
-        policy=manifest["policy"],
-        scale=manifest.get("scale", 1.0),
-        margin=manifest.get("margin", 1.0),
-        alpha=manifest.get("alpha"),
-    )
+    cfg = _build_config(prob, manifest)
     p = mode_p(manifest["mode"], cfg, prob)
     if manifest["p"] != p:
         raise DataError(
@@ -286,11 +280,18 @@ def cmd_sweep(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argument in one line on stderr and exits 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser():
     """The flagopt argument parser, built once per process: parse_args fills a
     fresh namespace on each call, so nothing carries over between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagopt",
         description="Accelerated Lagrangian solver and rate-verification harness",
     )

@@ -17,7 +17,7 @@ weighted average of the z iterates instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,20 +31,6 @@ MODES = ("fast", "classic", "ergodic")
 MAX_ITERS = 1_000_000
 # rows run() buffers before it evaluates their columns as one stack
 CHUNK = 256
-
-CSV_COLUMNS = (
-    "k",
-    "t",
-    "rho_k",
-    "psi_x",
-    "feas_x",
-    "psi_z",
-    "feas_z",
-    "y_norm",
-    "s_k",
-    "bound_fn",
-    "bound_feas",
-)
 
 
 def next_t(t, p):
@@ -240,6 +226,10 @@ class Trajectory:
             for lo in range(0, len(data), CHUNK):
                 rows = data[lo : lo + CHUNK]
                 fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+# the trajectory CSV's columns: every Trajectory field but meta, in order
+CSV_COLUMNS = tuple(f.name for f in fields(Trajectory) if f.name != "meta")
 
 
 def trajectory_from_csv(path):

@@ -13,8 +13,8 @@ ROUTES = ("cholesky", "pencil-eigh", "per-step")
 TRIL_LEAF = 64
 
 
-def as_array(a, dtype=float):
-    return np.ascontiguousarray(np.asarray(a, dtype=dtype))
+def as_array(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=float))
 
 
 def rowdot(a, b):
@@ -25,19 +25,20 @@ def rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def check_symmetric(M, name="matrix", tol=SYM_TOL):
+def check_symmetric(M, name="matrix"):
     M = as_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ConfigError(f"{name} has non-finite entries")
     resid = float(np.max(np.abs(M - M.T), initial=0.0))
-    if resid > tol * max(1.0, float(np.max(np.abs(M), initial=0.0))):
+    if resid > SYM_TOL * max(1.0, float(np.max(np.abs(M), initial=0.0))):
         raise ConfigError(f"{name} is not symmetric (residual {resid:.3e})")
     return 0.5 * (M + M.T)
 
 
-def _eigvalsh(S):
+def eigvalsh(S):
+    """The ascending eigenvalues of the symmetric S (one 0 when S is empty)."""
     # the whole spectrum: LAPACK's index-subset drivers fail ("Internal Error")
     # on some matrices whose extreme eigenvalue is repeated
     return np.linalg.eigvalsh(S) if S.shape[0] else np.zeros(1)
@@ -45,7 +46,7 @@ def _eigvalsh(S):
 
 def spectrum(M, name="matrix"):
     """The eigenvalues of the symmetric M, ascending (check_symmetric first)."""
-    return _eigvalsh(check_symmetric(M, name))
+    return eigvalsh(check_symmetric(M, name))
 
 
 def lambda_min(M):
@@ -56,16 +57,16 @@ def lambda_max(M):
     return float(spectrum(M)[-1])
 
 
-def require_psd(eigs, name="matrix", tol=PSD_TOL):
+def require_psd(eigs, name="matrix"):
     """ConfigError naming `name` when its ascending spectrum eigs has an
-    eigenvalue below -tol."""
-    if eigs[0] < -tol:
+    eigenvalue below -PSD_TOL."""
+    if eigs[0] < -PSD_TOL:
         raise ConfigError(f"{name} is not positive semidefinite (lambda_min {eigs[0]:.3e})")
 
 
-def check_psd(M, name="matrix", tol=PSD_TOL):
+def check_psd(M, name="matrix"):
     M = check_symmetric(M, name)
-    require_psd(_eigvalsh(M), name, tol)
+    require_psd(eigvalsh(M), name)
     return M
 
 

@@ -56,10 +56,9 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, NotNiceError
 from .lagrangian import delta_P, eval_aug_lagrangian, quad_norm
-from .problems import SmoothTerm
+from .problems import FEAS_TOL, SmoothTerm
 from .prox import Subproblem
 
-PSD_TOL = 1e-10
 # sample_niceness: the tau_t its states cycle through when p = 2, and the
 # spread of its states (z, lambda) and of its feasible points xi
 SAMPLED_TAUS = (1.0, 2.5, 7.0, 19.5, 60.0)
@@ -104,7 +103,7 @@ class Condition:
     strict: bool = True
 
     def holds(self):
-        return self.margin > 0 if self.strict else self.margin >= -PSD_TOL
+        return self.margin > 0 if self.strict else self.margin >= -linalg.PSD_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,7 +476,7 @@ def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
     lam = np.asarray(lam, dtype=float)
     A, b = plan.A, prob.b
     feas_xi = np.linalg.norm(xi @ A.T - b, axis=-1).ravel()
-    infeasible = np.flatnonzero(feas_xi > 1e-9 * (1.0 + float(np.linalg.norm(b))))
+    infeasible = np.flatnonzero(feas_xi > FEAS_TOL * (1.0 + float(np.linalg.norm(b))))
     if infeasible.size:
         raise ConfigError(f"xi must be feasible (residual {feas_xi[infeasible[0]]:.3e})")
     if z_next is None:
@@ -519,7 +518,7 @@ def feasible_sampler(prob, seed=0, scale=1.0, size=None):
         x_part = prob.feasible_point
     else:
         x_part, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.linalg.norm(A @ x_part - b) > 1e-9 * (1.0 + np.linalg.norm(b)):
+        if np.linalg.norm(A @ x_part - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
             raise ConfigError("problem admits no feasible point within tolerance")
     _, s, Vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))

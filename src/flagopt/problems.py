@@ -31,22 +31,14 @@ FEAS_TOL = 1e-9
 BOX_TOL = 1e-9
 
 
-def _vector(v, name="vector"):
-    v = linalg.as_array(v)
-    if v.ndim != 1:
-        raise ConfigError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+def _finite(a, ndim, name):
+    """a as a contiguous float array of ndim axes with finite entries."""
+    a = linalg.as_array(a)
+    if a.ndim != ndim:
+        raise ConfigError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ConfigError(f"{name} has non-finite entries")
-    return v
-
-
-def _matrix(M, name="matrix"):
-    M = linalg.as_array(M)
-    if M.ndim != 2:
-        raise ConfigError(f"{name} must be 2-D, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError(f"{name} has non-finite entries")
-    return M
+    return a
 
 
 def _per_point(v, x):
@@ -68,16 +60,18 @@ class Quadratic:
     strong_convexity: float = 0.0
 
     def __post_init__(self):
-        H = linalg.check_psd(_matrix(self.H, "H"), "H")
-        q = _vector(self.q, "q")
+        H = linalg.check_symmetric(_finite(self.H, 2, "H"), "H")
+        eigs = linalg.eigvalsh(H)  # one decomposition serves both checks
+        linalg.require_psd(eigs, "H")
+        q = _finite(self.q, 1, "q")
         if H.shape[0] != q.shape[0]:
             raise ConfigError(f"H/q dimension mismatch: {H.shape} vs {q.shape}")
         if self.strong_convexity < 0:
             raise ConfigError("strong_convexity must be nonnegative")
-        if self.strong_convexity > 0 and self.strong_convexity > linalg.lambda_min(H) + SIGMA_SLACK:
+        if self.strong_convexity > 0 and self.strong_convexity > eigs[0] + SIGMA_SLACK:
             raise ConfigError(
                 f"declared strong_convexity {self.strong_convexity} exceeds "
-                f"lambda_min(H) = {linalg.lambda_min(H):.6e}"
+                f"lambda_min(H) = {eigs[0]:.6e}"
             )
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "q", q)
@@ -140,8 +134,8 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _vector(self.lo, "lo")
-        hi = _vector(self.hi, "hi")
+        lo = _finite(self.lo, 1, "lo")
+        hi = _finite(self.hi, 1, "hi")
         if lo.shape != hi.shape:
             raise ConfigError("lo/hi dimension mismatch")
         if np.any(lo > hi):
@@ -261,11 +255,9 @@ class SmoothTerm:
         L = float(self.lipschitz_grad)
         if L <= 0:
             raise ConfigError("lipschitz_grad must be positive")
-        if L < linalg.lambda_max(self.term.H) - SIGMA_SLACK:
-            raise ConfigError(
-                f"lipschitz_grad {L} below lambda_max(H) = "
-                f"{linalg.lambda_max(self.term.H):.6e}"
-            )
+        top = linalg.lambda_max(self.term.H)
+        if L < top - SIGMA_SLACK:
+            raise ConfigError(f"lipschitz_grad {L} below lambda_max(H) = {top:.6e}")
         object.__setattr__(self, "lipschitz_grad", L)
 
 
@@ -308,8 +300,8 @@ class ConstrainedProblem:
     def __post_init__(self):
         if not isinstance(self.f, TERM_TYPES):
             raise ConfigError(f"unsupported objective term {type(self.f).__name__}")
-        A = _matrix(self.A, "A")
-        b = _vector(self.b, "b")
+        A = _finite(self.A, 2, "A")
+        b = _finite(self.b, 1, "b")
         m, n = A.shape
         if m < 1 or n < 1:
             raise ConfigError("constraint map dimensions must be strictly positive")
@@ -335,7 +327,7 @@ class ConstrainedProblem:
             )
         fp = self.feasible_point
         if fp is not None:
-            fp = _vector(fp, "feasible_point")
+            fp = _finite(fp, 1, "feasible_point")
             if fp.shape[0] != n:
                 raise ConfigError("feasible_point dimension mismatch")
             resid = float(np.linalg.norm(A @ fp - b))
@@ -399,34 +391,32 @@ def _part_index(f, n1):
     return None
 
 
-def _check_block_sigmas(terms, sigma_f, sigma_g):
-    for name, term, declared in zip(("sigma_f", "sigma_g"), terms, (sigma_f, sigma_g)):
+def _check_block_sigmas(prob, block):
+    """ConfigError unless the "block" record's sigma_f and sigma_g, where
+    given, equal the declared strong convexity of prob's blocks."""
+    for name, (_, term) in zip(("sigma_f", "sigma_g"), prob.blocks):
+        declared = block.get(name)
         if declared is not None and abs(float(declared) - term.strong_convexity) > 1e-12:
             raise ConfigError(f"{name} does not match the declared {name[-1]} contribution")
 
 
-def BlockProblem(f_term, g_term, A, B, b, sigma_f=None, sigma_g=None, feasible_point=None):
+def BlockProblem(f_term, g_term, A, B, b, feasible_point=None):
     """The two-block problem min f(u) + g(v)  s.t.  A u + B v = b: the
     ConstrainedProblem on x = (u, v) with map [A B] and the parts of f and g
-    as one Separable, split at n1 = dim u. sigma_f and sigma_g, when given,
-    must equal the terms' declared strong convexity."""
+    as one Separable, split at n1 = dim u."""
     for name, term in (("f_term", f_term), ("g_term", g_term)):
         if not isinstance(term, TERM_TYPES):
             raise ConfigError(f"unsupported {name} {type(term).__name__}")
-    A = _matrix(A, "A")
-    B = _matrix(B, "B")
-    b = _vector(b, "b")
+    A = _finite(A, 2, "A")
+    B = _finite(B, 2, "B")
     if A.shape[0] != B.shape[0]:
         raise ConfigError(
             f"A and B must have equal row counts, got {A.shape[0]} and {B.shape[0]}"
         )
-    if A.shape[0] != b.shape[0]:
-        raise ConfigError(f"rhs length {b.shape[0]} != row count {A.shape[0]}")
     if A.shape[1] != f_term.dim:
         raise ConfigError(f"A has {A.shape[1]} columns but f dimension is {f_term.dim}")
     if B.shape[1] != g_term.dim:
         raise ConfigError(f"B has {B.shape[1]} columns but g dimension is {g_term.dim}")
-    _check_block_sigmas((f_term, g_term), sigma_f, sigma_g)
     parts = [t.parts if isinstance(t, Separable) else (t,) for t in (f_term, g_term)]
     return ConstrainedProblem(
         f=Separable(parts[0] + parts[1]),
@@ -559,10 +549,9 @@ def _problem_from_doc(doc):
     f = term_from_json(doc["f"])
     A = np.asarray(doc["A"], dtype=float)
     b = np.asarray(doc["b"], dtype=float)
-    sigma = doc.get("sigma")
     block = doc.get("block")
-    fp = doc.get("feasible_point")
     h = doc.get("h")
+    n1 = smooth = None
     if block is not None:
         if h is not None:
             raise DataError("block problems do not carry a smooth term")
@@ -571,19 +560,15 @@ def _problem_from_doc(doc):
             raise DataError(
                 f"block n1 = {n1!r} is not a boundary between parts of a separable f"
             )
-        prob = ConstrainedProblem(f=f, A=A, b=b, feasible_point=fp, n1=n1)
-        terms = [term for _, term in prob.blocks]
-        _check_block_sigmas(terms, block.get("sigma_f"), block.get("sigma_g"))
-        return prob
-    smooth = None
-    if h is not None:
+    elif h is not None:
         term = term_from_json(h["term"])
         if not isinstance(term, Quadratic):
             raise DataError("smooth term must be quadratic")
         smooth = SmoothTerm(term=term, lipschitz_grad=h["lipschitz_grad"])
-    return ConstrainedProblem(
-        f=f, A=A, b=b, smooth=smooth, sigma=sigma, feasible_point=fp
-    )
+    prob = ConstrainedProblem(f, A, b, smooth, doc.get("sigma"), doc.get("feasible_point"), n1)
+    if block is not None:
+        _check_block_sigmas(prob, block)
+    return prob
 
 
 def save_problem(p, path):

@@ -60,8 +60,6 @@ class _Diagonal:
                 "the subproblem has no unique minimizer"
             )
         t = None if self.weight is None else self.weight / d
-        if t is not None and np.any(t <= 0):
-            raise ConfigError("soft_threshold requires t > 0")
         self.c, self.d, self.t = c, d, t
 
     def solve(self, g, c):

@@ -662,6 +662,30 @@ class TestVerify:
         assert err.count("\n") == 1 and "non-finite number" in err
         assert not report.exists()
 
+    def test_manifest_without_flag_defaults_gives_the_same_report(self, lasso_path, tmp_path):
+        # scale, margin and alpha are read with the flags' defaults when absent
+        traj = tmp_path / "t.csv"
+        argv = ["solve", "--problem", lasso_path, "--map", "prox-lin-al", "--iters", "100"]
+        assert main([*argv, "--out", str(traj)]) == 0
+        manifest_path = tmp_path / "t.csv.manifest.json"
+        reports = []
+        for strip in (False, True):
+            if strip:
+                manifest = json.loads(manifest_path.read_text())
+                for key in ("scale", "margin", "alpha"):
+                    del manifest[key]
+                manifest_path.write_text(json.dumps(manifest))
+            report = tmp_path / f"report-{strip}.json"
+            rc = main(
+                [
+                    "verify", "--problem", lasso_path, "--traj", str(traj),
+                    "--manifest", str(manifest_path), "--out", str(report),
+                ]
+            )
+            assert rc == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_ergodic_report_notes_constant_discrepancy(self, qp_path, tmp_path):
         traj = tmp_path / "e.csv"
         report_path = tmp_path / "e.json"
@@ -749,6 +773,44 @@ class TestMalformedInput:
         rc = main(["certify", "--problem", str(path), "--map", "prox-lin-al"])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_block_file_with_a_wrong_sigma_exits_2(self, tmp_path, capsys):
+        # a block file's sigma must be min(sigma_f, sigma_g), as a flat file's
+        # must be its declared sum
+        path = tmp_path / "bq.json"
+        argv = ["gen", "block-qp", "--n", "12", "--m", "4", "--sigma", "1", "--seed", "2"]
+        assert main([*argv, "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["sigma"] = 7.0
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["certify", "--problem", str(path), "--map", "prox-lin-admm"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: sigma 7.0 does not equal")
+        assert captured.err.count("\n") == 1
+
+
+ARGUMENT_ERRORS = {
+    "negative-infinite-rho": ["--map", "prox-al", "--rho", "-inf"],
+    "missing-map": [],
+    "unknown-map": ["--map", "gradient-descent"],
+}
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("case", [*sorted(ARGUMENT_ERRORS), "unknown-command"])
+    def test_one_line_and_exit_2(self, qp_path, capsys, case):
+        if case == "unknown-command":
+            argv = ["polish", "--problem", qp_path]
+        else:
+            argv = ["certify", "--problem", qp_path, *ARGUMENT_ERRORS[case]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
 
 
 class TestRoundTrip:

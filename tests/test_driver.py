@@ -295,6 +295,13 @@ class TestRun:
         header = "# written T\n" + ",".join(CSV_COLUMNS) + "\n"
         assert path.read_bytes() == header.encode() + buf.getvalue()
 
+    def test_columns_are_the_trajectory_fields(self):
+        # the header the CSV has always carried, in the fields' order
+        header = "k,t,rho_k,psi_x,feas_x,psi_z,feas_z,y_norm,s_k,bound_fn,bound_feas"
+        assert ",".join(CSV_COLUMNS) == header
+        names = [f.name for f in dataclasses.fields(Trajectory)]
+        assert names == [*CSV_COLUMNS, "meta"]
+
     @pytest.mark.parametrize("mode,route", [("classic", "cholesky"), ("fast", "pencil-eigh")])
     def test_gate_stays_on_the_hot_path(self, mode, route):
         # a factor changed in place after the plan's first steps reaches every

@@ -418,3 +418,34 @@ class TestBlockFileFormat:
         p = pinned_block()
         with pytest.raises(ConfigError, match="boundary"):
             ConstrainedProblem(f=p.f, A=p.A, b=p.b, n1=1)
+
+
+@pytest.mark.parametrize("sigma", [7.0, 1.0, 1e-6])
+def test_block_file_sigma_is_checked_as_a_flat_file_sigma_is(sigma):
+    # sigma = min(sigma_f, sigma_g) = 0 on this file; 1.0 is sigma_g
+    block = problem_to_json(generate(GenSpec(family="block-qp", n=12, m=4, sigma=1.0, seed=2)))
+    assert block["sigma"] == 0.0 and block["block"]["sigma_g"] == 1.0
+    messages = []
+    for doc in (block, dict(block, block=None)):
+        doc["sigma"] = sigma
+        with pytest.raises(ConfigError, match="does not equal the sum of declared") as exc:
+            problem_from_json(doc)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_one_decomposition_per_quadratic(tmp_path, monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(S):
+        shapes.append(S.shape)
+        return eigvalsh(S)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    prob = generate(GenSpec(family="eq-qp", n=40, m=10, sigma=1.0, seed=0))
+    assert shapes == [(40, 40)]
+    save_problem(prob, tmp_path / "p.json")
+    shapes.clear()
+    load_problem(tmp_path / "p.json")
+    assert shapes == [(40, 40)]
