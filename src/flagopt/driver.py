@@ -261,71 +261,67 @@ def trajectory_from_csv(path):
 class _Recorder:
     """The columns of one run's trajectory, evaluated CHUNK rows at a time.
 
-    Each row's x^k (the running average in ergodic mode), z^k and y^k wait in
-    a (CHUNK, n) / (CHUNK, m) buffer; flush() evaluates the buffered rows'
-    psi, feas, y_norm and s_k columns as stacks (one eval_objective and one
-    product with A' per point sequence) and then runs the finiteness guard
-    on them."""
+    add() keeps each FlagState that flag_iterate returned (its arrays are new
+    on every step); flush() stacks the kept states' x^k (the running average
+    in ergodic mode), z^k and y^k, evaluates the chunk's t, rho_k, psi, feas,
+    y_norm and s_k columns as stacks (one eval_objective and one product with
+    A' per point sequence), and then runs the finiteness guard on them."""
 
     def __init__(self, prob, resolved, N, reference):
         self.prob, self.resolved, self.reference = prob, resolved, reference
-        self.A = resolved.plan.A
-        m, n = self.A.shape
+        self.At = resolved.plan.A.T
         self.ergodic = resolved.mode == "ergodic"
         self.with_gap = reference is not None and not self.ergodic
         # columns every row fills; s_k and the bounds are NaN where not computed
         self.guarded = CSV_COLUMNS[1:8] + (("s_k",) if self.with_gap else ())
         self.out = {c: np.full(N + 1, np.nan) for c in CSV_COLUMNS}
         self.out["k"] = np.arange(N + 1)
-        rows = min(CHUNK, N + 1)
-        self.X, self.Z, self.Y = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, m))
-        self.aug = np.zeros(rows)
-        self.lo = self.hi = 0  # rows [lo, hi) are buffered, not yet evaluated
+        self.states = []
 
-    def add(self, st, t_used):
-        """Buffer the row of state st; t_used is the t of the iteration that
-        produced it (ignored for row 0)."""
-        i, j = self.hi, self.hi - self.lo
-        p, rho = self.resolved.p, self.resolved.rho
-        self.out["t"][i] = st.t
-        self.out["rho_k"][i] = rho * st.t ** (p - 1)
-        if not self.ergodic:
-            self.X[j] = st.x
-        elif i == 0:
-            self.X[j] = st.z
-        else:
-            np.divide(st.zbar_acc, ergodic_weight_sum(t_used, p), out=self.X[j])
-        self.Z[j], self.Y[j] = st.z, st.y
-        # the penalty rho t_{k-1}^p of the s_k gap
-        self.aug[j] = rho * t_used**p if i > 0 else 0.0
-        self.hi += 1
-        if self.hi - self.lo == len(self.X):
+    def add(self, state):
+        """Keep the row of state; a full chunk is evaluated at once."""
+        self.states.append(state)
+        if len(self.states) == CHUNK:
             self.flush()
 
     def flush(self):
-        """Evaluate the buffered rows, then raise NumericalError naming the
-        first of them with a non-finite column (the first such column in
+        """Evaluate the kept rows, then raise NumericalError naming the first
+        of them with a non-finite column (the first such column in
         CSV_COLUMNS order)."""
-        lo, hi, out, prob = self.lo, self.hi, self.out, self.prob
-        k, rows = hi - lo, slice(lo, hi)
-        self.lo = hi
-        if not k:
+        states, out, prob = self.states, self.out, self.prob
+        if not states:
             return
-        b, At = prob.b, self.A.T
-        x = self.X[:k]
-        r = x @ At - b
+        self.states = []
+        lo = states[0].k
+        rows = slice(lo, lo + len(states))
+        p, rho = self.resolved.p, self.resolved.rho
+        out["t"][rows] = t = [st.t for st in states]
+        out["rho_k"][rows] = [rho * tk ** (p - 1) for tk in t]
+        # row k >= 1 came from the step at t_{k-1}, the t of the row before
+        t_used = [float(out["t"][lo - 1]) if lo else 0.0] + t[:-1]
+        if not self.ergodic:
+            x = np.stack([st.x for st in states])
+        else:
+            # row 0 is z^0; row k >= 1 the weighted average of z^1..z^k
+            x = np.stack([st.zbar_acc if st.k else st.z for st in states])
+            avg = slice(1 if lo == 0 else 0, None)
+            x[avg] /= ergodic_weight_sum(np.array(t_used[avg]), p)[:, None]
+        r = x @ self.At - prob.b
         psi = eval_objective(prob, x)
         out["psi_x"][rows] = psi
         out["feas_x"][rows] = feas = np.linalg.norm(r, axis=1)
         if self.with_gap:
             # the Lagrangian at (x^k, y*) from the Psi and residual above:
-            # bitwise lagrangian.eval_lagrangian of the stack
+            # bitwise lagrangian.eval_lagrangian of the stack; the penalty
+            # rho t_{k-1}^p in Python's float pow (numpy's t**2 is t*t)
             ref = self.reference
-            gap = psi + rowdot(r, ref.y_star) + 0.5 * self.aug[:k] * feas**2
+            aug = np.array([rho * tk**p for tk in t_used])
+            gap = psi + rowdot(r, ref.y_star) + 0.5 * aug * feas**2
             out["s_k"][rows] = gap - ref.psi_star
-        out["psi_z"][rows] = eval_objective(prob, self.Z[:k])
-        out["feas_z"][rows] = np.linalg.norm(self.Z[:k] @ At - b, axis=1)
-        out["y_norm"][rows] = np.linalg.norm(self.Y[:k], axis=1)
+        z = np.stack([st.z for st in states])
+        out["psi_z"][rows] = eval_objective(prob, z)
+        out["feas_z"][rows] = np.linalg.norm(z @ self.At - prob.b, axis=1)
+        out["y_norm"][rows] = np.linalg.norm(np.stack([st.y for st in states]), axis=1)
         bad = ~np.isfinite(np.stack([out[c][rows] for c in self.guarded]))
         if bad.any():
             i = lo + int(np.argmax(bad.any(axis=0)))
@@ -341,13 +337,13 @@ def run(prob, params, reference=None, bound=None, plan=None):
     reference) fills bound_fn = B / (2 k^p) and bound_feas = B / (c k^p).
     plan (a fresh StepPlan of params.cfg on prob) is built here unless given.
 
-    Rows are recorded in chunks of CHUNK, so the recording holds at most
-    CHUNK x (2n + m) floats besides the output columns. A chunk's columns
-    are evaluated when it is full, at the end, and before an exception from
-    a later step leaves the loop. The finiteness guard therefore names the
-    earliest iteration with a non-finite t, rho_k, psi, feas, y_norm or s_k
-    and the first such column in CSV_COLUMNS order, and raises
-    NumericalError; no trajectory is returned.
+    The recorder keeps the states flag_iterate returns, at most CHUNK of
+    them, and evaluates their columns as one chunk when CHUNK are kept, at
+    the end, and before an exception from a later step leaves the loop. The
+    finiteness guard therefore names the earliest iteration with a
+    non-finite t, rho_k, psi, feas, y_norm or s_k and the first such column
+    in CSV_COLUMNS order, and raises NumericalError; no trajectory is
+    returned.
     """
     resolved = resolve_params(prob, params, plan)
     state = start = initial_state(prob, params, resolved)
@@ -359,11 +355,10 @@ def run(prob, params, reference=None, bound=None, plan=None):
     # NumericalError
     with np.errstate(all="ignore"):
         try:
-            rec.add(state, 0.0)
+            rec.add(state)
             for _ in range(N):
-                t_used = state.t
                 state = flag_iterate(state, resolved, prob)
-                rec.add(state, t_used)
+                rec.add(state)
         except Exception:
             rec.flush()  # a non-finite row before the failing step wins
             raise

@@ -33,14 +33,16 @@ formula above, and takes the schedule through tau_t alone.
 Two-block maps use the block form of the inequality: accelerated blocks are
 weighted by tau_t and contribute their strong convexity, the others carry
 weight 1 and no sigma term. nice_parts(plan, tau_t, ...) evaluates left minus
-right numerically at one state and one xi, at one state and a (X, n) stack of
-xi, or at a stack of k states with X points each: the terms in z+ alone are
-computed once per state, the rest with matrix-matrix products.
+right numerically, given z+, at one state and one xi, at one state and a
+(X, n) stack of xi, or at a stack of k states with X points each: the terms
+in z+ alone are computed once per state, the rest with matrix-matrix products.
 sample_niceness calls it once per chunk of states (SAMPLE_FLOATS bounds the
 chunk's stacked points), and counts only points with finite Psi(xi)
 (elsewhere the left side is -inf and nothing is tested). A certificate is
 the closed form (delta, P, Q) of the block flags (_certify), with every
-spectral margin recorded; each distinct matrix it reads is decomposed once.
+spectral margin recorded; each distinct matrix it reads is decomposed once,
+and it keeps each block's (lambda_min, lambda_max) of P_i and Q_i: the
+fast-rate gate p2_condition, next to _floor, reads lambda_max(P_i) there.
 """
 
 from __future__ import annotations
@@ -109,15 +111,15 @@ class Condition:
 @dataclass(frozen=True, eq=False)
 class NiceCertificate:
     """delta with P_i and Q_i per block of the map (one entry for single-block
-    maps); P and Q are their block diagonals, and extremes maps "P" and "Q"
-    to their (lambda_min, lambda_max), read off the blocks' spectra."""
+    maps); P and Q are their block diagonals. block_extremes maps "P" and "Q"
+    to (lambda_min per block, lambda_max per block), extremes to those of P, Q."""
 
     kind: str
     delta: float
     block_P: tuple
     block_Q: tuple
     conditions: tuple
-    extremes: dict
+    block_extremes: dict
 
     @functools.cached_property
     def P(self):
@@ -126,6 +128,10 @@ class NiceCertificate:
     @functools.cached_property
     def Q(self):
         return _block_diag(self.block_Q)
+
+    @property
+    def extremes(self):
+        return {name: (min(lo), max(hi)) for name, (lo, hi) in self.block_extremes.items()}
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,15 @@ def _floor(spec, block):
     """f = [jacobi] + [the block linearizes the penalty]: how many times
     rho lambda_max(A_i'A_i) the block's weight M_i must exceed."""
     return int(spec.jacobi) + int(not block.exact)
+
+
+def p2_condition(cert, prob):
+    """Fast-rate eligibility: P_i <= (sigma_i/2) I on every block, where
+    sigma_i is the strong convexity the map exploits there (none on blocks it
+    does not accelerate); lambda_max(P_i) is read from the certificate."""
+    spec, view = _view(cert.kind, prob)
+    caps = [0.5 * s if block.accelerated else 0.0 for block, s in zip(spec.blocks, view.sigmas)]
+    return all(top <= cap + 1e-9 for top, cap in zip(cert.block_extremes["P"][1], caps))
 
 
 def _certify(cfg, view, M, G, L, spectra):
@@ -412,7 +427,7 @@ def certificate(cfg, prob):
 def _validated(kind, delta, P, Q, conds, spectra):
     """The certificate, once its conditions hold (NotNiceError naming the
     first that fails), delta lies in (0, 1] and every P_i and Q_i is PSD
-    (ConfigError); the spectra give the PSD checks and the extremes."""
+    (ConfigError); the spectra give the PSD checks and each block's extremes."""
     for cond in conds:
         if not cond.holds():
             raise NotNiceError(
@@ -426,12 +441,12 @@ def _validated(kind, delta, P, Q, conds, spectra):
     extremes = {}
     for name, blocks in (("P", P), ("Q", Q)):
         labels = [name] if len(blocks) == 1 else [f"{name}1", f"{name}2"]
-        lo, hi = math.inf, -math.inf
+        spans = []
         for label, X in zip(labels, blocks):
             eigs = spectra(X, f"certificate {label}")
             linalg.require_psd(eigs, f"certificate {label}")
-            lo, hi = min(lo, float(eigs[0])), max(hi, float(eigs[-1]))
-        extremes[name] = (lo, hi)
+            spans.append((float(eigs[0]), float(eigs[-1])))
+        extremes[name] = tuple(zip(*spans))
     return NiceCertificate(kind, delta, tuple(P), tuple(Q), tuple(conds), extremes)
 
 
@@ -460,14 +475,14 @@ def prim_step(plan, tau, z, lam):
     return new[0] if len(new) == 1 else np.concatenate(new)
 
 
-def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
+def nice_parts(plan, tau, z, lam, xi, z_next, delta=None):
     """(residual, scale) of the niceness inequality of the plan's map at the
-    state (z, lambda), tau_t = tau and one feasible xi (floats), or each row
-    of a (X, n) stack of them (one value per row). States stack as well: z
-    and z_next of shape (k, 1, n), lambda (k, 1, m) and tau (k, 1) test
-    state j on the points xi[j] of a (k, X, n) stack, giving (k, X) values;
-    stacked states need their z_next. The terms in z+ alone are computed once
-    per state; delta defaults to the certificate's."""
+    state (z, lambda), tau_t = tau, its step z_next = prim_step(plan, tau, z,
+    lambda) and one feasible xi (floats), or each row of a (X, n) stack of
+    them (one value per row). States stack as well: z and z_next of shape
+    (k, 1, n), lambda (k, 1, m) and tau (k, 1) test state j on the points
+    xi[j] of a (k, X, n) stack, giving (k, X) values. The terms in z+ alone
+    are computed once per state; delta defaults to the certificate's."""
     cert, prob = plan.cert, plan.prob
     if delta is None:
         delta = cert.delta
@@ -479,10 +494,6 @@ def nice_parts(plan, tau, z, lam, xi, z_next=None, delta=None):
     infeasible = np.flatnonzero(feas_xi > FEAS_TOL * (1.0 + float(np.linalg.norm(b))))
     if infeasible.size:
         raise ConfigError(f"xi must be feasible (residual {feas_xi[infeasible[0]]:.3e})")
-    if z_next is None:
-        if z.ndim > 1:
-            raise ConfigError("nice_parts needs z_next for a stack of states")
-        z_next = prim_step(plan, tau, z, lam)
     rho_t = plan.cfg.rho * tau
 
     lhs = eval_aug_lagrangian(prob, z_next, lam, rho_t) - eval_aug_lagrangian(
@@ -528,16 +539,10 @@ def feasible_sampler(prob, seed=0, scale=1.0, size=None):
         yield x_part + scale * rng.standard_normal(shape) @ null_rows
 
 
-def block_sigmas(kind, prob):
-    """(accelerated, sigma_i) for each block of the map kind on prob; the
-    analysis exploits sigma_i on accelerated blocks only."""
-    spec, view = _view(kind, prob)
-    return [(block.accelerated, s) for block, s in zip(spec.blocks, view.sigmas)]
-
-
 def default_p(cfg, prob):
-    """Regime implied by the strong convexity the map's analysis exploits."""
-    return 2 if all(s > 0 for acc, s in block_sigmas(cfg.kind, prob) if acc) else 1
+    """Regime implied by the strong convexity the map exploits (accelerated blocks)."""
+    spec, view = _view(cfg.kind, prob)
+    return 2 if all(s > 0 for b, s in zip(spec.blocks, view.sigmas) if b.accelerated) else 1
 
 
 def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None):

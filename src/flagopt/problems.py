@@ -51,7 +51,7 @@ class Quadratic:
     """0.5 x'Hx + q'x + r with symmetric PSD H.
 
     strong_convexity is the declared sigma-contribution; it must not exceed
-    lambda_min(H) + 1e-8.
+    lambda_min(H) + 1e-8. lambda_max (not a field) is the top of H's spectrum.
     """
 
     H: np.ndarray
@@ -61,7 +61,7 @@ class Quadratic:
 
     def __post_init__(self):
         H = linalg.check_symmetric(_finite(self.H, 2, "H"), "H")
-        eigs = linalg.eigvalsh(H)  # one decomposition serves both checks
+        eigs = linalg.eigvalsh(H)  # one decomposition: both checks and lambda_max
         linalg.require_psd(eigs, "H")
         q = _finite(self.q, 1, "q")
         if H.shape[0] != q.shape[0]:
@@ -77,6 +77,7 @@ class Quadratic:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "strong_convexity", float(self.strong_convexity))
+        object.__setattr__(self, "lambda_max", float(eigs[-1]))
 
     @property
     def dim(self):
@@ -97,6 +98,8 @@ class Quadratic:
 class L1:
     """weight * ||x||_1 with nonnegative scalar weight."""
 
+    strong_convexity = 0.0
+
     weight: float
     dim: int
 
@@ -107,10 +110,6 @@ class L1:
             raise ConfigError("l1 dim must be positive")
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "dim", int(self.dim))
-
-    @property
-    def strong_convexity(self):
-        return 0.0
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -130,6 +129,8 @@ class L1:
 class Box:
     """Indicator of the box [lo, hi] (componentwise)."""
 
+    strong_convexity = 0.0
+
     lo: np.ndarray
     hi: np.ndarray
 
@@ -146,10 +147,6 @@ class Box:
     @property
     def dim(self):
         return self.lo.shape[0]
-
-    @property
-    def strong_convexity(self):
-        return 0.0
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -175,16 +172,14 @@ class Box:
 class Zero:
     """The zero function on R^dim."""
 
+    strong_convexity = 0.0
+
     dim: int
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ConfigError("zero-term dim must be positive")
         object.__setattr__(self, "dim", int(self.dim))
-
-    @property
-    def strong_convexity(self):
-        return 0.0
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -255,7 +250,7 @@ class SmoothTerm:
         L = float(self.lipschitz_grad)
         if L <= 0:
             raise ConfigError("lipschitz_grad must be positive")
-        top = linalg.lambda_max(self.term.H)
+        top = self.term.lambda_max
         if L < top - SIGMA_SLACK:
             raise ConfigError(f"lipschitz_grad {L} below lambda_max(H) = {top:.6e}")
         object.__setattr__(self, "lipschitz_grad", L)
@@ -277,8 +272,9 @@ class ConstrainedProblem:
         Optional smooth quadratic h, handled by gradient steps in the
         smooth map variants and folded exactly elsewhere.
     sigma : float
-        Strong convexity of Psi = f + h; must equal the sum of declared
-        per-term contributions. Defaults to that sum.
+        Strong convexity of Psi = f + h; must equal the declared strong
+        convexity of f (the min over its parts when f is separable) plus
+        that of h. Defaults to that value.
     feasible_point : ndarray or None
         Optional stored point with A x = b (residual <= 1e-9).
     n1 : int or None
@@ -322,8 +318,8 @@ class ConstrainedProblem:
         sigma = declared if self.sigma is None else float(self.sigma)
         if abs(sigma - declared) > 1e-12:
             raise ConfigError(
-                f"sigma {sigma} does not equal the sum of declared "
-                f"strong-convexity contributions {declared}"
+                f"sigma {sigma} does not equal the declared strong convexity {declared} "
+                "of Psi: f's (the min over its parts when separable) plus h's"
             )
         fp = self.feasible_point
         if fp is not None:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .driver import RunParams, flag_iterate, initial_state, resolve_params
+from .driver import RunParams, flag_iterate, initial_state, next_t, resolve_params
 from .errors import ConfigError, NumericalError, UnreliableReferenceError
 from .lagrangian import quad_norm
-from .maps import block_sigmas, make_config
+from .maps import make_config, p2_condition
 from .problems import L1, Quadratic, Separable, Zero, eval_objective
 from .prox import Subproblem
 
@@ -228,13 +228,12 @@ def _penalty_route(sp, betas=(1e2, 1e4, 1e6), max_iter=5000):
         x_prev = x.copy()
         phi_prev = phi(x)
         for k in range(1, max_iter + 1):
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            v = x + ((t - 1.0) / t_next) * (x - x_prev)
+            t_prev, t = t, next_t(t, 2)
+            v = x + ((t_prev - 1.0) / t) * (x - x_prev)
             anchor = v - grad_s(v) / L
             x_new = prox.solve(-L * anchor)
             move = float(np.linalg.norm(x_new - x))
             x_prev, x = x, x_new
-            t = t_next
             phi_new = phi(x)
             if phi_new > phi_prev:
                 t = 1.0  # adaptive restart
@@ -304,16 +303,6 @@ def bound_constant(P, x_star, z0, y0, mu, rho, c, p):
     factor = 4.0 if p == 2 else 2.0
     dual = (float(np.linalg.norm(y0)) + float(c)) ** 2 / (mu * rho)
     return factor * (quad_norm(P, x_star - z0) + dual)
-
-
-def p2_condition(cert, prob):
-    """Fast-rate eligibility: P_i <= (sigma_i/2) I on every block, where
-    sigma_i is the strong convexity the map exploits there (none on blocks it
-    does not accelerate)."""
-    return all(
-        linalg.lambda_max(P) <= (0.5 * sigma if accelerated else 0.0) + 1e-9
-        for P, (accelerated, sigma) in zip(cert.block_P, block_sigmas(cert.kind, prob))
-    )
 
 
 def fit_slope(ks, values):

@@ -14,6 +14,7 @@ from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, load_problem
 from flagopt import cli, maps
 from flagopt.cli import main
 from flagopt.driver import CSV_COLUMNS, MAX_ITERS, trajectory_from_csv
+from flagopt.errors import DataError
 from flagopt.maps import MAP_KINDS
 from flagopt.rates import reference_solve
 
@@ -427,6 +428,57 @@ class TestVerify:
         err = capsys.readouterr().err
         assert rc == 4
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_manifest_that_is_not_an_object_is_io_error(self, qp_path, tmp_path, capsys):
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
+        assert rc == 0
+        manifest_path = str(traj) + ".manifest.json"
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        with open(manifest_path, "w") as fh:
+            json.dump(sorted(manifest), fh)
+        rc = main(
+            ["verify", "--problem", qp_path, "--traj", str(traj), "--manifest", manifest_path]
+        )
+        assert rc == 4
+        assert capsys.readouterr().err == "error: manifest must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "case,text,message",
+        [
+            ("empty", "", "empty trajectory file"),
+            (
+                "header",
+                "# written now\nk,t,rho_k\n0,1,1\n",
+                "unexpected columns ['k', 't', 'rho_k']",
+            ),
+            ("no-rows", "# written now\n" + ",".join(CSV_COLUMNS) + "\n", "no trajectory rows"),
+            (
+                "ten-columns",
+                ",".join(CSV_COLUMNS) + "\n" + "0,1,1,1,1,1,1,1,1,1\n" * 3,
+                "malformed trajectory rows",
+            ),
+        ],
+    )
+    def test_unreadable_trajectory_is_io_error(
+        self, qp_path, tmp_path, capsys, case, text, message
+    ):
+        rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
+        assert rc == 0
+        Path(traj).write_text(text)
+        with pytest.raises(DataError) as exc:
+            trajectory_from_csv(traj)
+        assert str(exc.value) == f"{traj}: {message}"
+        capsys.readouterr()
+        rc = main(
+            [
+                "verify", "--problem", qp_path, "--traj", str(traj),
+                "--manifest", str(traj) + ".manifest.json",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err == f"error: {traj}: {message}\n"
 
     def test_manifest_missing_key_is_io_error(self, qp_path, tmp_path, capsys):
         rc, traj, _ = self.run_pipeline(qp_path, tmp_path, iters=20)
@@ -902,6 +954,18 @@ class TestSweep:
         assert main(argv) == 0
         assert "condition-P=met" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_two_block_map_on_a_flat_file_is_a_skipped_row(self, qp_path, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--problem", qp_path, "--maps", "prox-admm", "--iters", "50"]
+        assert main(argv + ["--out", str(out)]) == 0
+        status = "skipped: prox-admm requires a two-block problem"
+        with open(out) as fh:
+            assert json.load(fh)["rows"] == [
+                {"map": "prox-admm", "mode": "classic", "status": status}
+            ]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"wrote {out}", f"{'prox-admm':>16} {'classic':>8}  {status}"]
 
     def test_unknown_map_rejected(self, qp_path, capsys):
         rc = main(["sweep", "--problem", qp_path, "--maps", "nope"])

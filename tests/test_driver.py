@@ -452,3 +452,9 @@ class TestRun:
         )
         with pytest.raises(ConfigError, match="z0"):
             run(p, params)
+
+    def test_bad_y0_shape(self):
+        p = make_qp()
+        params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), y0=np.zeros(p.m + 1))
+        with pytest.raises(ConfigError, match=rf"^y0 has shape \(4,\), expected \(3,\)$"):
+            run(p, params)

@@ -412,8 +412,9 @@ class TestNiceness:
         p = small_qp()
         plan = StepPlan(make_config("prox-al", p, rho=1.0), p)
         bad_xi = p.feasible_point + 1.0
+        z, lam = np.zeros(p.n), np.zeros(p.m)
         with pytest.raises(ConfigError, match="feasible"):
-            nice_parts(plan, 1.0, np.zeros(p.n), np.zeros(p.m), bad_xi)
+            nice_parts(plan, 1.0, z, lam, bad_xi, prim_step(plan, 1.0, z, lam))
 
     def test_feasible_sampler_spans_null_space(self):
         p = small_qp()
@@ -929,8 +930,6 @@ def test_stacked_states_match_each_state(kind, name):
         want = nice_parts(plan, tau, z[j], lam[j], stack[j], z_next=z_next[j])
         assert_allclose(residual[j], want[0], rtol=1e-12, atol=0)
         assert_allclose(scale[j], want[1], rtol=1e-12, atol=0)
-    with pytest.raises(ConfigError, match="needs z_next for a stack of states"):
-        nice_parts(plan, np.array(taus)[:, None], z[:, None], lam[:, None], stack)
     bad = stack.copy()
     bad[2, 3] += 1.0
     with pytest.raises(ConfigError) as single:

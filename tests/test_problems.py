@@ -428,7 +428,8 @@ def test_block_file_sigma_is_checked_as_a_flat_file_sigma_is(sigma):
     messages = []
     for doc in (block, dict(block, block=None)):
         doc["sigma"] = sigma
-        with pytest.raises(ConfigError, match="does not equal the sum of declared") as exc:
+        match = "does not equal the declared strong convexity 0.0 of Psi"
+        with pytest.raises(ConfigError, match=match) as exc:
             problem_from_json(doc)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
@@ -449,3 +450,12 @@ def test_one_decomposition_per_quadratic(tmp_path, monkeypatch):
     shapes.clear()
     load_problem(tmp_path / "p.json")
     assert shapes == [(40, 40)]
+    # f and h of a smooth-composite problem: one each, and SmoothTerm reads
+    # lambda_max(H) from its quadratic
+    shapes.clear()
+    prob = generate(GenSpec(family="smooth-composite", n=40, m=10, sigma=1.0, seed=0))
+    assert shapes == [(40, 40)] * 2
+    save_problem(prob, tmp_path / "s.json")
+    shapes.clear()
+    load_problem(tmp_path / "s.json")
+    assert shapes == [(40, 40)] * 2

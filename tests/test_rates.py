@@ -537,6 +537,33 @@ class TestConditionP:
         gate = p2_condition(cert, bp)
         assert gate == (lamB + 0.5 <= 0.5 * g.strong_convexity + 1e-9)
 
+    @pytest.mark.parametrize("case", ["met", "unmet", "two-block"])
+    def test_fast_check_decomposes_nothing(self, monkeypatch, case):
+        # the gate reads lambda_max(P_i) off the spectra the certificate took
+        if case == "two-block":
+            p = generate(GenSpec(family="block-qp", n=12, m=4, sigma=1.0, seed=2))
+            cfg = make_config("prox-lin-admm", p, rho=1.0)
+        else:
+            p = generate(GenSpec(family="eq-qp", n=8, m=3, sigma=1.0, seed=1))
+            M = 0.5 * np.eye(p.n) + p.A.T @ p.A
+            cfg = MapConfig(kind="prox-lin-al", rho=1.0, M=M)
+            if case == "unmet":
+                cfg = make_config("prox-lin-al", p, rho=1.0)
+        cert = certificate(cfg, p)
+        traj = run(p, RunParams(cfg=cfg, mode="fast", iters=30))
+        ref = reference_solve(p)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(S):
+            shapes.append(S.shape)
+            return eigvalsh(S)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        report = verify_rates(traj, ref, 1.0, 2, cert=cert, prob=p)
+        assert report["condition_P"] == ("met" if case == "met" else "unmet")
+        assert shapes == []
+
 
 class TestSlope:
     def test_exact_power_law(self):
