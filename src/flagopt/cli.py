@@ -13,8 +13,7 @@ import argparse
 import functools
 import json
 import sys
-
-import numpy as np
+from typing import NamedTuple
 
 from .driver import MAX_ITERS, MODES, RunParams, mode_p, run, trajectory_from_csv
 from .errors import ConfigError, DataError, FlagoptError, NumericalError
@@ -25,11 +24,55 @@ from .rates import bound_constant, reference_solve, verify_rates
 
 CERTIFY_TOL = 1e-7
 VERIFY_TOL = 1e-9
-MANIFEST_KEYS = (
-    "map", "rho", "policy", "iters", "p", "z0", "y0", "mu", "mode", "problem_sha256"
-)
 # the fields of a verify report that each sweep row carries
 SWEEP_KEYS = ("delta", "p", "bounds_hold", "first_violation", "slope", "condition_P")
+
+
+def _num(v, shape=None):
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _text(v, shape):
+    return type(v) is str
+
+
+def _vector(axis):
+    """The check of a list of numbers as long as axis `axis` of A's shape."""
+    return lambda v, shape: type(v) is list and len(v) == shape[axis] and all(map(_num, v))
+
+
+class Field(NamedTuple):
+    """A run-manifest field: verify's check of its JSON value, given A's shape
+    (None: recorded, not read); whether a manifest may omit it (a map flag is
+    then read at its default); a map flag's argparse keywords."""
+
+    check: object
+    optional: bool = False
+    flag: dict | None = None
+
+
+# The run manifest, in the order verify checks it. solve writes the map flags
+# from its arguments, problem_sha256 from the bytes it parsed, and the other
+# fields from Trajectory.meta.
+MANIFEST = {
+    "map": Field(_text, flag=dict(choices=MAP_KINDS, required=True)),
+    "policy": Field(_text, flag=dict(choices=("identity-scaled", "auto"), default="auto")),
+    "problem_sha256": Field(_text),
+    "rho": Field(_num, flag=dict(type=float, default=1.0)),
+    "mu": Field(_num),
+    "scale": Field(_num, True, dict(type=float, default=1.0)),
+    "margin": Field(_num, True, dict(type=float, default=1.0)),
+    "alpha": Field(lambda v, shape: v is None or _num(v), True, dict(type=float, default=None)),
+    "mode": Field(lambda v, shape: v in MODES),
+    "p": Field(lambda v, shape: type(v) is int and v in (1, 2)),
+    "iters": Field(lambda v, shape: type(v) is int and 1 <= v <= MAX_ITERS),
+    "z0": Field(_vector(1)),
+    "y0": Field(_vector(0)),
+    "delta": Field(None, True),
+    "subproblems": Field(None, True),
+}
+MAP_FLAGS = tuple(key for key, field in MANIFEST.items() if field.flag)
+
 
 def _write_json(path, doc):
     """Write doc as strict JSON; NumericalError, and no file, when it holds a
@@ -52,16 +95,9 @@ def _load_json(path):
 
 def _build_config(prob, rec):
     """The map configuration of the map flags in rec: vars() of certify's or
-    solve's arguments, or a run manifest (scale, margin, alpha may be absent)."""
-    return make_config(
-        rec["map"],
-        prob,
-        rho=rec["rho"],
-        policy=rec["policy"],
-        scale=rec.get("scale", 1.0),
-        margin=rec.get("margin", 1.0),
-        alpha=rec.get("alpha"),
-    )
+    solve's arguments, or a run manifest (an optional flag may be absent)."""
+    flags = {key: rec.get(key, MANIFEST[key].flag.get("default")) for key in MAP_FLAGS}
+    return make_config(flags.pop("map"), prob, **flags)
 
 
 def cmd_gen(args):
@@ -93,23 +129,9 @@ def cmd_solve(args):
     )
     traj = run(prob, params)
     manifest_path = args.manifest or args.out + ".manifest.json"
-    manifest = {
-        "map": args.map,
-        "policy": args.policy,
-        "scale": args.scale,
-        "margin": args.margin,
-        "alpha": args.alpha,
-        "mode": traj.meta["mode"],
-        "p": traj.meta["p"],
-        "mu": traj.meta["mu"],
-        "rho": args.rho,
-        "iters": args.iters,
-        "delta": traj.meta["delta"],
-        "z0": traj.meta["z0"],
-        "y0": traj.meta["y0"],
-        "subproblems": traj.meta["subproblems"],
-        "problem_sha256": problem_sha256,
-    }
+    flags = {key: getattr(args, key) for key in MAP_FLAGS}
+    record = {**traj.meta, **flags, "problem_sha256": problem_sha256}
+    manifest = {key: record[key] for key in MANIFEST}
     # verify's schema: a field it would refuse is refused here, before any file
     _check_manifest(manifest, prob, problem_sha256, error=ConfigError)
     traj.to_csv(args.out)
@@ -149,35 +171,20 @@ def cmd_certify(args):
     return 0 if ok else 3
 
 
-def _num(v):
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-def _vector(size):
-    return lambda v: type(v) is list and len(v) == size and all(map(_num, v))
-
-
 def _check_manifest(manifest, prob, problem_sha256, error=DataError):
     """`error` (DataError for a manifest read, ConfigError for one solve is
-    about to write) unless every manifest field has its JSON type and a valid
-    value (finite numbers, mode in MODES, p 1 or 2, iters in [1, MAX_ITERS],
-    z0 / y0 sized to the problem) and the problem hash is that of the problem
-    file."""
+    about to write) unless the manifest holds every MANIFEST field it may not
+    omit, each field it holds passes its check (finite numbers, mode in
+    MODES, p 1 or 2, iters in [1, MAX_ITERS], z0 / y0 sized to the problem),
+    and the problem hash is that of the problem file. Fields are checked in
+    MANIFEST order; the first that fails is named."""
     if type(manifest) is not dict:
         raise error("manifest must be a JSON object")
-    m, n = prob.A.shape
-    checks = {key: lambda v: type(v) is str for key in ("map", "policy", "problem_sha256")}
-    checks.update(
-        rho=_num, mu=_num, scale=_num, margin=_num, alpha=lambda v: v is None or _num(v),
-        mode=lambda v: v in MODES, p=lambda v: type(v) is int and v in (1, 2),
-        iters=lambda v: type(v) is int and 1 <= v <= MAX_ITERS,
-        z0=_vector(n), y0=_vector(m),
-    )
-    for key, ok in checks.items():
+    for key, field in MANIFEST.items():
         if key not in manifest:
-            if key in MANIFEST_KEYS:
+            if not field.optional:
                 raise error(f"manifest is missing key {key!r}")
-        elif not ok(manifest[key]):
+        elif field.check and not field.check(manifest[key], prob.A.shape):
             value = f"{manifest[key]!r:.60}"
             raise error(f"manifest {key!r} has a wrong type, size or value: {value}")
     if manifest["problem_sha256"] != problem_sha256:
@@ -191,8 +198,7 @@ def _rate_report(prob, cfg, cert, traj, ref, record, tol):
     """verify_rates of a run of the map cfg against ref, with B from the map's
     certificate cert and the run's p, mu, z0 and y0 as `record` (a manifest
     or Trajectory.meta) holds them. The report also carries delta, p, B and c."""
-    p = record["p"]
-    z0, y0 = (np.asarray(record[key], dtype=float) for key in ("z0", "y0"))
+    p, z0, y0 = record["p"], record["z0"], record["y0"]
     B = bound_constant(cert.P, ref.x_star, z0, y0, record["mu"], cfg.rho, ref.c, p)
     report = verify_rates(traj, ref, B, p, tol=tol, cert=cert, prob=prob)
     report.update(delta=cert.delta, p=p, B=B, c=ref.c)
@@ -215,7 +221,7 @@ def _verify_report(prob, problem_sha256, traj, manifest, tol):
         )
     ref = reference_solve(prob)
     report = _rate_report(prob, cfg, certificate(cfg, prob), traj, ref, manifest, tol)
-    if manifest["mode"] == "ergodic":
+    if manifest["mode"] == "ergodic" and report["condition_P"] == "met":
         report["note"] = (
             "ergodic averages certified against the bounds as printed "
             "(B/(2N^p), B/(c N^p)); the underlying combined constant "
@@ -309,12 +315,8 @@ def build_parser():
     p_gen.set_defaults(func=cmd_gen)
 
     def add_map_flags(p):
-        p.add_argument("--map", choices=MAP_KINDS, required=True)
-        p.add_argument("--rho", type=float, default=1.0)
-        p.add_argument("--policy", choices=("identity-scaled", "auto"), default="auto")
-        p.add_argument("--scale", type=float, default=1.0)
-        p.add_argument("--margin", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=None)
+        for key in MAP_FLAGS:
+            p.add_argument(f"--{key}", **MANIFEST[key].flag)
 
     p_solve = sub.add_parser("solve", help="run the driver and write a trajectory")
     p_solve.add_argument("--problem", required=True)

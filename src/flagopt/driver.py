@@ -27,7 +27,7 @@ from .maps import MapConfig, StepPlan, default_p, prim_step
 from .problems import eval_objective
 
 MODES = ("fast", "classic", "ergodic")
-# a run preallocates 11 (iters + 1) floats: 88 MB at the bound
+# a run preallocates 9 (iters + 1) floats: 72 MB at the bound
 MAX_ITERS = 1_000_000
 # rows run() buffers before it evaluates their columns as one stack
 CHUNK = 256
@@ -191,8 +191,8 @@ class Trajectory:
 
     In ergodic mode the psi_x / feas_x columns hold the running weighted
     average of the z iterates (row 0 holds z^0). The t and rho_k columns hold
-    the values the *next* iteration will use. s_k and the bound columns are
-    NaN unless a reference solution (and bound constant) was attached.
+    the values the *next* iteration will use. s_k is NaN unless a reference
+    solution was attached.
     """
 
     k: np.ndarray
@@ -204,8 +204,6 @@ class Trajectory:
     feas_z: np.ndarray
     y_norm: np.ndarray
     s_k: np.ndarray
-    bound_fn: np.ndarray
-    bound_feas: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -272,7 +270,7 @@ class _Recorder:
         self.At = resolved.plan.A.T
         self.ergodic = resolved.mode == "ergodic"
         self.with_gap = reference is not None and not self.ergodic
-        # columns every row fills; s_k and the bounds are NaN where not computed
+        # columns every row fills; s_k is NaN where not computed
         self.guarded = CSV_COLUMNS[1:8] + (("s_k",) if self.with_gap else ())
         self.out = {c: np.full(N + 1, np.nan) for c in CSV_COLUMNS}
         self.out["k"] = np.arange(N + 1)
@@ -329,13 +327,12 @@ class _Recorder:
             raise NumericalError(f"iteration {i}: {c} is not finite ({out[c][i]})")
 
 
-def run(prob, params, reference=None, bound=None, plan=None):
+def run(prob, params, reference=None, plan=None):
     """Run the driver for params.iters iterations and record the trajectory.
 
     reference (optional) enables the s_k column: the rho t_{k-1}^p augmented
-    Lagrangian gap at (x^k, y*) against psi*. bound (optional, with
-    reference) fills bound_fn = B / (2 k^p) and bound_feas = B / (c k^p).
-    plan (a fresh StepPlan of params.cfg on prob) is built here unless given.
+    Lagrangian gap at (x^k, y*) against psi*. plan (a fresh StepPlan of
+    params.cfg on prob) is built here unless given.
 
     The recorder keeps the states flag_iterate returns, at most CHUNK of
     them, and evaluates their columns as one chunk when CHUNK are kept, at
@@ -347,7 +344,7 @@ def run(prob, params, reference=None, bound=None, plan=None):
     """
     resolved = resolve_params(prob, params, plan)
     state = start = initial_state(prob, params, resolved)
-    p, mode = resolved.p, resolved.mode
+    mode = resolved.mode
     N = params.iters
     rec = _Recorder(prob, resolved, N, reference)
 
@@ -363,18 +360,12 @@ def run(prob, params, reference=None, bound=None, plan=None):
             rec.flush()  # a non-finite row before the failing step wins
             raise
         rec.flush()
-    out = rec.out
-    if reference is not None and bound is not None:
-        k_p = np.arange(1, N + 1, dtype=float) ** p
-        out["bound_fn"][1:] = bound / (2.0 * k_p)
-        if reference.c > 0:
-            out["bound_feas"][1:] = bound / (reference.c * k_p)
 
     plan = resolved.plan
     meta = {
         "kind": plan.cfg.kind,
         "mode": mode,
-        "p": p,
+        "p": resolved.p,
         "mu": resolved.mu,
         "rho": resolved.rho,
         "delta": plan.cert.delta,
@@ -385,4 +376,4 @@ def run(prob, params, reference=None, bound=None, plan=None):
     }
     if mode == "ergodic":
         meta["gamma_min"] = (1.0 + plan.cert.delta - resolved.mu) * resolved.rho
-    return Trajectory(**out, meta=meta)
+    return Trajectory(**rec.out, meta=meta)

@@ -9,7 +9,7 @@ from .errors import ConfigError, DegenerateSubproblemError, NumericalError
 SYM_TOL = 1e-10
 PSD_TOL = 1e-10
 SINGULAR_FLOOR = 1e-12
-ROUTES = ("cholesky", "pencil-eigh", "per-step")
+ROUTES = ("cholesky", "pencil-eigh")
 TRIL_LEAF = 64
 
 
@@ -119,7 +119,7 @@ def _refined(inv, apply, rhs, name, counts=None, *args):
     return x
 
 
-def solve_spd(V, rhs, name="subproblem", counts=None):
+def solve_spd(V, rhs, name="subproblem"):
     """Solve V x = rhs for symmetric positive definite V.
 
     Cholesky (applied as two products with the inverse factor), or an LU
@@ -141,7 +141,7 @@ def solve_spd(V, rhs, name="subproblem", counts=None):
                 f"(lambda_min {lo:.3e} < {SINGULAR_FLOOR:.0e})"
             ) from None
         inv = lambda r: np.linalg.solve(V, r)
-    return _refined(inv, V.__matmul__, rhs, name, counts)
+    return _refined(inv, V.__matmul__, rhs, name)
 
 
 class Pencil:
@@ -155,7 +155,9 @@ class Pencil:
     W = Li' U give W'V(c1)W = I, W'K0W = diag(lam) and
     V(c)^-1 = W diag(1 / (1 + (c - c1) lam)) W'. H0 >= 0 puts lam in
     [0, 1/c1], so each divisor is at least min(1, c/c1) > 0. When V(c1) has
-    no Cholesky factor, or eigh fails, each solve is a solve_spd of V(c).
+    no Cholesky factor the pencil raises DegenerateSubproblemError: H0, K0
+    >= 0 give null(H0 + c K0) = null(H0) & null(K0), so V(c) is then singular
+    at every c > 0. An eigh that fails raises NumericalError.
     Every route goes through _refined: each solve is gated, and refined only
     when it fails the gate. Each factorization binds its route's inv(r, c)
     and apply(x, c) once, on the arrays the pencil holds (Li, V, W, lam),
@@ -186,14 +188,15 @@ class Pencil:
                 self.inv = lambda r, c: W.dot((1.0 / (1.0 + (c - c1) * lam)) * Wt.dot(r))
                 self.apply = lambda x, c: H0.dot(x) + c * K0.dot(x)
                 self.lam, self.W, self.route = lam, W, "pencil-eigh"
-        except np.linalg.LinAlgError:
-            self.route = "per-step"
-        self.counts[self.route] += self.route != "per-step"
+        except np.linalg.LinAlgError as exc:
+            if self.route is None:
+                lo = lambda_min(V)
+                msg = f"effective Hessian is singular (lambda_min {lo:.3e} at c = {c:.6g})"
+                raise DegenerateSubproblemError(f"{self.name}: {msg}") from None
+            raise NumericalError(f"{self.name}: pencil eigh failed ({exc})") from None
+        self.counts[self.route] += 1
 
     def solve(self, rhs, c):
         if self.route is None or (self.route == "cholesky" and c != self.c):
             self._factor(c)
-        if self.route == "per-step":
-            self.counts["per-step"] += 1
-            return solve_spd(self.H0 + c * self.K0, rhs, self.name, self.counts)
         return _refined(self.inv, self.apply, rhs, self.name, self.counts, c)

@@ -530,7 +530,8 @@ def problem_to_json(p):
 def problem_from_json(doc):
     """The problem of a JSON document. DataError when the document is not one
     (not an object, a missing field, a value of the wrong JSON type, a ragged
-    or non-numeric array); a well-formed invalid problem raises ConfigError."""
+    or non-numeric array, an n or m that A's shape contradicts); a
+    well-formed invalid problem raises ConfigError."""
     if type(doc) is not dict:
         raise DataError(f"problem JSON must be an object, got {type(doc).__name__}")
     try:
@@ -562,6 +563,8 @@ def _problem_from_doc(doc):
             raise DataError("smooth term must be quadratic")
         smooth = SmoothTerm(term=term, lipschitz_grad=h["lipschitz_grad"])
     prob = ConstrainedProblem(f, A, b, smooth, doc.get("sigma"), doc.get("feasible_point"), n1)
+    if (doc["m"], doc["n"]) != A.shape:
+        raise DataError(f"problem JSON has n = {doc['n']!r}, m = {doc['m']!r}; A is {A.shape}")
     if block is not None:
         _check_block_sigmas(prob, block)
     return prob

@@ -521,7 +521,7 @@ class TestVerify:
         assert manifest["subproblems"] == [
             {
                 "route": "pencil-eigh",
-                "factorizations": {"cholesky": 1, "pencil-eigh": 1, "per-step": 0},
+                "factorizations": {"cholesky": 1, "pencil-eigh": 1},
                 "refinements": 0,
             }
         ]
@@ -763,6 +763,27 @@ class TestVerify:
         assert report["bounds_hold"] is True
         assert "factor 2" in report["note"]
 
+    def test_unmet_ergodic_report_keeps_the_inapplicable_note(self, tmp_path, capsys):
+        # prox-al under the auto policy has lambda_max(P) > sigma/2 here, so
+        # no bound is checked and the report must not say "certified"
+        prob, traj, report_path = (str(tmp_path / name) for name in ("p.json", "e.csv", "e.json"))
+        gen = ["gen", "eq-qp", "--n", "10", "--m", "3", "--seed", "1", "--out", prob]
+        assert main(gen) == 0
+        solve = ["solve", "--problem", prob, "--map", "prox-al", "--mode", "ergodic"]
+        assert main([*solve, "--iters", "200", "--out", traj]) == 0
+        capsys.readouterr()
+        rc = main(
+            [
+                "verify", "--problem", prob, "--traj", traj,
+                "--manifest", traj + ".manifest.json", "--out", report_path,
+            ]
+        )
+        assert rc == 3 and "condition-P=unmet" in capsys.readouterr().out
+        with open(report_path) as fh:
+            report = json.load(fh)
+        assert report["condition_P"] == "unmet" and report["bounds_hold"] is False
+        assert report["note"] == "accelerated bound inapplicable: lambda_max(P) > sigma/2"
+
 
 NOT_UTF8 = b"\xff\xfe\x00{\x81}"
 
@@ -783,22 +804,59 @@ def ragged_row(doc):
     doc["A"][0] = doc["A"][0][:-1]
 
 
-# (command, artifact overwritten, its bytes from the eq-qp problem path)
+# (command, artifact overwritten, its bytes from the eq-qp problem path (None
+# removes the file), a fragment of the one error line)
 MALFORMED = {
-    "problem-not-utf8": ("certify", "problem", lambda qp: NOT_UTF8),
-    "manifest-not-utf8": ("verify", "manifest", lambda qp: NOT_UTF8),
-    "traj-not-utf8": ("verify", "traj", lambda qp: NOT_UTF8),
-    "problem-top-level-list": ("certify", "problem", lambda qp: b"[1, 2]"),
-    "problem-f-string": ("certify", "problem", edit_problem(lambda d: d.update(f="abc"))),
-    "problem-A-ragged-row": ("certify", "problem", edit_problem(ragged_row)),
-    "problem-A-string": ("certify", "problem", edit_problem(lambda d: d.update(A="abc"))),
+    "problem-not-utf8": ("certify", "problem", lambda qp: NOT_UTF8, "malformed problem JSON"),
+    "manifest-not-utf8": ("verify", "manifest", lambda qp: NOT_UTF8, "invalid JSON"),
+    "traj-not-utf8": ("verify", "traj", lambda qp: NOT_UTF8, "not a UTF-8 text file"),
+    "problem-top-level-list": (
+        "certify", "problem", lambda qp: b"[1, 2]", "problem JSON must be an object"
+    ),
+    "problem-f-string": (
+        "certify", "problem", edit_problem(lambda d: d.update(f="abc")), "malformed problem JSON"
+    ),
+    "problem-A-ragged-row": (
+        "certify", "problem", edit_problem(ragged_row), "malformed problem JSON"
+    ),
+    "problem-A-string": (
+        "certify", "problem", edit_problem(lambda d: d.update(A="abc")), "malformed problem JSON"
+    ),
+    "problem-n-m-not-the-shape-of-A": (
+        "certify", "problem", edit_problem(lambda d: d.update(n=999, m=-3)),
+        "has n = 999, m = -3; A is (5, 20)",
+    ),
+    "problem-unknown-term-kind": (
+        "certify", "problem", edit_problem(lambda d: d["f"].update(kind="cubic")),
+        "unknown term kind 'cubic'",
+    ),
+    "problem-term-missing-field": (
+        "certify", "problem", edit_problem(lambda d: d["f"].pop("H")),
+        "term JSON missing field 'H'",
+    ),
+    "problem-missing-field": (
+        "certify", "problem", edit_problem(lambda d: d.pop("b")), "problem JSON missing field 'b'"
+    ),
+    "problem-block-with-smooth-term": (
+        "certify", "problem",
+        edit_problem(lambda d: d.update(block={"n1": 10}, h={"term": d["f"], "lipschitz_grad": 1})),
+        "block problems do not carry a smooth term",
+    ),
+    "problem-smooth-term-not-quadratic": (
+        "certify", "problem",
+        edit_problem(
+            lambda d: d.update(h={"term": {"kind": "zero", "dim": 20}, "lipschitz_grad": 1})
+        ),
+        "smooth term must be quadratic",
+    ),
+    "problem-unreadable": ("certify", "problem", lambda qp: None, "cannot read problem file"),
 }
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_4_with_one_line(self, qp_path, tmp_path, capsys, case):
-        command, artifact, content = MALFORMED[case]
+        command, artifact, content, message = MALFORMED[case]
         paths = {
             "problem": tmp_path / "p.json",
             "traj": tmp_path / "t.csv",
@@ -806,7 +864,11 @@ class TestMalformedInput:
         }
         paths["problem"].write_bytes(Path(qp_path).read_bytes())
         assert solve_fast(str(paths["problem"]), paths["traj"], iters=20) == 0
-        paths[artifact].write_bytes(content(qp_path))
+        data = content(qp_path)
+        if data is None:
+            paths[artifact].unlink()
+        else:
+            paths[artifact].write_bytes(data)
         argv = [command, "--problem", str(paths["problem"])]
         if command == "certify":
             argv += ["--map", "prox-lin-al", "--states", "5"]
@@ -814,9 +876,11 @@ class TestMalformedInput:
             argv += ["--traj", str(paths["traj"]), "--manifest", str(paths["manifest"])]
         capsys.readouterr()
         rc = main(argv)
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert rc == 4, err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and captured.out == "", err
 
     def test_invalid_well_formed_problem_exits_2(self, qp_path, tmp_path, capsys):
         # a valid JSON document whose A has one column too few for f

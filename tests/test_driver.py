@@ -203,11 +203,8 @@ class TestRun:
             x_star=x_star, y_star=-y_star, psi_star=p.psi(x_star), c=2.0
         )
         params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), mode="fast", iters=10)
-        traj = run(p, params, reference=ref, bound=8.0)
+        traj = run(p, params, reference=ref)
         assert np.all(np.isfinite(traj.s_k))
-        assert_allclose(traj.bound_fn[1:], 8.0 / (2.0 * np.arange(1, 11) ** 2))
-        assert_allclose(traj.bound_feas[2], 8.0 / (2.0 * 4.0))
-        assert np.isnan(traj.bound_fn[0])
 
     @pytest.mark.parametrize("family,kind", [("eq-qp", "prox-lin-al"), ("block-qp", "prox-admm")])
     def test_s_k_is_the_lagrangian_gap(self, family, kind):
@@ -280,12 +277,12 @@ class TestRun:
         assert np.isnan(back.s_k).all()
 
     def test_csv_bytes_match_savetxt(self, tmp_path):
-        # one %-format per CHUNK rows writes np.savetxt's bytes, NaN s_k and
-        # bound cells, signed zeros, infinities and subnormals included
+        # one %-format per CHUNK rows writes np.savetxt's bytes, NaN s_k
+        # cells, signed zeros, infinities and subnormals included
         p = make_qp()
         cfg = make_config("prox-lin-al", p, rho=1.0)
         traj = run(p, RunParams(cfg=cfg, mode="fast", iters=2 * CHUNK + 5))
-        assert np.isnan(traj.s_k).all() and np.isnan(traj.bound_fn).all()
+        assert np.isnan(traj.s_k).all()
         traj.psi_z[1:5] = (-0.0, -np.inf, np.inf, 5e-324)
         path = tmp_path / "traj.csv"
         traj.to_csv(path, timestamp="T")
@@ -296,8 +293,8 @@ class TestRun:
         assert path.read_bytes() == header.encode() + buf.getvalue()
 
     def test_columns_are_the_trajectory_fields(self):
-        # the header the CSV has always carried, in the fields' order
-        header = "k,t,rho_k,psi_x,feas_x,psi_z,feas_z,y_norm,s_k,bound_fn,bound_feas"
+        # the CSV header, in the fields' order
+        header = "k,t,rho_k,psi_x,feas_x,psi_z,feas_z,y_norm,s_k"
         assert ",".join(CSV_COLUMNS) == header
         names = [f.name for f in dataclasses.fields(Trajectory)]
         assert names == [*CSV_COLUMNS, "meta"]
@@ -343,7 +340,7 @@ class TestRun:
         cfg = make_config(kind, prob, rho=1.0)
         calls, factor = [], linalg._inverse_factor
         monkeypatch.setattr(linalg, "_inverse_factor", lambda V: calls.append(1) or factor(V))
-        once = {"cholesky": 1, "pencil-eigh": 0, "per-step": 0}
+        once = {"cholesky": 1, "pencil-eigh": 0}
         for mode, route, counts in (
             ("classic", "cholesky", once),
             ("fast", "pencil-eigh", dict(once, **{"pencil-eigh": 1})),

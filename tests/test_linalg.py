@@ -21,7 +21,7 @@ def test_pencil_routes_follow_the_values_of_c():
         x = pencil.solve(rhs, c)
         assert pencil.route == route
         assert_allclose((H0 + c * K0) @ x, rhs, atol=1e-10)
-    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "per-step": 0, "refinements": 0}
+    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "refinements": 0}
 
 
 @pytest.mark.parametrize("route", ["cholesky", "pencil-eigh"])
@@ -52,15 +52,29 @@ def test_fallback_when_neither_end_is_definite():
     for c in (1.0, 3.0, 7.0):
         assert_allclose(pencil.solve(rhs, c), rhs / np.diag(H0 + c * K0))
     assert pencil.route == "pencil-eigh"
-    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "per-step": 0, "refinements": 0}
+    assert pencil.counts == {"cholesky": 1, "pencil-eigh": 1, "refinements": 0}
 
 
 def test_fallback_keeps_degenerate_error():
     pencil = Pencil(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
     for c in (1.0, 2.0):
-        with pytest.raises(DegenerateSubproblemError):
+        with pytest.raises(DegenerateSubproblemError, match="lambda_min 0.000e"):
             pencil.solve(np.ones(2), c)
-    assert pencil.route == "per-step"
+    assert pencil.route is None
+
+
+def test_failed_eigh_is_one_numerical_error(monkeypatch):
+    rng = np.random.default_rng(6)
+    pencil = Pencil(random_psd(rng, 4), random_psd(rng, 4, 1.0), "leaf")
+    pencil.solve(np.ones(4), 1.0)
+
+    def fail(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="^leaf: pencil eigh failed") as exc:
+        pencil.solve(np.ones(4), 2.0)
+    assert "\n" not in str(exc.value)
 
 
 def test_ill_conditioned_end_is_not_used():
@@ -87,14 +101,11 @@ def test_solve_spd_rejects_a_non_finite_rhs(bad):
     [
         (np.eye(2), np.eye(2), (1.0,), "cholesky"),
         (np.eye(2), np.eye(2), (1.0, 2.0), "pencil-eigh"),
-        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), (1.0, 2.0), "per-step"),
     ],
 )
-def test_nan_rhs_fails_the_residual_gate_on_every_route(H0, K0, c_values, route, monkeypatch):
+def test_nan_rhs_fails_the_residual_gate_on_every_route(H0, K0, c_values, route):
     # a NaN residual compares false with any bound, so the gate must be
     # "not resid <= tol" rather than "resid > tol"
-    if route == "per-step":
-        fail_first_factor(monkeypatch)
     pencil = Pencil(H0, K0)
     for c in c_values[:-1]:
         pencil.solve(np.ones(2), c)
@@ -131,34 +142,6 @@ def test_slightly_perturbed_factor_is_refined(route):
     x = pencil.solve(rhs, c)
     assert pencil.counts["refinements"] == 1
     assert np.linalg.norm((H0 + c * K0) @ x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
-
-
-def test_per_step_route_counts_refinements(monkeypatch):
-    # the per-step route refines inside solve_spd; the count reaches the pencil
-    H0, K0 = np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])
-    fail_first_factor(monkeypatch)
-    pencil = Pencil(H0, K0)
-    for c in (1.0, 3.0):
-        pencil.solve(np.ones(3), c)
-    assert pencil.route == "per-step" and pencil.counts["refinements"] == 0
-    factor = linalg._inverse_factor
-    monkeypatch.setattr(linalg, "_inverse_factor", lambda V: factor(V) * (1.0 + 1e-9))
-    pencil.solve(np.ones(3), 7.0)
-    assert pencil.counts["refinements"] == 1
-
-
-def fail_first_factor(monkeypatch):
-    # the pencil's own Cholesky of V(c1) fails, which sends it to the
-    # per-step route; the solve_spd calls after it factor as usual
-    factor, calls = linalg._inverse_factor, []
-
-    def first_fails(V):
-        calls.append(1)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("forced")
-        return factor(V)
-
-    monkeypatch.setattr(linalg, "_inverse_factor", first_fails)
 
 
 @pytest.fixture
