@@ -15,10 +15,10 @@ import json
 import sys
 from typing import NamedTuple
 
-from .driver import MAX_ITERS, MODES, RunParams, mode_p, run, trajectory_from_csv
+from .driver import MAX_ITERS, MODES, RunParams, check_mode, mode_p, run, trajectory_from_csv
 from .errors import ConfigError, DataError, FlagoptError, NumericalError
 from .gen import FAMILIES, GenSpec, generate
-from .maps import MAP_KINDS, StepPlan, certificate, make_config, sample_niceness
+from .maps import MAP_KINDS, StepPlan, certificate, make_config, map_spec, sample_niceness
 from .problems import feasibility_residual, load_problem, save_problem
 from .rates import bound_constant, reference_solve, verify_rates
 
@@ -43,7 +43,7 @@ def _vector(axis):
 
 class Field(NamedTuple):
     """A run-manifest field: verify's check of its JSON value, given A's shape
-    (None: recorded, not read); whether a manifest may omit it (a map flag is
+    (None: recorded, not checked); whether a manifest may omit it (a map flag is
     then read at its default); a map flag's argparse keywords."""
 
     check: object
@@ -68,7 +68,7 @@ MANIFEST = {
     "iters": Field(lambda v, shape: type(v) is int and 1 <= v <= MAX_ITERS),
     "z0": Field(_vector(1)),
     "y0": Field(_vector(0)),
-    "delta": Field(None, True),
+    "delta": Field(_num),
     "subproblems": Field(None, True),
 }
 MAP_FLAGS = tuple(key for key, field in MANIFEST.items() if field.flag)
@@ -219,8 +219,13 @@ def _verify_report(prob, problem_sha256, traj, manifest, tol):
         raise DataError(
             f"trajectory has {traj.records} rows, expected {expected}"
         )
+    cert = certificate(cfg, prob)
+    if not abs(manifest["delta"] - cert.delta) <= 1e-12 * cert.delta:
+        raise DataError(
+            f"manifest 'delta' is {manifest['delta']!r}, not its certificate's {cert.delta!r}"
+        )
     ref = reference_solve(prob)
-    report = _rate_report(prob, cfg, certificate(cfg, prob), traj, ref, manifest, tol)
+    report = _rate_report(prob, cfg, cert, traj, ref, manifest, tol)
     if manifest["mode"] == "ergodic" and report["condition_P"] == "met":
         report["note"] = (
             "ergodic averages certified against the bounds as printed "
@@ -249,10 +254,11 @@ def cmd_verify(args):
 def cmd_sweep(args):
     prob = load_problem(args.problem)
     kinds = MAP_KINDS if args.maps == "all" else tuple(args.maps.split(","))
-    for kind in kinds:
-        if kind not in MAP_KINDS:
-            raise ConfigError(f"unknown map kind {kind!r}")
     modes = tuple(args.modes.split(","))
+    for kind in kinds:
+        map_spec(kind)
+    for mode in modes:
+        check_mode(mode)
     ref = None
     rows = []
     for kind in kinds:
@@ -321,7 +327,7 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="run the driver and write a trajectory")
     p_solve.add_argument("--problem", required=True)
     add_map_flags(p_solve)
-    p_solve.add_argument("--mode", choices=("fast", "classic", "ergodic"), default="classic")
+    p_solve.add_argument("--mode", choices=MODES, default="classic")
     p_solve.add_argument("--mu", type=float, default=None)
     p_solve.add_argument("--iters", type=int, default=1000)
     p_solve.add_argument("--out", required=True)

@@ -33,6 +33,12 @@ MAX_ITERS = 1_000_000
 CHUNK = 256
 
 
+def check_mode(mode):
+    """ConfigError unless mode is one of MODES."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
+
+
 def next_t(t, p):
     """Sequence update: t + 1 for p = 1, (1 + sqrt(1 + 4 t^2)) / 2 for p = 2."""
     if p == 1:
@@ -65,8 +71,7 @@ class RunParams:
     y0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r} (choose from {', '.join(MODES)})")
+        check_mode(self.mode)
         if not 1 <= self.iters <= MAX_ITERS:
             raise ConfigError(f"iters must lie in [1, {MAX_ITERS}]")
         for name in ("z0", "y0"):
@@ -210,16 +215,11 @@ class Trajectory:
     def records(self):
         return len(self.k)
 
-    def to_csv(self, path, timestamp=None):
-        import datetime
-
-        if timestamp is None:
-            timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    def to_csv(self, path):
         data = np.column_stack([getattr(self, c) for c in CSV_COLUMNS])
         # one %-format per CHUNK rows: the bytes np.savetxt(fmt="%.17g") writes
         row = ",".join(["%.17g"] * data.shape[1]) + "\n"
         with open(path, "w") as fh:
-            fh.write(f"# written {timestamp}\n")
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for lo in range(0, len(data), CHUNK):
                 rows = data[lo : lo + CHUNK]

@@ -7,6 +7,7 @@ instance bit for bit. Every generated problem stores a feasible point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,10 @@ class GenSpec:
             )
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be >= 1")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
-        if self.conditioning < 1:
-            raise ConfigError("conditioning must be >= 1")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError("sigma must be >= 0 and finite")
+        if not (math.isfinite(self.conditioning) and self.conditioning >= 1):
+            raise ConfigError("conditioning must be >= 1 and finite")
         if self.a_identity and self.family != "block-qp":
             raise ConfigError("a_identity only applies to block-qp")
 
@@ -87,13 +88,8 @@ def _eq_qp(spec, rng):
     q = rng.standard_normal(spec.n)
     A = _full_rank_map(rng, spec.m, spec.n)
     x_feas = rng.standard_normal(spec.n)
-    return ConstrainedProblem(
-        f=Quadratic(H=H, q=q, strong_convexity=spec.sigma),
-        A=A,
-        b=A @ x_feas,
-        sigma=spec.sigma,
-        feasible_point=x_feas,
-    )
+    f = Quadratic(H=H, q=q, strong_convexity=spec.sigma)
+    return ConstrainedProblem(f=f, A=A, b=A @ x_feas, feasible_point=x_feas)
 
 
 def _lasso_split(spec, rng):
@@ -162,14 +158,7 @@ def _smooth_composite(spec, rng):
     h = SmoothTerm(term=Quadratic(H=H_h, q=rng.standard_normal(n)), lipschitz_grad=1.0)
     A = _full_rank_map(rng, spec.m, n)
     x_feas = rng.standard_normal(n)
-    return ConstrainedProblem(
-        f=f,
-        A=A,
-        b=A @ x_feas,
-        smooth=h,
-        sigma=spec.sigma,
-        feasible_point=x_feas,
-    )
+    return ConstrainedProblem(f=f, A=A, b=A @ x_feas, smooth=h, feasible_point=x_feas)
 
 
 def generate(spec):

@@ -58,7 +58,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, NotNiceError
 from .lagrangian import delta_P, eval_aug_lagrangian, quad_norm
-from .problems import FEAS_TOL, SmoothTerm
+from .problems import SmoothTerm
 from .prox import Subproblem
 
 # sample_niceness: the tau_t its states cycle through when p = 2, and the
@@ -84,7 +84,7 @@ class MapConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        _spec(self.kind)
+        map_spec(self.kind)
         if not 0.0 < self.rho < math.inf:
             raise ConfigError(f"base penalty rho must be positive and finite, got {self.rho!r}")
         for name in ("M", "M1", "M2"):
@@ -285,7 +285,8 @@ KINDS = {
 MAP_KINDS = tuple(KINDS)
 
 
-def _spec(kind):
+def map_spec(kind):
+    """The KINDS row of a map kind; ConfigError naming the kinds otherwise."""
     try:
         return KINDS[kind]
     except KeyError:
@@ -296,7 +297,7 @@ def _spec(kind):
 
 def _view(kind, prob):
     """(table row, _View) of prob for the map kind."""
-    spec = _spec(kind)
+    spec = map_spec(kind)
     if len(spec.blocks) == 1:
         return spec, _View((prob.A,), (prob.f,), (prob.sigma,), prob.b, prob.smooth)
     if prob.n1 is None:
@@ -491,7 +492,7 @@ def nice_parts(plan, tau, z, lam, xi, z_next, delta=None):
     lam = np.asarray(lam, dtype=float)
     A, b = plan.A, prob.b
     feas_xi = np.linalg.norm(xi @ A.T - b, axis=-1).ravel()
-    infeasible = np.flatnonzero(feas_xi > FEAS_TOL * (1.0 + float(np.linalg.norm(b))))
+    infeasible = np.flatnonzero(feas_xi > prob.feas_tol)
     if infeasible.size:
         raise ConfigError(f"xi must be feasible (residual {feas_xi[infeasible[0]]:.3e})")
     rho_t = plan.cfg.rho * tau
@@ -529,7 +530,7 @@ def feasible_sampler(prob, seed=0, scale=1.0, size=None):
         x_part = prob.feasible_point
     else:
         x_part, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.linalg.norm(A @ x_part - b) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
+        if np.linalg.norm(A @ x_part - b) > prob.feas_tol:
             raise ConfigError("problem admits no feasible point within tolerance")
     _, s, Vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))

@@ -66,8 +66,10 @@ class Quadratic:
         q = _finite(self.q, 1, "q")
         if H.shape[0] != q.shape[0]:
             raise ConfigError(f"H/q dimension mismatch: {H.shape} vs {q.shape}")
-        if self.strong_convexity < 0:
-            raise ConfigError("strong_convexity must be nonnegative")
+        if not (math.isfinite(self.strong_convexity) and self.strong_convexity >= 0):
+            raise ConfigError("strong_convexity must be nonnegative and finite")
+        if not math.isfinite(self.r):
+            raise ConfigError("r must be finite")
         if self.strong_convexity > 0 and self.strong_convexity > eigs[0] + SIGMA_SLACK:
             raise ConfigError(
                 f"declared strong_convexity {self.strong_convexity} exceeds "
@@ -104,8 +106,8 @@ class L1:
     dim: int
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ConfigError("l1 weight must be nonnegative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ConfigError("l1 weight must be nonnegative and finite")
         if self.dim <= 0:
             raise ConfigError("l1 dim must be positive")
         object.__setattr__(self, "weight", float(self.weight))
@@ -248,8 +250,8 @@ class SmoothTerm:
         if not isinstance(self.term, Quadratic):
             raise ConfigError("smooth term must be quadratic")
         L = float(self.lipschitz_grad)
-        if L <= 0:
-            raise ConfigError("lipschitz_grad must be positive")
+        if not (math.isfinite(L) and L > 0):
+            raise ConfigError("lipschitz_grad must be positive and finite")
         top = self.term.lambda_max
         if L < top - SIGMA_SLACK:
             raise ConfigError(f"lipschitz_grad {L} below lambda_max(H) = {top:.6e}")
@@ -258,7 +260,9 @@ class SmoothTerm:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedProblem:
-    """min f(x) + h(x)  s.t.  A x = b, with declared strong convexity sigma.
+    """min f(x) + h(x)  s.t.  A x = b. Not fields: sigma, the strong convexity
+    of Psi = f + h that the terms declare (f's, the min over its parts when f
+    is separable, plus h's), and feas_tol = FEAS_TOL (1 + ||b||).
 
     Attributes
     ----------
@@ -271,12 +275,8 @@ class ConstrainedProblem:
     smooth : SmoothTerm or None
         Optional smooth quadratic h, handled by gradient steps in the
         smooth map variants and folded exactly elsewhere.
-    sigma : float
-        Strong convexity of Psi = f + h; must equal the declared strong
-        convexity of f (the min over its parts when f is separable) plus
-        that of h. Defaults to that value.
     feasible_point : ndarray or None
-        Optional stored point with A x = b (residual <= 1e-9).
+        Optional stored point with A x = b (residual <= feas_tol).
     n1 : int or None
         Set on a two-block problem  min f_1(u) + f_2(v)  s.t.  A_1 u + A_2 v
         = b  with x = (u, v) and u the first n1 coordinates: f is then a
@@ -289,7 +289,6 @@ class ConstrainedProblem:
     A: np.ndarray
     b: np.ndarray
     smooth: SmoothTerm | None = None
-    sigma: float | None = None
     feasible_point: np.ndarray | None = None
     n1: int | None = None
 
@@ -312,22 +311,17 @@ class ConstrainedProblem:
                 raise ConfigError("smooth must be a SmoothTerm")
             if self.smooth.term.dim != n:
                 raise ConfigError("smooth term dimension mismatch")
-        declared = self.f.strong_convexity
+        sigma = self.f.strong_convexity
         if self.smooth is not None:
-            declared += self.smooth.term.strong_convexity
-        sigma = declared if self.sigma is None else float(self.sigma)
-        if abs(sigma - declared) > 1e-12:
-            raise ConfigError(
-                f"sigma {sigma} does not equal the declared strong convexity {declared} "
-                "of Psi: f's (the min over its parts when separable) plus h's"
-            )
+            sigma += self.smooth.term.strong_convexity
+        feas_tol = FEAS_TOL * (1.0 + float(np.linalg.norm(b)))
         fp = self.feasible_point
         if fp is not None:
             fp = _finite(fp, 1, "feasible_point")
             if fp.shape[0] != n:
                 raise ConfigError("feasible_point dimension mismatch")
             resid = float(np.linalg.norm(A @ fp - b))
-            if resid > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
+            if resid > feas_tol:
                 raise ConfigError(f"feasible_point residual {resid:.3e} too large")
         if self.n1 is not None:
             if self.smooth is not None:
@@ -338,6 +332,7 @@ class ConstrainedProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "feas_tol", feas_tol)
         object.__setattr__(self, "feasible_point", fp)
 
     @property
@@ -385,15 +380,6 @@ def _part_index(f, n1):
         if n1 in ends:
             return ends.index(n1) + 1
     return None
-
-
-def _check_block_sigmas(prob, block):
-    """ConfigError unless the "block" record's sigma_f and sigma_g, where
-    given, equal the declared strong convexity of prob's blocks."""
-    for name, (_, term) in zip(("sigma_f", "sigma_g"), prob.blocks):
-        declared = block.get(name)
-        if declared is not None and abs(float(declared) - term.strong_convexity) > 1e-12:
-            raise ConfigError(f"{name} does not match the declared {name[-1]} contribution")
 
 
 def BlockProblem(f_term, g_term, A, B, b, feasible_point=None):
@@ -471,7 +457,8 @@ def eval_objective(p, x):
 # Smooth schema: {"term": <quadratic term>, "lipschitz_grad": float}
 # A two-block problem is stored as it is held: the stacked A, a separable f
 # split at n1 (a boundary between its parts), sigma = min(sigma_f, sigma_g),
-# and "block" with n1 and each block's declared strong convexity.
+# and "block" with n1 and each block's declared strong convexity. The reader
+# checks these optional copies of what the terms declare.
 
 
 def term_to_json(term):
@@ -562,11 +549,21 @@ def _problem_from_doc(doc):
         if not isinstance(term, Quadratic):
             raise DataError("smooth term must be quadratic")
         smooth = SmoothTerm(term=term, lipschitz_grad=h["lipschitz_grad"])
-    prob = ConstrainedProblem(f, A, b, smooth, doc.get("sigma"), doc.get("feasible_point"), n1)
+    prob = ConstrainedProblem(f, A, b, smooth, doc.get("feasible_point"), n1)
+    # the recorded copies of what the terms declare; NaN matches nothing
+    sigma = doc.get("sigma")
+    if sigma is not None and not abs(float(sigma) - prob.sigma) <= 1e-12:
+        raise ConfigError(
+            f"sigma {float(sigma)} does not equal the declared strong convexity {prob.sigma} "
+            "of Psi: f's (the min over its parts when separable) plus h's"
+        )
     if (doc["m"], doc["n"]) != A.shape:
         raise DataError(f"problem JSON has n = {doc['n']!r}, m = {doc['m']!r}; A is {A.shape}")
     if block is not None:
-        _check_block_sigmas(prob, block)
+        for name, (_, term) in zip(("sigma_f", "sigma_g"), prob.blocks):
+            recorded = block.get(name)
+            if recorded is not None and not abs(float(recorded) - term.strong_convexity) <= 1e-12:
+                raise ConfigError(f"{name} does not match the declared {name[-1]} contribution")
     return prob
 
 

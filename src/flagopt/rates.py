@@ -28,7 +28,7 @@ from .driver import RunParams, flag_iterate, initial_state, next_t, resolve_para
 from .errors import ConfigError, NumericalError, UnreliableReferenceError
 from .lagrangian import quad_norm
 from .maps import make_config, p2_condition
-from .problems import FEAS_TOL, L1, Quadratic, Separable, Zero, eval_objective
+from .problems import L1, Quadratic, Separable, Zero, eval_objective
 from .prox import Subproblem
 
 REF_TOL = 1e-9
@@ -256,13 +256,12 @@ def _long_run_route(sp):
     resolved = resolve_params(sp, params)
     state = initial_state(sp, params, resolved)
     A, b = sp.A, sp.b
-    feas_tol = FEAS_TOL * (1.0 + float(np.linalg.norm(b)))
     for _ in range(LONG_RUN_CAP):
         prev_z = state.z
         state = flag_iterate(state, resolved, sp)
         move = float(np.linalg.norm(state.z - prev_z))
         feas = float(np.linalg.norm(A @ state.z - b))
-        if move <= 1e-10 * (1.0 + float(np.linalg.norm(state.z))) and feas <= feas_tol:
+        if move <= 1e-10 * (1.0 + float(np.linalg.norm(state.z))) and feas <= sp.feas_tol:
             break
     return state.z
 

@@ -241,7 +241,6 @@ def test_criterion_4_niceness_sampling_and_mutation(announce):
         f=Quadratic(H=np.eye(8), q=rng.normal(size=8), strong_convexity=1.0),
         A=A,
         b=A @ rng.normal(size=8),
-        sigma=1.0,
     )
     cfg = make_config("prox-al", tight, rho=1.0)
     cert = certificate(cfg, tight)

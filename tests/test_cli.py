@@ -88,6 +88,19 @@ class TestGen:
         assert rc == 2
         assert "rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--sigma", "sigma must be >= 0"), ("--conditioning", "conditioning must be >= 1")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scalar_refused(self, tmp_path, capsys, flag, message, value):
+        out = tmp_path / "b.json"
+        argv = ["gen", "block-qp", "--n", "6", "--m", "3", flag, value, "--seed", "1"]
+        rc = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: {message} and finite\n"
+
     def test_unwritable_path_is_io_error(self, tmp_path):
         rc = main(
             ["gen", "eq-qp", "--n", "5", "--m", "2",
@@ -510,6 +523,8 @@ class TestVerify:
             ("alpha", "1"),
             ("p", 3),
             ("mode", "turbo"),
+            ("delta", "1.0"),
+            ("delta", -5.0),
         ],
     )
     def test_manifest_bad_value_is_io_error(self, qp_path, tmp_path, capsys, key, value):
@@ -556,6 +571,29 @@ class TestVerify:
         assert rc == 4
         assert err.count("\n") == 1 and "'p'" in err and "fast" in err
 
+    def test_manifest_delta_must_be_the_certificates(self, qp_path, tmp_path, capsys):
+        # delta is compared with the rebuilt certificate's to 1e-12 relative;
+        # subproblems is recorded and not checked
+        traj = tmp_path / "t.csv"
+        argv = ["solve", "--problem", qp_path, "--map", "prox-lin-al", "--iters", "200"]
+        assert main([*argv, "--out", str(traj)]) == 0
+        manifest_path = Path(str(traj) + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        delta = manifest["delta"]
+        verify = ["verify", "--problem", qp_path, "--traj", str(traj)]
+        verify += ["--manifest", str(manifest_path)]
+        for value, rc in ((delta * (1 + 1e-13), 0), (delta * (1 + 1e-9), 4), (-5.0, 4)):
+            edited = dict(manifest, delta=value, subproblems="anything")
+            manifest_path.write_text(json.dumps(edited))
+            capsys.readouterr()
+            assert main(verify) == rc
+            err = capsys.readouterr().err
+            assert err == "" if rc == 0 else err.count("\n") == 1 and "'delta'" in err
+        del manifest["delta"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(verify) == 4
+        assert capsys.readouterr().err == "error: manifest is missing key 'delta'\n"
+
     def test_k_column_must_count_rows(self, tmp_path, capsys):
         # a gap held at 0.4 B breaks B / (2k) from k = 2 on; rows relabelled
         # k = 1 would each be checked against B / 2 and pass
@@ -581,14 +619,14 @@ class TestVerify:
         B = json.loads(report.read_text())["B"]
         held = reference_solve(load_problem(prob)).psi_star + 0.4 * B
         lines = traj.read_text().splitlines()
-        columns = lines[1].split(",")
+        columns = lines[0].split(",")
         k, psi = columns.index("k"), columns.index("psi_x")
-        rows = [line.split(",") for line in lines[2:]]
+        rows = [line.split(",") for line in lines[1:]]
 
         def rewrite(col, value):
             for row in rows[1:]:
                 row[col] = value
-            traj.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+            traj.write_text("\n".join(lines[:1] + [",".join(row) for row in rows]) + "\n")
 
         rewrite(psi, repr(held))
         assert main(verify) == 3
@@ -890,6 +928,29 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_nan_strong_convexity_with_a_recorded_sigma_exits_2(self, tmp_path, capsys):
+        # lambda_min(H) = 0.01: a NaN declaration must not carry a recorded
+        # sigma of 10 into a fast run
+        path = tmp_path / "p.json"
+        argv = ["gen", "eq-qp", "--n", "10", "--m", "3", "--sigma", "0.01", "--seed", "1"]
+        assert main([*argv, "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["f"]["strong_convexity"] = float("nan")
+        doc["sigma"] = 10.0
+        path.write_text(json.dumps(doc))
+        traj = tmp_path / "t.csv"
+        commands = (
+            ["certify", "--problem", str(path), "--map", "prox-al"],
+            ["solve", "--problem", str(path), "--map", "prox-al", "--mode", "fast",
+             "--out", str(traj)],
+        )
+        for argv in commands:
+            capsys.readouterr()
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == "" and not traj.exists()
+            assert captured.err == "error: strong_convexity must be nonnegative and finite\n"
+
     def test_block_file_with_a_wrong_sigma_exits_2(self, tmp_path, capsys):
         # a block file's sigma must be min(sigma_f, sigma_g), as a flat file's
         # must be its declared sum
@@ -930,11 +991,7 @@ class TestArgumentErrors:
 
 
 class TestRoundTrip:
-    def strip_comments(self, path):
-        with open(path) as fh:
-            return [ln for ln in fh if not ln.startswith("#")]
-
-    def test_pipeline_reproducible_up_to_timestamp(self, tmp_path):
+    def test_pipeline_reproducible_byte_for_byte(self, tmp_path):
         outputs = []
         for tag in ("one", "two"):
             d = tmp_path / tag
@@ -954,7 +1011,7 @@ class TestRoundTrip:
             outputs.append((d, prob, traj, report))
         (d1, p1, t1, r1), (d2, p2, t2, r2) = outputs
         assert sha256(p1) == sha256(p2)
-        assert self.strip_comments(t1) == self.strip_comments(t2)
+        assert sha256(t1) == sha256(t2)
         assert sha256(str(t1) + ".manifest.json") == sha256(str(t2) + ".manifest.json")
         assert sha256(r1) == sha256(r2)
 
@@ -1030,6 +1087,30 @@ class TestSweep:
             ]
         printed = capsys.readouterr().out.splitlines()
         assert printed == [f"wrote {out}", f"{'prox-admm':>16} {'classic':>8}  {status}"]
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            (
+                "--modes",
+                "classic,turbo",
+                "unknown mode 'turbo' (choose from fast, classic, ergodic)",
+            ),
+            (
+                "--maps",
+                "prox-al,bogus",
+                f"unknown map kind 'bogus' (choose from {', '.join(MAP_KINDS)})",
+            ),
+        ],
+    )
+    def test_unknown_list_entry_refused_before_any_row(
+        self, qp_path, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "sweep.json"
+        rc = main(["sweep", "--problem", qp_path, flag, value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: {message}\n"
 
     def test_unknown_map_rejected(self, qp_path, capsys):
         rc = main(["sweep", "--problem", qp_path, "--maps", "nope"])

@@ -38,7 +38,7 @@ def make_qp(seed=0, n=8, m=3, sigma=1.0):
     f = Quadratic(H=H, q=rng.standard_normal(n), strong_convexity=sigma)
     A = rng.standard_normal((m, n))
     x_feas = rng.standard_normal(n)
-    return ConstrainedProblem(f=f, A=A, b=A @ x_feas, sigma=sigma, feasible_point=x_feas)
+    return ConstrainedProblem(f=f, A=A, b=A @ x_feas, feasible_point=x_feas)
 
 
 def kkt_solution(p):
@@ -275,6 +275,9 @@ class TestRun:
         for col in ("k", "t", "rho_k", "psi_x", "feas_x", "psi_z", "feas_z", "y_norm"):
             assert_allclose(getattr(back, col), getattr(traj, col), rtol=1e-15)
         assert np.isnan(back.s_k).all()
+        # a file with the timestamp comment older versions wrote still loads
+        path.write_text("# written 2020-01-01T00:00:00+00:00\n" + path.read_text())
+        assert_allclose(trajectory_from_csv(path).psi_x, traj.psi_x, rtol=0)
 
     def test_csv_bytes_match_savetxt(self, tmp_path):
         # one %-format per CHUNK rows writes np.savetxt's bytes, NaN s_k
@@ -285,11 +288,11 @@ class TestRun:
         assert np.isnan(traj.s_k).all()
         traj.psi_z[1:5] = (-0.0, -np.inf, np.inf, 5e-324)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, timestamp="T")
+        traj.to_csv(path)
         buf = io.BytesIO()
         data = np.column_stack([getattr(traj, c) for c in CSV_COLUMNS])
         np.savetxt(buf, data, delimiter=",", fmt="%.17g")
-        header = "# written T\n" + ",".join(CSV_COLUMNS) + "\n"
+        header = ",".join(CSV_COLUMNS) + "\n"
         assert path.read_bytes() == header.encode() + buf.getvalue()
 
     def test_columns_are_the_trajectory_fields(self):

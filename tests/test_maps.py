@@ -40,7 +40,7 @@ from helpers import dense_prim_step, dense_subproblem_solve
 
 def one_d_problem(sigma=1.0, b=1.0):
     f = Quadratic(H=[[sigma]], q=[0.0], strong_convexity=sigma)
-    return ConstrainedProblem(f=f, A=[[1.0]], b=[b], sigma=sigma)
+    return ConstrainedProblem(f=f, A=[[1.0]], b=[b])
 
 
 def small_qp(seed=3, n=6, m=2, sigma=1.0):
@@ -50,7 +50,7 @@ def small_qp(seed=3, n=6, m=2, sigma=1.0):
     f = Quadratic(H=H, q=rng.standard_normal(n), strong_convexity=sigma)
     A = rng.standard_normal((m, n))
     x_feas = rng.standard_normal(n)
-    return ConstrainedProblem(f=f, A=A, b=A @ x_feas, sigma=sigma, feasible_point=x_feas)
+    return ConstrainedProblem(f=f, A=A, b=A @ x_feas, feasible_point=x_feas)
 
 
 def small_block(seed=5, n1=4, n2=3, m=2, sigma_f=0.5, sigma_g=1.0, a_identity=False):
@@ -223,7 +223,7 @@ class TestCertificates:
     def test_exact_kind_rejects_coupled_nonsmooth(self):
         f = L1(weight=1.0, dim=2)
         A = np.array([[1.0, 1.0]])
-        p = ConstrainedProblem(f=f, A=A, b=[1.0], sigma=0.0)
+        p = ConstrainedProblem(f=f, A=A, b=[1.0])
         cfg = MapConfig(kind="prox-al", rho=1.0, M=np.zeros((2, 2)))
         with pytest.raises(ConfigError, match="linearized"):
             certificate(cfg, p)
@@ -236,7 +236,6 @@ class TestCertificates:
             A=np.array([[1.0, 1.0, 0.0]]),
             b=[1.0],
             smooth=SmoothTerm(term=Quadratic(H=0.5 * np.eye(3), q=np.zeros(3)), lipschitz_grad=0.5),
-            sigma=1.0,
         )
         cp_block = small_block(a_identity=True)
         for kind in MAP_KINDS:
@@ -292,7 +291,7 @@ class TestPrimStep:
     def test_smooth_lin_al_scalar(self):
         f = Quadratic(H=[[0.0]], q=[0.0])
         h = SmoothTerm(term=Quadratic(H=[[1.0]], q=[0.0]), lipschitz_grad=1.0)
-        p = ConstrainedProblem(f=f, A=[[1.0]], b=[1.0], smooth=h, sigma=0.0)
+        p = ConstrainedProblem(f=f, A=[[1.0]], b=[1.0], smooth=h)
         cfg = MapConfig(kind="smooth-lin-al", rho=1.0, M=[[3.0]])
         # argmin <h'(0), x> + <0 + (0 - 1), x> + (3/2) x^2  ->  x = 1/3
         z = prim_step(StepPlan(cfg, p), 1.0, np.array([0.0]), np.array([0.0]))
@@ -391,7 +390,7 @@ class TestNiceness:
         A = rng.standard_normal((2, 4))
         x_feas = rng.standard_normal(4)
         p = ConstrainedProblem(
-            f=f, A=A, b=A @ x_feas, smooth=h, sigma=1.0, feasible_point=x_feas
+            f=f, A=A, b=A @ x_feas, smooth=h, feasible_point=x_feas
         )
         for kind in ("smooth-prox-al", "smooth-lin-al"):
             report = sample_niceness(make_config(kind, p, rho=1.0), p, states=15, xis=6, seed=5)
@@ -402,7 +401,7 @@ class TestNiceness:
         # 1.5x delta must push the residual strictly positive
         f = Quadratic(H=np.eye(3), q=np.zeros(3), strong_convexity=1.0)
         A = np.array([[1.0, 1.0, 1.0]])
-        p = ConstrainedProblem(f=f, A=A, b=[3.0], sigma=1.0)
+        p = ConstrainedProblem(f=f, A=A, b=[3.0])
         cfg = make_config("prox-lin-al", p, rho=1.0)
         cert = certificate(cfg, p)
         report = sample_niceness(cfg, p, states=20, xis=5, seed=2, delta=1.5 * cert.delta)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,15 +232,6 @@ def test_strong_convexity_along_segments(seed, theta):
 
 
 class TestProblemValidation:
-    def test_sigma_must_match_declared(self):
-        with pytest.raises(ConfigError, match="sigma"):
-            ConstrainedProblem(
-                f=Quadratic(np.eye(2), np.zeros(2), strong_convexity=1.0),
-                A=[[1.0, 1.0]],
-                b=[0.0],
-                sigma=0.5,
-            )
-
     def test_feasible_point_checked(self):
         with pytest.raises(ConfigError, match="feasible_point"):
             ConstrainedProblem(
@@ -433,6 +425,85 @@ def test_block_file_sigma_is_checked_as_a_flat_file_sigma_is(sigma):
             problem_from_json(doc)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (
+            lambda v: Quadratic(np.eye(2), np.zeros(2), strong_convexity=v),
+            "strong_convexity must be nonnegative and finite",
+        ),
+        (lambda v: Quadratic(np.eye(2), np.zeros(2), r=v), "r must be finite"),
+        (lambda v: L1(weight=v, dim=2), "l1 weight must be nonnegative and finite"),
+        (
+            lambda v: SmoothTerm(Quadratic(np.eye(2), np.zeros(2)), lipschitz_grad=v),
+            "lipschitz_grad must be positive and finite",
+        ),
+        (lambda v: GenSpec(family="eq-qp", n=4, m=2, sigma=v), "sigma must be >= 0 and finite"),
+        (
+            lambda v: GenSpec(family="eq-qp", n=4, m=2, conditioning=v),
+            "conditioning must be >= 1 and finite",
+        ),
+    ],
+    ids=["strong_convexity", "r", "l1-weight", "lipschitz_grad", "gen-sigma", "gen-conditioning"],
+)
+def test_non_finite_scalar_declaration_refused(make, message, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make(value)
+
+
+def _set_f_sigma(value, sigma):
+    def edit(doc):
+        doc["f"]["strong_convexity"] = value
+        doc["sigma"] = sigma
+
+    return edit
+
+
+# edits of a file's declarations and recorded copies that no sigma may survive
+SIGMA_EDITS = {
+    "f-nan-sigma-10": ("eq-qp", _set_f_sigma(math.nan, 10.0), "strong_convexity must be"),
+    "f-10-sigma-10": ("eq-qp", _set_f_sigma(10.0, 10.0), "exceeds lambda_min(H)"),
+    "sigma-nan": (
+        "eq-qp",
+        lambda doc: doc.update(sigma=math.nan),
+        "sigma nan does not equal the declared strong convexity 0.01 of Psi",
+    ),
+    "sigma_f-nan": (
+        "block-qp",
+        lambda doc: doc["block"].update(sigma_f=math.nan),
+        "sigma_f does not match the declared f contribution",
+    ),
+    "sigma_g-nan": (
+        "block-qp",
+        lambda doc: doc["block"].update(sigma_g=math.nan),
+        "sigma_g does not match the declared g contribution",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGMA_EDITS))
+def test_recorded_sigma_is_checked_against_the_terms(case):
+    # lambda_min(H) = 0.01 on the eq-qp file; sigma is derived from the
+    # terms, so only a recorded copy that equals it is read
+    family, edit, message = SIGMA_EDITS[case]
+    prob = generate(GenSpec(family=family, n=10, m=3, sigma=0.01, seed=1))
+    doc = problem_to_json(prob)
+    assert problem_to_json(problem_from_json(doc)) == doc
+    edit(doc)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        problem_from_json(doc)
+
+
+def test_sigma_is_derived_from_the_terms():
+    f = Quadratic(np.eye(2), np.zeros(2), strong_convexity=0.5)
+    h = SmoothTerm(Quadratic(0.25 * np.eye(2), np.zeros(2), strong_convexity=0.25), 0.25)
+    assert ConstrainedProblem(f, [[1.0, 1.0]], [0.0], smooth=h).sigma == 0.75
+    assert ConstrainedProblem(Separable((f, L1(1.0, 1))), [[1.0, 1.0, 1.0]], [3.0]).sigma == 0.0
+    with pytest.raises(TypeError, match="sigma"):
+        ConstrainedProblem(f, [[1.0, 1.0]], [0.0], sigma=0.5)
 
 
 def test_one_decomposition_per_quadratic(tmp_path, monkeypatch):

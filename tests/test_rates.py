@@ -44,7 +44,6 @@ class TestQuadraticReference:
             f=Quadratic(H=np.eye(2), q=np.zeros(2), strong_convexity=1.0),
             A=[[1.0, 1.0]],
             b=[2.0],
-            sigma=1.0,
         )
         ref = reference_solve(p)
         assert_allclose(ref.x_star, [1.0, 1.0], atol=1e-12)
@@ -66,7 +65,7 @@ class TestQuadraticReference:
         )
         # stationarity must involve the smooth gradient: dropping it breaks KKT
         no_smooth = ConstrainedProblem(
-            f=p.f, A=p.A, b=p.b, sigma=p.sigma, feasible_point=p.feasible_point
+            f=p.f, A=p.A, b=p.b, feasible_point=p.feasible_point
         )
         assert kkt_residual(no_smooth, ref.x_star, ref.y_star) > 1e-3
 
