@@ -19,7 +19,7 @@ from .driver import MAX_ITERS, MODES, RunParams, check_mode, mode_p, run, trajec
 from .errors import ConfigError, DataError, FlagoptError, NumericalError
 from .gen import FAMILIES, GenSpec, generate
 from .maps import MAP_KINDS, StepPlan, certificate, make_config, map_spec, sample_niceness
-from .problems import feasibility_residual, load_problem, save_problem
+from .problems import feasibility_residual, load_problem, number, save_problem
 from .rates import bound_constant, reference_solve, verify_rates
 
 CERTIFY_TOL = 1e-7
@@ -29,7 +29,11 @@ SWEEP_KEYS = ("delta", "p", "bounds_hold", "first_violation", "slope", "conditio
 
 
 def _num(v, shape=None):
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+    try:
+        number(v, "a manifest number")
+    except (TypeError, ConfigError):
+        return False
+    return True
 
 
 def _text(v, shape):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import rowdot
 from .maps import MapConfig, StepPlan, default_p, prim_step
-from .problems import eval_objective
+from .problems import eval_objective, number
 
 MODES = ("fast", "classic", "ergodic")
 # a run preallocates 9 (iters + 1) floats: 72 MB at the bound
@@ -72,8 +72,7 @@ class RunParams:
 
     def __post_init__(self):
         check_mode(self.mode)
-        if not 1 <= self.iters <= MAX_ITERS:
-            raise ConfigError(f"iters must lie in [1, {MAX_ITERS}]")
+        number(self.iters, "iters", 1, MAX_ITERS, integer=True)
         for name in ("z0", "y0"):
             val = getattr(self, name)
             if val is not None:
@@ -109,13 +108,13 @@ def resolve_params(prob, params, plan=None):
         raise ConfigError("fast mode requires the strong convexity exploited by the map")
     p = mode_p(params.mode, params.cfg, prob)
     if params.mode == "ergodic":
-        mu = 1.0 if params.mu is None else params.mu
+        mu = 1.0 if params.mu is None else number(params.mu, "mu")
         if not 0.0 < mu <= 1.0 + cert.delta + 1e-12:
             raise ConfigError(
                 f"ergodic mode requires mu in (0, 1 + delta] = (0, {1 + cert.delta:.6g}]"
             )
     else:
-        mu = cert.delta if params.mu is None else params.mu
+        mu = cert.delta if params.mu is None else number(params.mu, "mu")
         if not 0.0 < mu <= cert.delta + 1e-12:
             raise ConfigError(f"mu must lie in (0, delta] = (0, {cert.delta:.6g}]")
     return ResolvedParams(mode=params.mode, p=p, mu=mu, rho=params.cfg.rho, plan=plan)
@@ -374,6 +373,4 @@ def run(prob, params, reference=None, plan=None):
         "y0": start.y.tolist(),
         "subproblems": plan.stats(),
     }
-    if mode == "ergodic":
-        meta["gamma_min"] = (1.0 + plan.cert.delta - resolved.mu) * resolved.rho
     return Trajectory(**rec.out, meta=meta)

@@ -7,7 +7,6 @@ instance bit for bit. Every generated problem stores a feasible point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .problems import (
     L1,
     Quadratic,
     SmoothTerm,
+    number,
 )
 
 FAMILIES = ("eq-qp", "lasso-split", "block-qp", "smooth-composite")
@@ -47,12 +47,10 @@ class GenSpec:
             raise ConfigError(
                 f"unknown family {self.family!r} (choose from {', '.join(FAMILIES)})"
             )
-        if self.n < 1 or self.m < 1:
-            raise ConfigError("n and m must be >= 1")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ConfigError("sigma must be >= 0 and finite")
-        if not (math.isfinite(self.conditioning) and self.conditioning >= 1):
-            raise ConfigError("conditioning must be >= 1 and finite")
+        number(self.n, "n", 1, integer=True)
+        number(self.m, "m", 1, integer=True)
+        number(self.sigma, "sigma", 0)
+        number(self.conditioning, "conditioning", 1)
         if self.a_identity and self.family != "block-qp":
             raise ConfigError("a_identity only applies to block-qp")
 
@@ -79,8 +77,7 @@ def _full_rank_map(rng, m, n):
 
 
 def _eq_qp(spec, rng):
-    if spec.sigma <= 0:
-        raise ConfigError("eq-qp requires sigma > 0")
+    number(spec.sigma, "eq-qp sigma", 0, strict=True)
     eigs = np.geomspace(spec.sigma, spec.sigma * spec.conditioning, spec.n)
     eigs[0] = spec.sigma
     eigs[-1] = spec.sigma * spec.conditioning
@@ -145,8 +142,7 @@ def _block_qp(spec, rng):
 
 
 def _smooth_composite(spec, rng):
-    if spec.sigma <= 0:
-        raise ConfigError("smooth-composite requires sigma > 0")
+    number(spec.sigma, "smooth-composite sigma", 0, strict=True)
     n = spec.n
     eigs_f = np.geomspace(spec.sigma, spec.sigma * spec.conditioning, n)
     eigs_f[0] = spec.sigma

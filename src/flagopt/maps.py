@@ -58,7 +58,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, NotNiceError
 from .lagrangian import delta_P, eval_aug_lagrangian, quad_norm
-from .problems import SmoothTerm
+from .problems import SmoothTerm, number
 from .prox import Subproblem
 
 # sample_niceness: the tau_t its states cycle through when p = 2, and the
@@ -85,14 +85,13 @@ class MapConfig:
 
     def __post_init__(self):
         map_spec(self.kind)
-        if not 0.0 < self.rho < math.inf:
-            raise ConfigError(f"base penalty rho must be positive and finite, got {self.rho!r}")
+        number(self.rho, "base penalty rho", 0, strict=True)
         for name in ("M", "M1", "M2"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, linalg.check_psd(val, name))
-        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
-            raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if self.alpha is not None:
+            number(self.alpha, "alpha", 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -562,9 +561,8 @@ def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None
     nor in the maxima.
     plan (a StepPlan of cfg on prob) is built here unless given.
     """
-    for name, count in (("states", states), ("xis", xis)):
-        if count < 1:
-            raise ConfigError(f"niceness sampling needs {name} >= 1, got {count}")
+    number(states, "states", 1, integer=True)
+    number(xis, "xis", 1, integer=True)
     if plan is None:
         plan = StepPlan(cfg, prob)
     elif plan.cfg is not cfg or plan.prob is not prob:

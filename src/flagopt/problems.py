@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -29,6 +30,25 @@ from .errors import ConfigError, DataError
 SIGMA_SLACK = 1e-8
 FEAS_TOL = 1e-9
 BOX_TOL = 1e-9
+
+
+def number(v, name, lo=-math.inf, hi=math.inf, *, strict=False, integer=False):
+    """float(v), or int(v) when integer is set. TypeError naming `name` for a
+    bool, a string or another non-number, and for a float when integer is set;
+    ConfigError for NaN, infinity or a value outside [lo, hi] ((lo, hi] when
+    strict). The comparisons are exact: NaN fails each, and an int beyond the
+    float range fails the last."""
+    what = "an integer" if integer else "a number"
+    types = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if not isinstance(v, types) or isinstance(v, bool):
+        raise TypeError(f"{name} must be {what}, got {v!r:.60}")
+    finite = integer or abs(v) <= sys.float_info.max
+    if not ((lo < v if strict else lo <= v) and v <= hi and finite):
+        low = ("positive" if lo == 0 else f"> {lo}") if strict else f">= {lo}"
+        terms = [low] if lo > -math.inf else []
+        terms += ([f"<= {hi}"] if hi < math.inf else []) + ([] if integer else ["finite"])
+        raise ConfigError(f"{name} must be {' and '.join(terms)}, got {v!s:.60}")
+    return int(v) if integer else float(v)
 
 
 def _finite(a, ndim, name):
@@ -66,19 +86,16 @@ class Quadratic:
         q = _finite(self.q, 1, "q")
         if H.shape[0] != q.shape[0]:
             raise ConfigError(f"H/q dimension mismatch: {H.shape} vs {q.shape}")
-        if not (math.isfinite(self.strong_convexity) and self.strong_convexity >= 0):
-            raise ConfigError("strong_convexity must be nonnegative and finite")
-        if not math.isfinite(self.r):
-            raise ConfigError("r must be finite")
-        if self.strong_convexity > 0 and self.strong_convexity > eigs[0] + SIGMA_SLACK:
+        sigma = number(self.strong_convexity, "strong_convexity", 0)
+        r = number(self.r, "r")
+        if sigma > 0 and sigma > eigs[0] + SIGMA_SLACK:
             raise ConfigError(
-                f"declared strong_convexity {self.strong_convexity} exceeds "
-                f"lambda_min(H) = {eigs[0]:.6e}"
+                f"declared strong_convexity {sigma} exceeds lambda_min(H) = {eigs[0]:.6e}"
             )
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "strong_convexity", float(self.strong_convexity))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "strong_convexity", sigma)
         object.__setattr__(self, "lambda_max", float(eigs[-1]))
 
     @property
@@ -106,12 +123,8 @@ class L1:
     dim: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ConfigError("l1 weight must be nonnegative and finite")
-        if self.dim <= 0:
-            raise ConfigError("l1 dim must be positive")
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "weight", number(self.weight, "l1 weight", 0))
+        object.__setattr__(self, "dim", number(self.dim, "l1 dim", 1, integer=True))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -179,9 +192,7 @@ class Zero:
     dim: int
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ConfigError("zero-term dim must be positive")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", number(self.dim, "zero-term dim", 1, integer=True))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -249,9 +260,7 @@ class SmoothTerm:
     def __post_init__(self):
         if not isinstance(self.term, Quadratic):
             raise ConfigError("smooth term must be quadratic")
-        L = float(self.lipschitz_grad)
-        if not (math.isfinite(L) and L > 0):
-            raise ConfigError("lipschitz_grad must be positive and finite")
+        L = number(self.lipschitz_grad, "lipschitz_grad", 0, strict=True)
         top = self.term.lambda_max
         if L < top - SIGMA_SLACK:
             raise ConfigError(f"lipschitz_grad {L} below lambda_max(H) = {top:.6e}")
@@ -326,9 +335,10 @@ class ConstrainedProblem:
         if self.n1 is not None:
             if self.smooth is not None:
                 raise ConfigError("block problems do not carry a smooth term")
-            if _part_index(self.f, self.n1) is None:
-                raise ConfigError(f"n1 = {self.n1!r} is not a boundary between parts of f")
-            object.__setattr__(self, "n1", int(self.n1))
+            n1 = number(self.n1, "n1", integer=True)
+            if _part_index(self.f, n1) is None:
+                raise ConfigError(f"n1 = {n1!r} is not a boundary between parts of f")
+            object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sigma", sigma)
@@ -458,7 +468,9 @@ def eval_objective(p, x):
 # A two-block problem is stored as it is held: the stacked A, a separable f
 # split at n1 (a boundary between its parts), sigma = min(sigma_f, sigma_g),
 # and "block" with n1 and each block's declared strong convexity. The reader
-# checks these optional copies of what the terms declare.
+# checks these optional copies of what the terms declare. Each float and each
+# array entry is a JSON number and each int a JSON integer: a string, a boolean,
+# null or a fractional count in their place is a DataError (number()).
 
 
 def term_to_json(term):
@@ -476,6 +488,17 @@ def term_to_json(term):
     raise ConfigError(f"unsupported term {type(term).__name__}")
 
 
+def _entries(v, name):
+    """v; number()'s TypeError for an entry of the JSON array v (or of an array
+    nested in it) that is not a number: a string, a boolean or null."""
+    for x in v if type(v) is list else ():
+        if type(x) is list:
+            _entries(x, name)
+        elif type(x) not in (int, float):
+            number(x, f"an entry of {name}")
+    return v
+
+
 def term_from_json(d):
     try:
         kind = d["kind"]
@@ -486,6 +509,8 @@ def term_from_json(d):
         args = {f.name: d[f.name] for f in fields(cls) if f.default is MISSING or f.name in d}
         if cls is Separable:
             args["parts"] = tuple(term_from_json(p) for p in args["parts"])
+        else:
+            args = {key: _entries(value, key) for key, value in args.items()}
         return cls(**args)
     except KeyError as e:
         raise DataError(f"term JSON missing field {e}") from None
@@ -531,8 +556,8 @@ def problem_from_json(doc):
 
 def _problem_from_doc(doc):
     f = term_from_json(doc["f"])
-    A = np.asarray(doc["A"], dtype=float)
-    b = np.asarray(doc["b"], dtype=float)
+    A = np.asarray(_entries(doc["A"], "A"), dtype=float)
+    b = np.asarray(_entries(doc["b"], "b"), dtype=float)
     block = doc.get("block")
     h = doc.get("h")
     n1 = smooth = None
@@ -549,20 +574,22 @@ def _problem_from_doc(doc):
         if not isinstance(term, Quadratic):
             raise DataError("smooth term must be quadratic")
         smooth = SmoothTerm(term=term, lipschitz_grad=h["lipschitz_grad"])
-    prob = ConstrainedProblem(f, A, b, smooth, doc.get("feasible_point"), n1)
-    # the recorded copies of what the terms declare; NaN matches nothing
+    fp = _entries(doc.get("feasible_point"), "feasible_point")
+    prob = ConstrainedProblem(f, A, b, smooth, fp, n1)
+    # the recorded copies of what the terms declare
     sigma = doc.get("sigma")
-    if sigma is not None and not abs(float(sigma) - prob.sigma) <= 1e-12:
+    if sigma is not None and abs(number(sigma, "sigma") - prob.sigma) > 1e-12:
         raise ConfigError(
             f"sigma {float(sigma)} does not equal the declared strong convexity {prob.sigma} "
             "of Psi: f's (the min over its parts when separable) plus h's"
         )
-    if (doc["m"], doc["n"]) != A.shape:
-        raise DataError(f"problem JSON has n = {doc['n']!r}, m = {doc['m']!r}; A is {A.shape}")
+    shape = number(doc["m"], "m", integer=True), number(doc["n"], "n", integer=True)
+    if shape != A.shape:
+        raise DataError(f"problem JSON has n = {shape[1]}, m = {shape[0]}; A is {A.shape}")
     if block is not None:
         for name, (_, term) in zip(("sigma_f", "sigma_g"), prob.blocks):
-            recorded = block.get(name)
-            if recorded is not None and not abs(float(recorded) - term.strong_convexity) <= 1e-12:
+            declared = term.strong_convexity
+            if block.get(name) is not None and abs(number(block[name], name) - declared) > 1e-12:
                 raise ConfigError(f"{name} does not match the declared {name[-1]} contribution")
     return prob
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import linalg
 from .driver import RunParams, flag_iterate, initial_state, next_t, resolve_params
-from .errors import ConfigError, NumericalError, UnreliableReferenceError
+from .errors import NumericalError, UnreliableReferenceError
 from .lagrangian import quad_norm
 from .maps import make_config, p2_condition
-from .problems import L1, Quadratic, Separable, Zero, eval_objective
+from .problems import L1, Quadratic, Separable, Zero, eval_objective, number
 from .prox import Subproblem
 
 REF_TOL = 1e-9
@@ -50,8 +50,7 @@ class ReferenceSolution:
     def __post_init__(self):
         object.__setattr__(self, "x_star", np.asarray(self.x_star, dtype=float))
         object.__setattr__(self, "y_star", np.asarray(self.y_star, dtype=float))
-        if self.c < 0:
-            raise ConfigError("c must be >= 0")
+        number(self.c, "c", 0)
 
 
 def kkt_residual(prob, x, y):
@@ -291,10 +290,9 @@ def reference_solve(prob):
 def bound_constant(P, x_star, z0, y0, mu, rho, c, p):
     """B = factor * (||x* - z0||_P^2 + (||y0|| + c)^2 / (mu rho)), factor 4
     for p = 2 and 2 for p = 1."""
-    if p not in (1, 2):
-        raise ConfigError("p must be 1 or 2")
-    if mu <= 0 or rho <= 0:
-        raise ConfigError("mu and rho must be positive")
+    number(p, "p", 1, 2, integer=True)
+    number(mu, "mu", 0, strict=True)
+    number(rho, "rho", 0, strict=True)
     x_star = np.asarray(x_star, dtype=float)
     z0 = np.asarray(z0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -319,18 +317,24 @@ def fit_slope(ks, values):
     return float(coeffs[0])
 
 
+def _max_excess(excess):
+    """The largest entry of excess that is not NaN; None when there is none."""
+    top = float(np.fmax.reduce(excess, initial=-math.inf))
+    return None if top == -math.inf else top
+
+
 def verify_rates(traj, ref, B, p, tol=1e-9, *, cert, prob):
     """Row-by-row bound check plus slope fit.
 
-    Returns {"bounds_hold", "first_violation", "slope", "condition_P"}.
+    Returns {"bounds_hold", "first_violation", "slope", "condition_P",
+    "max_gap_excess", "max_feas_excess", "tol"}.
     condition_P is "met" or "unmet"; when p == 2 the accelerated bound only
     applies under lambda_max(P) <= sigma/2 (per block for two-block maps), so
     an unmet condition makes the harness refuse to certify (bounds_hold False,
     first_violation None) rather than assert inapplicable bounds.
     The feasibility bound is skipped when ref.c == 0 (unconstrained dual).
     """
-    if p not in (1, 2):
-        raise ConfigError("p must be 1 or 2")
+    number(p, "p", 1, 2, integer=True)
     gap = traj.psi_x - ref.psi_star
     feas = traj.feas_x
     ks = np.asarray(traj.k)
@@ -342,23 +346,22 @@ def verify_rates(traj, ref, B, p, tol=1e-9, *, cert, prob):
         "condition_P": "met" if met else "unmet",
         "max_gap_excess": None,
         "max_feas_excess": None,
+        "tol": number(tol, "tol"),
     }
     if not met:
         report["note"] = "accelerated bound inapplicable: lambda_max(P) > sigma/2"
     else:
         # rows k >= 1; a NaN gap or feasibility fails "<= bound", so it is a
-        # violation, and the excess maxima skip it (np.fmax)
+        # violation, and the excess maxima skip it (None when every row is NaN)
         rows = ks >= 1
         kp = ks[rows].astype(float) ** p
         fn_bound = B / (2.0 * kp)
         bad = ~(gap[rows] <= fn_bound + tol)
-        report["max_gap_excess"] = float(np.fmax.reduce(gap[rows] - fn_bound, initial=-math.inf))
+        report["max_gap_excess"] = _max_excess(gap[rows] - fn_bound)
         if ref.c > 0:
             feas_bound = B / (ref.c * kp)
             bad |= ~(feas[rows] <= feas_bound + tol)
-            report["max_feas_excess"] = float(
-                np.fmax.reduce(feas[rows] - feas_bound, initial=-math.inf)
-            )
+            report["max_feas_excess"] = _max_excess(feas[rows] - feas_bound)
         violations = ks[rows][bad]
         report["bounds_hold"] = violations.size == 0
         report["first_violation"] = int(violations[0]) if violations.size else None

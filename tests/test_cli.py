@@ -99,7 +99,7 @@ class TestGen:
         rc = main([*argv, "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not out.exists()
-        assert captured.err == f"error: {message} and finite\n"
+        assert captured.err == f"error: {message} and finite, got {value}\n"
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         rc = main(
@@ -312,7 +312,7 @@ class TestCertify:
         assert rc == 2
         assert "certified" not in captured.out
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and f"{flag[2:]} >= 1, got {value}" in err[0]
+        assert len(err) == 1 and f"{flag[2:]} must be >= 1, got {value}" in err[0]
 
     def test_nothing_tested_is_not_certified(self, tmp_path, capsys):
         # a box far narrower than the sampling spread: every sampled point
@@ -725,7 +725,12 @@ class TestVerify:
         assert "fail" in capsys.readouterr().out
         monkeypatch.setenv("FLAGOPT_TOL", "1e9")  # no environment variable sets a tolerance
         assert main(args) == 3
-        assert main([*args, "--tol", "1e9"]) == 0
+        report = tmp_path / "r.json"
+        assert main([*args, "--tol", "1e9", "--out", str(report)]) == 0
+        # the report records the tolerance its verdict allowed
+        doc = json.loads(report.read_text())
+        assert doc["bounds_hold"] is True and doc["tol"] == 1e9
+        assert doc["max_gap_excess"] > 1e5
 
     def test_nan_trajectory_fails_the_bound_check(self, qp_path, tmp_path, capsys):
         # NaN compares false with any bound: the check must read
@@ -738,9 +743,9 @@ class TestVerify:
         assert main(args) == 3
         assert "bounds: fail first-violation=1 " in capsys.readouterr().out
 
-    def test_non_finite_report_is_not_written(self, qp_path, tmp_path, capsys):
-        # no row of a NaN run is finite, so the report's largest excess over
-        # the bound is -inf, which strict JSON cannot hold
+    def test_all_nan_run_writes_a_failing_report(self, qp_path, tmp_path, capsys):
+        # no row of a NaN run is finite, so the report has no largest excess
+        # over the bound: null, which strict JSON holds (not -inf)
         def nan_values(fields, last):
             fields[PSI_X] = fields[FEAS_X] = "nan"
 
@@ -748,9 +753,10 @@ class TestVerify:
         args = self.tampered(qp_path, tmp_path, nan_values)
         capsys.readouterr()
         assert main([*args, "--out", str(report)]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "non-finite number" in err
-        assert not report.exists()
+        assert capsys.readouterr().err == ""
+        doc = json.loads(report.read_text())
+        assert doc["bounds_hold"] is False and doc["first_violation"] == 1
+        assert doc["max_gap_excess"] is None and doc["max_feas_excess"] is None
 
     def test_manifest_without_flag_defaults_gives_the_same_report(self, lasso_path, tmp_path):
         # scale, margin and alpha are read with the flags' defaults when absent
@@ -888,6 +894,14 @@ MALFORMED = {
         "smooth term must be quadratic",
     ),
     "problem-unreadable": ("certify", "problem", lambda qp: None, "cannot read problem file"),
+    "problem-boolean-strong-convexity": (
+        "certify", "problem", edit_problem(lambda d: d["f"].update(strong_convexity=True)),
+        "strong_convexity must be a number, got True",
+    ),
+    "problem-string-entry-of-b": (
+        "certify", "problem", edit_problem(lambda d: d["b"].__setitem__(0, "0.0")),
+        "an entry of b must be a number, got '0.0'",
+    ),
 }
 
 
@@ -949,7 +963,7 @@ class TestMalformedInput:
             rc = main(argv)
             captured = capsys.readouterr()
             assert rc == 2 and captured.out == "" and not traj.exists()
-            assert captured.err == "error: strong_convexity must be nonnegative and finite\n"
+            assert captured.err == "error: strong_convexity must be >= 0 and finite, got nan\n"
 
     def test_block_file_with_a_wrong_sigma_exits_2(self, tmp_path, capsys):
         # a block file's sigma must be min(sigma_f, sigma_g), as a flat file's

@@ -254,7 +254,6 @@ class TestRun:
             acc += t_k * s.z
             wsum = t_k * t_k
             assert_allclose(traj.psi_x[i + 1], p.psi(acc / wsum), rtol=1e-12)
-        assert traj.meta["gamma_min"] >= 0.0
 
     def test_ergodic_row_zero_holds_z0(self):
         p = make_qp()

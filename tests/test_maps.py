@@ -435,7 +435,7 @@ class TestNiceness:
     def test_empty_sampling_rejected(self, flag, count):
         p = small_qp()
         cfg = make_config("prox-lin-al", p, rho=1.0)
-        with pytest.raises(ConfigError, match=f"{flag} >= 1, got {count}"):
+        with pytest.raises(ConfigError, match=f"{flag} must be >= 1, got {count}"):
             sample_niceness(cfg, p, **{flag: count})
 
     def test_points_outside_the_box_are_not_counted(self):

@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -14,17 +17,21 @@ from flagopt import (
     DataError,
     L1,
     Quadratic,
+    ReferenceSolution,
     Separable,
     SmoothTerm,
     Zero,
+    bound_constant,
     eval_objective,
     feasibility_residual,
     flatten_block,
 )
+from flagopt.driver import RunParams, resolve_params
 from flagopt.gen import GenSpec, generate
 from flagopt.maps import certificate, make_config
 from flagopt.problems import (
     load_problem,
+    number,
     problem_from_json,
     problem_to_json,
     save_problem,
@@ -433,10 +440,10 @@ def test_block_file_sigma_is_checked_as_a_flat_file_sigma_is(sigma):
     [
         (
             lambda v: Quadratic(np.eye(2), np.zeros(2), strong_convexity=v),
-            "strong_convexity must be nonnegative and finite",
+            "strong_convexity must be >= 0 and finite",
         ),
         (lambda v: Quadratic(np.eye(2), np.zeros(2), r=v), "r must be finite"),
-        (lambda v: L1(weight=v, dim=2), "l1 weight must be nonnegative and finite"),
+        (lambda v: L1(weight=v, dim=2), "l1 weight must be >= 0 and finite"),
         (
             lambda v: SmoothTerm(Quadratic(np.eye(2), np.zeros(2)), lipschitz_grad=v),
             "lipschitz_grad must be positive and finite",
@@ -446,11 +453,25 @@ def test_block_file_sigma_is_checked_as_a_flat_file_sigma_is(sigma):
             lambda v: GenSpec(family="eq-qp", n=4, m=2, conditioning=v),
             "conditioning must be >= 1 and finite",
         ),
+        (lambda v: ReferenceSolution(np.zeros(2), np.zeros(1), 0.0, c=v), "c must be >= 0 and finite"),
+        (
+            lambda v: bound_constant(np.eye(2), np.zeros(2), np.zeros(2), np.zeros(1), v, 1.0, 0.0, 1),
+            "mu must be positive and finite",
+        ),
+        (
+            lambda v: resolve_params(
+                simple_qp(), RunParams(make_config("prox-al", simple_qp(), rho=1.0), mu=v)
+            ),
+            "mu must be finite",
+        ),
     ],
-    ids=["strong_convexity", "r", "l1-weight", "lipschitz_grad", "gen-sigma", "gen-conditioning"],
+    ids=[
+        "strong_convexity", "r", "l1-weight", "lipschitz_grad", "gen-sigma", "gen-conditioning",
+        "reference-c", "bound-mu", "run-mu",
+    ],
 )
 def test_non_finite_scalar_declaration_refused(make, message, value):
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}, got {value}$"):
         make(value)
 
 
@@ -466,20 +487,16 @@ def _set_f_sigma(value, sigma):
 SIGMA_EDITS = {
     "f-nan-sigma-10": ("eq-qp", _set_f_sigma(math.nan, 10.0), "strong_convexity must be"),
     "f-10-sigma-10": ("eq-qp", _set_f_sigma(10.0, 10.0), "exceeds lambda_min(H)"),
-    "sigma-nan": (
-        "eq-qp",
-        lambda doc: doc.update(sigma=math.nan),
-        "sigma nan does not equal the declared strong convexity 0.01 of Psi",
-    ),
+    "sigma-nan": ("eq-qp", lambda doc: doc.update(sigma=math.nan), "sigma must be finite, got nan"),
     "sigma_f-nan": (
         "block-qp",
         lambda doc: doc["block"].update(sigma_f=math.nan),
-        "sigma_f does not match the declared f contribution",
+        "sigma_f must be finite, got nan",
     ),
     "sigma_g-nan": (
         "block-qp",
         lambda doc: doc["block"].update(sigma_g=math.nan),
-        "sigma_g does not match the declared g contribution",
+        "sigma_g must be finite, got nan",
     ),
 }
 
@@ -530,3 +547,113 @@ def test_one_decomposition_per_quadratic(tmp_path, monkeypatch):
     shapes.clear()
     load_problem(tmp_path / "s.json")
     assert shapes == [(40, 40)] * 2
+
+
+def term_kinds_file(block):
+    """A problem file with a term of every kind: flat with a smooth h, or
+    split at n1 = 2 after its quadratic part."""
+    f = Separable(
+        (
+            Quadratic(2 * np.eye(2), np.ones(2), r=0.5, strong_convexity=2.0),
+            L1(0.5, 1),
+            Box(-np.ones(1), np.ones(1)),
+            Zero(1),
+        )
+    )
+    h = None if block else SmoothTerm(Quadratic(np.eye(5), np.zeros(5)), lipschitz_grad=1.0)
+    p = ConstrainedProblem(f, np.ones((1, 5)), [0.0], h, np.zeros(5), 2 if block else None)
+    return problem_to_json(p)
+
+
+# every scalar field of a problem file: (in the block file, path, a count)
+SCALAR_FIELDS = {
+    "sigma": (False, ("sigma",), False),
+    "n": (False, ("n",), True),
+    "m": (False, ("m",), True),
+    "block.n1": (True, ("block", "n1"), True),
+    "block.sigma_f": (True, ("block", "sigma_f"), False),
+    "block.sigma_g": (True, ("block", "sigma_g"), False),
+    "weight": (False, ("f", "parts", 1, "weight"), False),
+    "dim": (False, ("f", "parts", 1, "dim"), True),
+    "zero-dim": (False, ("f", "parts", 3, "dim"), True),
+    "r": (False, ("f", "parts", 0, "r"), False),
+    "strong_convexity": (False, ("f", "parts", 0, "strong_convexity"), False),
+    "lipschitz_grad": (False, ("h", "lipschitz_grad"), False),
+}
+# the entries of the file's arrays, one per array
+ARRAY_ENTRIES = {
+    "A": ("A", 0, 0),
+    "b": ("b", 0),
+    "feasible_point": ("feasible_point", 0),
+    "H": ("f", "parts", 0, "H", 1, 1),
+    "q": ("f", "parts", 0, "q", 0),
+    "lo": ("f", "parts", 2, "lo", 0),
+    "hi": ("f", "parts", 2, "hi", 0),
+    "h-H": ("h", "term", "H", 0, 0),
+}
+# a value of the wrong JSON type made from the value it replaces: the same
+# number as a string, a boolean, and where a count belongs a fraction and a float
+WRONG_TYPES = {"string": str, "true": lambda v: True, "fraction": lambda v: v + 0.5, "float": float}
+
+
+def wrong_type_file(tmp_path, block, path, wrong):
+    doc = term_kinds_file(block)
+    assert problem_to_json(problem_from_json(doc)) == doc  # the file as written loads
+    *parents, key = path
+    node = functools.reduce(operator.getitem, parents, doc)
+    node[key] = WRONG_TYPES[wrong](node[key])
+    file = tmp_path / "p.json"
+    file.write_text(json.dumps(doc))
+    return file
+
+
+@pytest.mark.parametrize(
+    "field,wrong",
+    [
+        (field, wrong)
+        for field, (_, _, count) in SCALAR_FIELDS.items()
+        for wrong in ("string", "true") + (("fraction", "float") if count else ())
+    ],
+)
+def test_scalar_of_a_wrong_json_type_is_a_data_error(tmp_path, field, wrong):
+    block, path, _ = SCALAR_FIELDS[field]
+    with pytest.raises(DataError):
+        load_problem(wrong_type_file(tmp_path, block, path, wrong))
+
+
+@pytest.mark.parametrize("wrong", ["string", "true"])
+@pytest.mark.parametrize("array", sorted(ARRAY_ENTRIES))
+def test_array_entry_of_a_wrong_json_type_is_a_data_error(tmp_path, array, wrong):
+    path = ARRAY_ENTRIES[array]
+    name = [key for key in path if isinstance(key, str)][-1]
+    with pytest.raises(DataError, match=f"an entry of {name} must be a number"):
+        load_problem(wrong_type_file(tmp_path, False, path, wrong))
+
+
+@pytest.mark.parametrize(
+    "value,kwargs,error,message",
+    [
+        (2, {}, None, 2.0),
+        (np.float64(0.5), {"lo": 0, "strict": True}, None, 0.5),
+        (np.int64(3), {"lo": 1, "integer": True}, None, 3),
+        (True, {}, TypeError, "x must be a number, got True"),
+        ("1.0", {}, TypeError, "x must be a number, got '1.0'"),
+        (None, {}, TypeError, "x must be a number, got None"),
+        (np.bool_(True), {"integer": True}, TypeError, "x must be an integer, got "),
+        (4.0, {"integer": True}, TypeError, "x must be an integer, got 4.0"),
+        (math.nan, {"lo": 0}, ConfigError, "x must be >= 0 and finite, got nan"),
+        (-math.inf, {}, ConfigError, "x must be finite, got -inf"),
+        (10**400, {}, ConfigError, "x must be finite, got 1000"),
+        (0, {"lo": 0, "strict": True}, ConfigError, "x must be positive and finite, got 0"),
+        (0, {"lo": 1, "hi": 9, "integer": True}, ConfigError, "x must be >= 1 and <= 9, got 0"),
+        (10, {"lo": 1, "hi": 9, "integer": True}, ConfigError, "x must be >= 1 and <= 9, got 10"),
+    ],
+)
+def test_number_is_the_one_rule(value, kwargs, error, message):
+    # message is the returned value when nothing is raised
+    if error is None:
+        got = number(value, "x", **kwargs)
+        assert got == message and type(got) is type(message)
+    else:
+        with pytest.raises(error, match="^" + re.escape(message)):
+            number(value, "x", **kwargs)
