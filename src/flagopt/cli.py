@@ -154,15 +154,14 @@ def cmd_certify(args):
     cfg = _build_config(prob, vars(args))
     plan = StepPlan(cfg, prob)
     cert = plan.cert
+    sampling = dict(states=args.states, xis=args.xis, seed=args.seed)
+    report = sample_niceness(cfg, prob, plan=plan, **sampling)
     print(f"kind: {cert.kind}")
     print(f"delta: {cert.delta:.12g}")
     for name, (lo, hi) in cert.extremes.items():
         print(f"{name} spectrum: [{lo:.6g}, {hi:.6g}]")
     for cond in cert.conditions:
         print(f"condition: {cond.name}  margin={cond.margin:.6g}")
-    report = sample_niceness(
-        cfg, prob, states=args.states, xis=args.xis, seed=args.seed, plan=plan
-    )
     print(
         f"sampling: p={report['p']} checked={report['checked']} "
         f"max-residual={report['max_residual']:.3e} "

@@ -49,6 +49,7 @@ class GenSpec:
             )
         number(self.n, "n", 1, integer=True)
         number(self.m, "m", 1, integer=True)
+        number(self.seed, "seed", 0, integer=True)
         number(self.sigma, "sigma", 0)
         number(self.conditioning, "conditioning", 1)
         if self.a_identity and self.family != "block-qp":

@@ -101,8 +101,14 @@ def _refined(inv, apply, rhs, name, counts=None, *args):
     ||rhs - apply(x)|| <= 1e-10 * (1 + ||rhs||); NumericalError when the
     refined solution fails the gate too, or at once when rhs is not finite.
     A NaN residual fails both checks. counts["refinements"] (when given)
-    counts the refinement steps taken. args (a pencil's c) follow the
-    vector in each call of inv and apply."""
+    counts the refinement steps taken; args (a pencil's c) follow rhs in
+    each call of inv and apply. A (k, n) stack is solved at once; a row
+    failing its own gate is solved again alone, as a vector."""
+    if rhs.ndim == 2:
+        x, tol = inv(rhs, *args), 1e-10 * (1.0 + np.linalg.norm(rhs, axis=1))
+        for i in np.flatnonzero(~(np.linalg.norm(rhs - apply(x, *args), axis=1) <= tol)):
+            x[i] = _refined(inv, apply, rhs[i], name, counts, *args)
+        return x
     tol = 1e-10 * (1.0 + math.sqrt(rhs.dot(rhs)))
     if not math.isfinite(tol) and not np.isfinite(rhs).all():
         raise NumericalError(f"{name}: linear solve residual not finite (non-finite rhs)")
@@ -161,8 +167,8 @@ class Pencil:
     Every route goes through _refined: each solve is gated, and refined only
     when it fails the gate. Each factorization binds its route's inv(r, c)
     and apply(x, c) once, on the arrays the pencil holds (Li, V, W, lam),
-    so a change made to those in place reaches every later solve. counts
-    holds the factorizations per route and the refinement steps.
+    so a change made to those in place reaches every later solve. They act on
+    rows. counts holds the factorizations per route and the refinement steps.
     """
 
     def __init__(self, H0, K0, name="subproblem"):
@@ -176,17 +182,17 @@ class Pencil:
                 V = self.H0 + c * self.K0
                 # ndarray.dot: at n <= 20 the @ operator's dispatch doubles the cost
                 Li = _inverse_factor(V)
-                Lt = Li.T
-                self.inv, self.apply = (lambda r, c: Lt.dot(Li.dot(r))), (lambda x, c: V.dot(x))
+                Lt, Vt = Li.T, V.T
+                self.inv, self.apply = (lambda r, c: r.dot(Lt).dot(Li)), (lambda x, c: x.dot(Vt))
                 self.Li, self.V, self.c, self.route = Li, V, c, "cholesky"
             else:
                 # release V (its closures hold it too) before eigh: peak memory at large n
                 Li, self.Li, self.V, self.inv, self.apply = self.Li, None, None, None, None
                 lam, U = np.linalg.eigh(Li @ self.K0 @ Li.T)
-                W, H0, K0, c1 = Li.T @ U, self.H0, self.K0, self.c
+                W, H0t, K0t, c1 = Li.T @ U, self.H0.T, self.K0.T, self.c
                 Wt = W.T
-                self.inv = lambda r, c: W.dot((1.0 / (1.0 + (c - c1) * lam)) * Wt.dot(r))
-                self.apply = lambda x, c: H0.dot(x) + c * K0.dot(x)
+                self.inv = lambda r, c: ((1.0 / (1.0 + (c - c1) * lam)) * r.dot(W)).dot(Wt)
+                self.apply = lambda x, c: x.dot(H0t) + c * x.dot(K0t)
                 self.lam, self.W, self.route = lam, W, "pencil-eigh"
         except np.linalg.LinAlgError as exc:
             if self.route is None:

@@ -28,8 +28,9 @@ q'x that a single-block map folds in (else it steps on grad h(z)); a
 quadratic f_i adds its own Hessian to H0_i. A StepPlan is one map on one
 problem: it builds the pencils and compiles each block's step (StepPlan.steps)
 once, and its certificate on first use. prim_step(plan, tau_t, z, lambda)
-runs those records with ndarray.dot products, in the operations of the
-formula above, and takes the schedule through tau_t alone.
+runs those records with ndarray.dot products on rows (one state or a stack
+at one tau_t), in the operations of the formula above, and takes the
+schedule through tau_t alone.
 Two-block maps use the block form of the inequality: accelerated blocks are
 weighted by tau_t and contribute their strong convexity, the others carry
 weight 1 and no sigma term. nice_parts(plan, tau_t, ...) evaluates left minus
@@ -37,8 +38,9 @@ right numerically, given z+, at one state and one xi, at one state and a
 (X, n) stack of xi, or at a stack of k states with X points each: the terms
 in z+ alone are computed once per state, the rest with matrix-matrix products.
 sample_niceness calls it once per chunk of states (SAMPLE_FLOATS bounds the
-chunk's stacked points), and counts only points with finite Psi(xi)
-(elsewhere the left side is -inf and nothing is tested). A certificate is
+chunk's stacked points), after one prim_step per distinct tau_t in the chunk,
+and counts only points with finite Psi(xi) (elsewhere the left side is -inf
+and nothing is tested). A certificate is
 the closed form (delta, P, Q) of the block flags (_certify), with every
 spectral margin recorded; each distinct matrix it reads is decomposed once,
 and it keeps each block's (lambda_min, lambda_max) of P_i and Q_i: the
@@ -347,11 +349,11 @@ class StepPlan:
     factored as needed), and its certificate, computed on first use. The
     Grams A_i'A_i enter K0_i on exact blocks and are not kept.
 
-    steps[i] is block i's step, compiled once: (reads, A_i' as a view, M_i,
-    accelerated, q, H, solve), with reads the products B_j z_j of r_i as
-    (B_j, j, fresh), fresh when z_j is an earlier block's new value
-    (Gauss-Seidel); g_i gains q (h folded into V_i) or H z + q = grad h(z)
-    (h linearized; H is None otherwise). parts[i] is the block's slice of z.
+    steps[i] is block i's step on rows z, compiled once: (reads, A_i, M_i',
+    accelerated, q, H', solve), with reads the products z_j B_j' of r_i as
+    (B_j' as a view, j, fresh), fresh when z_j is an earlier block's new
+    value (Gauss-Seidel); g_i gains q (h folded into V_i) or z H' + q = grad
+    h(z) (h linearized; H' is None otherwise). parts[i] slices z's last axis.
     """
 
     def __init__(self, cfg, prob):
@@ -370,16 +372,16 @@ class StepPlan:
         n1, ops = view.ops[0].shape[1], view.ops
         self.parts = [slice(None)] if len(ops) == 1 else [slice(None, n1), slice(n1, None)]
         q = None if view.smooth is None else view.smooth.term.q
-        H = view.smooth.term.H if q is not None and spec.smooth_linearized else None
+        Ht = view.smooth.term.H.T if q is not None and spec.smooth_linearized else None
         self.steps = []
         for i, block in enumerate(spec.blocks):
             reads = tuple(
-                (B, j, j < i and not spec.jacobi)
+                (B.T, j, j < i and not spec.jacobi)
                 for j, B in enumerate(ops)
                 if j != i or not block.exact
             )
             solve = self.solvers[i].solve
-            self.steps.append((reads, ops[i].T, self.M[i], block.accelerated, q, H, solve))
+            self.steps.append((reads, ops[i], self.M[i].T, block.accelerated, q, Ht, solve))
 
     @functools.cached_property
     def cert(self):
@@ -453,26 +455,27 @@ def _validated(kind, delta, P, Q, conds, spectra):
 def prim_step(plan, tau, z, lam):
     """One primal update z+ of the plan's map from (z, lambda) at tau_t = tau
     (so rho_t = rho tau): the plan's block records run in order, and the
-    plan carries the factorizations across calls."""
+    plan carries the factorizations across calls. z+ has z's shape: z (n,)
+    and lambda (m,) are one state, z (k, n) and lambda (k, m) k states."""
     if not 0.0 < tau < math.inf:
         raise ConfigError(f"prim_step needs a positive finite tau_t, got {tau!r}")
-    z = np.asarray(z, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if z.shape != (plan.A.shape[1],) or lam.shape != plan.neg_b.shape:
+    z, lam = np.asarray(z, dtype=float), np.asarray(lam, dtype=float)
+    m, n = plan.A.shape
+    if z.shape[-1:] != (n,) or z.ndim > 2 or lam.shape != z.shape[:-1] + (m,):
         raise ConfigError("prim_step dimension mismatch")
     rho_t = plan.cfg.rho * tau
-    old = [z[part] for part in plan.parts]
+    old = [z[..., part] for part in plan.parts]
     new = list(old)
-    for i, (reads, At, M, accelerated, q, H, solve) in enumerate(plan.steps):
+    for i, (reads, A, Mt, accelerated, q, Ht, solve) in enumerate(plan.steps):
         r = plan.neg_b
-        for B, j, fresh in reads:
-            r = r + B.dot((new if fresh else old)[j])
-        Mz = M.dot(old[i])
-        g = At.dot(lam + rho_t * r) - (tau * Mz if accelerated else Mz)
+        for Bt, j, fresh in reads:
+            r = r + (new if fresh else old)[j].dot(Bt)
+        Mz = old[i].dot(Mt)
+        g = (lam + rho_t * r).dot(A) - (tau * Mz if accelerated else Mz)
         if q is not None:
-            g = g + (q if H is None else H.dot(z) + q)
+            g = g + (q if Ht is None else z.dot(Ht) + q)
         new[i] = solve(g, tau)
-    return new[0] if len(new) == 1 else np.concatenate(new)
+    return new[0] if len(new) == 1 else np.concatenate(new, axis=-1)
 
 
 def nice_parts(plan, tau, z, lam, xi, z_next, delta=None):
@@ -552,17 +555,17 @@ def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None
     SAMPLED_TAUS when the map's default p is 2, else tau_t = 1) and `xis`
     feasible points per state. It walks the states in chunks of
     max(1, SAMPLE_FLOATS // (xis n)): each chunk draws its states and points
-    at once (the same random streams as one state at a time), steps each
-    state with prim_step, and evaluates the chunk in one stacked nice_parts
-    call. It returns the worst residual both raw and relative to scale = 1 +
-    sum of absolute inequality terms. A point outside the domain of Psi
-    (where an indicator term is +inf) makes the left side -inf, so the
-    inequality holds there trivially: such points count neither in `checked`
-    nor in the maxima.
+    at once (the same random streams as one state at a time), steps them
+    with one stacked prim_step per distinct tau_t, in order of first use,
+    and evaluates the chunk in one stacked nice_parts call. It returns the
+    worst residual both raw and relative to scale = 1 + sum of absolute
+    inequality terms. A point outside the domain of Psi (where an indicator
+    term is +inf) makes the left side -inf, so the inequality holds there
+    trivially: such points count neither in `checked` nor in the maxima.
     plan (a StepPlan of cfg on prob) is built here unless given.
     """
-    number(states, "states", 1, integer=True)
-    number(xis, "xis", 1, integer=True)
+    for name, value, lo in (("states", states, 1), ("xis", xis, 1), ("seed", seed, 0)):
+        number(value, name, lo, integer=True)
     if plan is None:
         plan = StepPlan(cfg, prob)
     elif plan.cfg is not cfg or plan.prob is not prob:
@@ -586,7 +589,9 @@ def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None
         z = center + STATE_SCALE * draws[:, :n]
         lam = STATE_SCALE * draws[:, n:]
         tau = list(itertools.islice(taus, k))
-        z_next = np.array([prim_step(plan, *state) for state in zip(tau, z, lam)])
+        z_next = np.empty_like(z)  # first-use order: each pencil factors as per state
+        for t, rows in {t: np.equal(tau, t) for t in tau}.items():
+            z_next[rows] = prim_step(plan, t, z[rows], lam[rows])
         xi = next(xi_gen)[: k * xis].reshape(k, xis, n)
         residual, scale = nice_parts(
             plan, np.array(tau)[:, None], z[:, None], lam[:, None], xi,
@@ -617,6 +622,7 @@ def make_config(kind, prob, rho, policy="auto", scale=1.0, margin=1.0, alpha=Non
     certificate condition with absolute slack `margin`.
     """
     spec, view = _view(kind, prob)
+    margin = number(margin, "margin")
     if policy not in ("identity-scaled", "auto"):
         raise ConfigError(f"unknown matrix policy {policy!r}")
     if policy == "identity-scaled":

@@ -75,8 +75,8 @@ class Subproblem:
     Quadratic and zero parts solve through a linalg.Pencil of (H + H0, K0); l1
     and box parts need H0 and K0 diagonal and keep the diagonals. H0 and K0
     must not couple the parts of a separable term. Each part's solver is
-    chosen here, so a solve only slices g and calls them (a single part's
-    result is returned as it is).
+    chosen here, so a solve only slices the last axis of g (one vector or a
+    stack of rows) and calls them; a single part's result is returned as is.
     """
 
     def __init__(self, term, H0, K0=None, name="subproblem"):
@@ -115,9 +115,9 @@ class Subproblem:
     def solve(self, g, c=1.0):
         if len(self.leaves) == 1:
             return self.leaves[0][1](g, c)
-        x = np.empty(self.dim)
+        x = np.empty(g.shape)
         for s, solve in self.leaves:
-            x[s] = solve(g[s], c)
+            x[..., s] = solve(g[..., s], c)
         return x
 
     def stats(self):

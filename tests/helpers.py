@@ -38,7 +38,10 @@ def dense_prim_step(plan, tau, z, lam, solve=None):
     (Gauss-Seidel) or old (Jacobi) values of the other blocks [+ the block's
     own old term when it linearizes the penalty]. z_i+ solves V_i(tau),
     assembled densely as w_i M_i [+ rho_t A_i'A_i when exact] [+ H when h is
-    folded in], by dense_subproblem_solve, or is solve(i, g_i) when given."""
+    folded in], by dense_subproblem_solve, or is solve(i, g_i) when given.
+    A (k, n) stack of z with a (k, m) stack of lambda steps row by row."""
+    if np.ndim(z) == 2:
+        return np.array([dense_prim_step(plan, tau, *state, solve) for state in zip(z, lam)])
     spec, view, rho_t = plan.spec, plan.view, plan.cfg.rho * tau
     ends = np.cumsum([A.shape[1] for A in view.ops])
     old = np.split(np.asarray(z, dtype=float), ends[:-1])

@@ -299,20 +299,24 @@ class TestCertify:
         assert rc == 0, capsys.readouterr().err
         assert "certified: yes" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag,value", [("--states", "0"), ("--xis", "-3")])
+    @pytest.mark.parametrize("flag,value", [("--states", "0"), ("--xis", "-3"), ("--seed", "-1")])
     def test_empty_sampling_rejected(self, tmp_path, capsys, flag, value):
+        # refused before the first certificate line; gen refuses a negative
+        # seed before it writes a file
         path = str(tmp_path / "p.json")
-        rc = main(
-            ["gen", "eq-qp", "--n", "10", "--m", "3", "--sigma", "1", "--seed", "1", "--out", path]
-        )
+        gen = ["gen", "eq-qp", "--n", "10", "--m", "3", "--sigma", "1", "--out", path]
+        lo = 0 if flag == "--seed" else 1
+        message = f"error: {flag[2:]} must be >= {lo}, got {value}\n"
+        if flag == "--seed":
+            assert main([*gen, flag, value]) == 2
+            assert capsys.readouterr() == ("", message)
+            assert not (tmp_path / "p.json").exists()
+        rc = main([*gen, "--seed", "1"])
         assert rc == 0
         capsys.readouterr()
         rc = main(["certify", "--problem", path, "--map", "prox-lin-al", flag, value])
-        captured = capsys.readouterr()
         assert rc == 2
-        assert "certified" not in captured.out
-        err = captured.err.strip().splitlines()
-        assert len(err) == 1 and f"{flag[2:]} must be >= 1, got {value}" in err[0]
+        assert capsys.readouterr() == ("", message)
 
     def test_nothing_tested_is_not_certified(self, tmp_path, capsys):
         # a box far narrower than the sampling spread: every sampled point
@@ -366,7 +370,7 @@ class TestNonFiniteConfig:
             (["--rho", "inf"], "rho must be positive and finite, got inf"),
             (["--policy", "identity-scaled", "--scale", "nan"], "M has non-finite entries"),
             (["--policy", "identity-scaled", "--scale", "inf"], "M has non-finite entries"),
-            (["--margin", "nan"], "M has non-finite entries"),
+            (["--margin", "nan"], "margin must be finite"),
         ],
     )
     def test_refused_before_any_output(self, qp_path, tmp_path, capsys, command, flags, message):

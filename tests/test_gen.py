@@ -22,6 +22,10 @@ class TestGenSpec:
         with pytest.raises(ConfigError):
             GenSpec(family="eq-qp", n=0, m=1)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            GenSpec(family="eq-qp", n=4, m=2, seed=-1)
+
     def test_a_identity_only_for_block_qp(self):
         with pytest.raises(ConfigError, match="a_identity"):
             GenSpec(family="eq-qp", n=4, m=2, a_identity=True)

@@ -144,6 +144,30 @@ def test_slightly_perturbed_factor_is_refined(route):
     assert np.linalg.norm((H0 + c * K0) @ x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
+def test_stacked_rows_are_gated_one_by_one():
+    # a stack is solved at once and each row gated on its own norm: with
+    # Li[0, 0] off by 1e-9, only the row whose rhs reads coordinate 0 fails,
+    # and it is solved again alone (bitwise the one-vector solve, which also
+    # refines); a NaN row raises the one-vector message
+    rng = np.random.default_rng(1)
+    H0, K0 = random_psd(rng, 8), random_psd(rng, 8, 1.0)
+    pencil = Pencil(H0, K0)
+    rhs = rng.standard_normal((3, 8))
+    rhs[[0, 2], 0] = 0.0
+    pencil.solve(rhs, 1.0)
+    assert pencil.counts["refinements"] == 0
+    pencil.Li[0, 0] *= 1.0 + 1e-9
+    x = pencil.solve(rhs, 1.0)
+    assert x.shape == (3, 8) and pencil.counts["refinements"] == 1
+    assert np.array_equal(x[1], pencil.solve(rhs[1], 1.0))
+    assert pencil.counts["refinements"] == 2
+    for row, b in zip(x, rhs):
+        assert np.linalg.norm((H0 + K0) @ row - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+    rhs[1, 3] = np.nan
+    with pytest.raises(NumericalError, match="residual not finite"):
+        pencil.solve(rhs, 1.0)
+
+
 @pytest.fixture
 def cholesky_fails(monkeypatch):
     def fail(V):

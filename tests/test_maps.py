@@ -438,6 +438,16 @@ class TestNiceness:
         with pytest.raises(ConfigError, match=f"{flag} must be >= 1, got {count}"):
             sample_niceness(cfg, p, **{flag: count})
 
+    def test_seed_and_margin_follow_the_number_rule(self):
+        # a negative seed is refused before any draw, and a bool margin is
+        # not read as the number 1
+        p = small_qp()
+        cfg = make_config("prox-lin-al", p, rho=1.0)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            sample_niceness(cfg, p, seed=-1)
+        with pytest.raises(TypeError, match="^margin must be a number, got True$"):
+            make_config("prox-lin-al", p, rho=1.0, margin=True)
+
     def test_points_outside_the_box_are_not_counted(self):
         # most sampled points leave the box, where Psi = +inf makes the left
         # side -inf: only the points inside it test the inequality
@@ -698,20 +708,33 @@ FOLDED_H = {("prox-al", "smooth"), ("prox-lin-al", "smooth")}
 @pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS} | FOLDED_H))
 def test_prim_step_matches_dense_oracle(kind, name):
     # the whole step, g_i from the docstring formula included, against the
-    # dense oracle; tau = 1 runs the first Cholesky, 2.5 and 60 the pencil.
+    # dense oracle; tau = 1 runs the first Cholesky, the later tau the pencil.
     # The formula's operations in their order through the plan's own solvers
-    # give prim_step's bits: the compiled records reassociate nothing.
+    # give prim_step's bits: the compiled records reassociate nothing. A stack
+    # of one state is bitwise that state's step; a stack of five agrees with
+    # the per-state steps to roundoff (matrix-matrix products sum in another
+    # order)
     prob = pin_problem(name)
     plan = StepPlan(make_config(kind, prob, rho=1.0), prob)
     m, n = plan.A.shape
     rng = np.random.default_rng(4)
-    for tau in (1.0, 2.5, 60.0):
+    for tau in maps.SAMPLED_TAUS:
         z, lam = rng.standard_normal(n), rng.standard_normal(m)
         got = prim_step(plan, tau, z, lam)
         own = dense_prim_step(plan, tau, z, lam, lambda i, g: plan.solvers[i].solve(g, tau))
         assert np.array_equal(got, own), tau
         want = dense_prim_step(plan, tau, z, lam)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), tau
+        one = prim_step(plan, tau, z[None], lam[None])
+        assert one.shape == (1, n) and np.array_equal(one[0], got), tau
+        Z, Lam = rng.standard_normal((5, n)), rng.standard_normal((5, m))
+        stacked = prim_step(plan, tau, Z, Lam)
+        assert stacked.shape == (5, n)
+        each = [prim_step(plan, tau, *state) for state in zip(Z, Lam)]
+        for row, want in zip(stacked, each):
+            assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want), tau
+        want = dense_prim_step(plan, tau, Z, Lam)
+        assert np.linalg.norm(stacked - want) <= 1e-12 * np.linalg.norm(want), tau
 
 
 @pytest.mark.parametrize("kind,name", sorted({key[:2] for key in PINNED_FINALS}))
@@ -859,7 +882,9 @@ def test_chunked_sampling_matches_a_per_state_loop(kind, name, chunk, monkeypatc
 @pytest.mark.parametrize("kind,name", [("prox-lin-al", "eq-qp"), ("prox-jacobi", "block")])
 def test_prim_step_receives_the_per_state_draws(kind, name, floats, monkeypatch):
     # the states drawn a chunk at a time are bitwise those drawn one at a
-    # time: n normal values for z, then m for lambda, and tau_t in turn
+    # time: n normal values for z, then m for lambda, and tau_t in turn. A
+    # chunk steps them in at most one stacked call per distinct tau_t; put
+    # back in state order, the rows of the calls are the per-state draws
     prob = pin_problem(name)
     cfg = make_config(kind, prob, rho=1.0)
     m, n = prob.m, prob.n
@@ -872,14 +897,28 @@ def test_prim_step_receives_the_per_state_draws(kind, name, floats, monkeypatch)
     monkeypatch.setattr(maps, "prim_step", recorded)
     monkeypatch.setattr(maps, "SAMPLE_FLOATS", floats)
     sample_niceness(cfg, prob, states=13, xis=6, seed=4)
+    cycle = itertools.cycle(maps.SAMPLED_TAUS if default_p(cfg, prob) == 2 else (1.0,))
+    taus = list(itertools.islice(cycle, 13))
+    chunk = max(1, floats // (6 * n))
+    z, lam = np.full((13, n), np.nan), np.full((13, m), np.nan)
+    calls = iter(seen)
+    for start in range(0, 13, chunk):
+        states = range(start, min(start + chunk, 13))
+        left, stepped = set(states), set()
+        while left:
+            tau, z_rows, lam_rows = next(calls)
+            assert type(tau) is float and tau not in stepped
+            stepped.add(tau)
+            rows = [j for j in states if taus[j] == tau]
+            assert z_rows.shape == (len(rows), n) and lam_rows.shape == (len(rows), m)
+            z[rows], lam[rows] = z_rows, lam_rows
+            left -= set(rows)
+    assert next(calls, None) is None
     rng = np.random.default_rng(4)
     center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
-    taus = itertools.cycle(maps.SAMPLED_TAUS if default_p(cfg, prob) == 2 else (1.0,))
-    assert len(seen) == 13
-    for tau, z, lam in seen:
-        assert type(tau) is float and tau == next(taus)
-        assert np.array_equal(z, center + maps.STATE_SCALE * rng.standard_normal(n))
-        assert np.array_equal(lam, maps.STATE_SCALE * rng.standard_normal(m))
+    for j in range(13):
+        assert np.array_equal(z[j], center + maps.STATE_SCALE * rng.standard_normal(n))
+        assert np.array_equal(lam[j], maps.STATE_SCALE * rng.standard_normal(m))
 
 
 @pytest.mark.parametrize(
