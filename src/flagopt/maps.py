@@ -40,9 +40,10 @@ in z+ alone are computed once per state, the rest with matrix-matrix products.
 sample_niceness calls it once per chunk of states (SAMPLE_FLOATS bounds the
 chunk's stacked points), after one prim_step per distinct tau_t in the chunk,
 and counts only points with finite Psi(xi) (elsewhere the left side is -inf
-and nothing is tested). A certificate is
-the closed form (delta, P, Q) of the block flags (_certify), with every
-spectral margin recorded; each distinct matrix it reads is decomposed once,
+and nothing is tested). Every kind's certificate is
+the closed form (delta, P, Q) of its block flags (_certify), with every
+spectral margin recorded; _view first refuses a problem the kind does not
+apply to. Each distinct matrix the certificate reads is decomposed once,
 and it keeps each block's (lambda_min, lambda_max) of P_i and Q_i: the
 fast-rate gate p2_condition, next to _floor, reads lambda_max(P_i) there.
 """
@@ -151,13 +152,15 @@ class Block:
 
 class _View(NamedTuple):
     """A problem as the blocks of a map kind: operators A_i, terms f_i, strong
-    convexity sigma_i, right-hand side b, smooth part (single block only)."""
+    convexity sigma_i, right-hand side b, smooth part (single block only) and
+    the Lipschitz constant L of a linearized smooth part (else 0)."""
 
     ops: tuple
     terms: tuple
     sigmas: tuple
     b: np.ndarray
     smooth: SmoothTerm | None = None
+    L: float = 0.0
 
     @property
     def dims(self):
@@ -190,8 +193,11 @@ def p2_condition(cert, prob):
     return all(top <= cap + 1e-9 for top, cap in zip(cert.block_extremes["P"][1], caps))
 
 
-def _certify(cfg, view, M, G, L, spectra):
-    """The certificate the block flags of the kind give.
+def _certify(spec, rho, M, G, L, spectra):
+    """The certificate the block flags of the KINDS row give: (delta, P_i
+    list, Q_i list, conditions) from the base penalty rho, the weights M_i,
+    the Grams G_i = A_i'A_i, the Lipschitz constant L of a linearized smooth
+    part (else 0) and the certificate's _Spectra.
 
     The lead block (the single block, or the first of a Gauss-Seidel pair)
     has P = M [- rho A'A when it linearizes the penalty], Q = P [- L I when
@@ -202,19 +208,18 @@ def _certify(cfg, view, M, G, L, spectra):
     delta when exact and rho l_i / lambda_min(M_i) when linearized; delta is
     1 less the largest cost, counted twice under Jacobi updates.
     """
-    spec = KINDS[cfg.kind]
     P, Q, conds, costs = [], [], [], []
     for i, (block, name) in enumerate(zip(spec.blocks, _weight_names(len(M)))):
         if i == 0 and not spec.jacobi:
-            P_i = M[i] if block.exact else M[i] - cfg.rho * G[i]
+            P_i = M[i] if block.exact else M[i] - rho * G[i]
             Q_i = P_i - L * np.eye(len(P_i)) if spec.smooth_linearized else P_i
             name += "" if block.exact else " - rho A'A"
             name += " - L I" if spec.smooth_linearized else ""
             margin = float(spectra(Q_i)[0])
             conds.append(Condition(f"lambda_min({name}) >= 0", margin, strict=False))
         else:
-            lam, rl = float(spectra(M[i])[0]), cfg.rho * float(spectra(G[i])[-1])
-            P_i = M[i] + cfg.rho * G[i] if block.exact else M[i]
+            lam, rl = float(spectra(M[i])[0]), rho * float(spectra(G[i])[-1])
+            P_i = M[i] + rho * G[i] if block.exact else M[i]
             Q_i = np.zeros_like(M[i])
             f, op = _floor(spec, block), "AB"[i]
             coef = f" - {'rho' if f == 1 else '2 rho'} lambda_max({op}'{op})" if f else ""
@@ -226,45 +231,26 @@ def _certify(cfg, view, M, G, L, spectra):
     return delta, P, Q, conds
 
 
-def _chambolle_pock_cert(cfg, view, M, G, L, spectra):
-    A, m = view.ops[0], view.b.shape[0]
-    if A.shape[1] != m or np.max(np.abs(A - np.eye(m)), initial=0.0) > 1e-12:
-        raise ConfigError("chambolle-pock requires the first block map A = I")
-    delta = 1.0 - cfg.rho * cfg.alpha * float(spectra(G[1])[-1])
-    conds = [Condition("1 - rho alpha lambda_max(B'B) > 0", delta)]
-    return delta, list(M), [M[0], np.zeros_like(M[1])], conds
-
-
-def _pcpm_cert(cfg, view, M, G, L, spectra):
-    if (view.sigmas[0] > 0) != (view.sigmas[1] > 0):
-        raise ConfigError(
-            "pcpm treats both blocks the same: sigma_f and sigma_g must "
-            "share the regime (both zero or both positive)"
-        )
-    return _certify(cfg, view, M, G, L, spectra)
-
-
 @dataclass(frozen=True)
 class Kind:
     """One row of KINDS: its blocks and their update order.
 
     jacobi: each block reads the others' old values (else Gauss-Seidel).
-    smooth_linearized: the single block requires h and steps on grad h(z).
-    alpha: M1 = 0 and M2 = I / alpha from the step alpha. certify(cfg, view,
-    M, G, L, spectra) -> (delta, P_i list, Q_i list, conditions), from the
-    weights M_i, the Grams G_i = A_i'A_i, the Lipschitz constant L of a
-    linearized smooth part (else 0) and the certificate's _Spectra, is the
-    shared formula _certify; only chambolle-pock (A = I and its alpha
-    condition) and pcpm (a regime check first) set their own. The auto
-    policy's M_i is (f rho lambda_max(G_i) [+ L] + margin) I with the f of
-    block i that _certify's conditions use (_floor).
+    smooth_linearized: the single block requires h, with zero declared
+    strong convexity, and steps on grad h(z).
+    alpha: M1 = 0 and M2 = I / alpha from the step alpha; requires A1 = I.
+    one_regime: requires sigma_f and sigma_g both zero or both positive.
+    _certify gives every row's certificate and _view refuses a problem the
+    row does not apply to. The auto policy's M_i is (f rho lambda_max(G_i)
+    [+ L] + margin) I with the f of block i that _certify's conditions use
+    (_floor).
     """
 
     blocks: tuple
-    certify: object = _certify
     jacobi: bool = False
     smooth_linearized: bool = False
     alpha: bool = False
+    one_regime: bool = False
 
 
 EXACT = Block(exact=True)
@@ -278,9 +264,9 @@ KINDS = {
     "smooth-lin-al": Kind((LINEARIZED,), smooth_linearized=True),
     "prox-admm": Kind((ADMM_FIRST, EXACT)),
     "prox-lin-admm": Kind((ADMM_FIRST, LINEARIZED)),
-    "chambolle-pock": Kind((ADMM_FIRST, LINEARIZED), _chambolle_pock_cert, alpha=True),
+    "chambolle-pock": Kind((ADMM_FIRST, LINEARIZED), alpha=True),
     "prox-jacobi": Kind((EXACT, EXACT), jacobi=True),
-    "pcpm": Kind((LINEARIZED, LINEARIZED), _pcpm_cert, jacobi=True),
+    "pcpm": Kind((LINEARIZED, LINEARIZED), jacobi=True, one_regime=True),
     "full-lin-admm": Kind((LINEARIZED, LINEARIZED)),
 }
 MAP_KINDS = tuple(KINDS)
@@ -297,14 +283,34 @@ def map_spec(kind):
 
 
 def _view(kind, prob):
-    """(table row, _View) of prob for the map kind."""
+    """(table row, _View) of prob for the map kind; ConfigError when the kind
+    does not apply to prob (its block count, smooth part, A1 or regime)."""
     spec = map_spec(kind)
     if len(spec.blocks) == 1:
-        return spec, _View((prob.A,), (prob.f,), (prob.sigma,), prob.b, prob.smooth)
+        smooth, L = prob.smooth, 0.0
+        if spec.smooth_linearized:
+            if smooth is None:
+                raise ConfigError(f"{kind} requires a smooth objective part")
+            if smooth.term.strong_convexity != 0.0:
+                raise ConfigError(
+                    f"{kind} handles the smooth part by gradient linearization; "
+                    "its declared strong-convexity contribution must be zero"
+                )
+            L = smooth.lipschitz_grad
+        return spec, _View((prob.A,), (prob.f,), (prob.sigma,), prob.b, smooth, L)
     if prob.n1 is None:
         raise ConfigError(f"{kind} requires a two-block problem")
     ops, terms = zip(*prob.blocks)
-    return spec, _View(ops, terms, tuple(t.strong_convexity for t in terms), prob.b)
+    sigmas = tuple(t.strong_convexity for t in terms)
+    A, m = ops[0], prob.b.shape[0]
+    if spec.alpha and (A.shape[1] != m or np.max(np.abs(A - np.eye(m)), initial=0.0) > 1e-12):
+        raise ConfigError(f"{kind} requires the first block map A = I")
+    if spec.one_regime and (sigmas[0] > 0) != (sigmas[1] > 0):
+        raise ConfigError(
+            f"{kind} treats both blocks the same: sigma_f and sigma_g must "
+            "share the regime (both zero or both positive)"
+        )
+    return spec, _View(ops, terms, sigmas, prob.b)
 
 
 def _weight_names(blocks):
@@ -390,21 +396,10 @@ class StepPlan:
         Raises NotNiceError naming the violated spectral condition when the
         map cannot be certified with the given weights and base rho.
         """
-        kind, spec, view = self.cfg.kind, self.spec, self.view
-        L = 0.0
-        if spec.smooth_linearized:
-            if view.smooth is None:
-                raise ConfigError(f"{kind} requires a smooth objective part")
-            if view.smooth.term.strong_convexity != 0.0:
-                raise ConfigError(
-                    f"{kind} handles the smooth part by gradient linearization; "
-                    "its declared strong-convexity contribution must be zero"
-                )
-            L = view.smooth.lipschitz_grad
-        G = [A.T @ A for A in view.ops]
+        G = [A.T @ A for A in self.view.ops]
         spectra = _Spectra()
-        delta, P, Q, conds = spec.certify(self.cfg, view, self.M, G, L, spectra)
-        return _validated(kind, delta, P, Q, conds, spectra)
+        delta, P, Q, conds = _certify(self.spec, self.cfg.rho, self.M, G, self.view.L, spectra)
+        return _validated(self.cfg.kind, delta, P, Q, conds, spectra)
 
     def stats(self):
         """Per block: its factorization route and counts (prox.Subproblem.stats)."""
@@ -626,13 +621,11 @@ def make_config(kind, prob, rho, policy="auto", scale=1.0, margin=1.0, alpha=Non
     if policy not in ("identity-scaled", "auto"):
         raise ConfigError(f"unknown matrix policy {policy!r}")
     if policy == "identity-scaled":
-        s = [scale] * len(view.ops)
+        s = [number(scale, "scale")] * len(view.ops)
     else:
-        linearized = view.smooth is not None and spec.smooth_linearized
-        L = view.smooth.lipschitz_grad if linearized else 0.0
         floors = [_floor(spec, block) for block in spec.blocks]
         s = [
-            (f * rho * linalg.lambda_max(A.T @ A) if f else 0.0) + L + margin
+            (f * rho * linalg.lambda_max(A.T @ A) if f else 0.0) + view.L + margin
             for f, A in zip(floors, view.ops)
         ]
     if spec.alpha:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +9,15 @@ import numpy as np
 import pytest
 
 import flagopt
-from flagopt import Box, ConstrainedProblem, Quadratic, SmoothTerm, load_problem, save_problem
+from flagopt import (
+    BlockProblem,
+    Box,
+    ConstrainedProblem,
+    Quadratic,
+    SmoothTerm,
+    load_problem,
+    save_problem,
+)
 from flagopt import cli, maps
 from flagopt.cli import main
 from flagopt.driver import CSV_COLUMNS, MAX_ITERS, trajectory_from_csv
@@ -260,13 +267,13 @@ class TestCertify:
         # sample_niceness reuses the plan cmd_certify built, and with it the
         # certificate; forcing it to build its own prints the same report
         calls = []
-        spec = maps.KINDS["prox-lin-al"]
+        formula = maps._certify
 
         def counted(*args):
             calls.append(1)
-            return spec.certify(*args)
+            return formula(*args)
 
-        monkeypatch.setitem(maps.KINDS, "prox-lin-al", dataclasses.replace(spec, certify=counted))
+        monkeypatch.setattr(maps, "_certify", counted)
         argv = ["certify", "--problem", qp_path, "--map", "prox-lin-al", "--states", "10"]
         assert main(argv) == 0
         assert len(calls) == 1
@@ -368,8 +375,18 @@ class TestNonFiniteConfig:
         [
             (["--rho", "nan"], "rho must be positive and finite, got nan"),
             (["--rho", "inf"], "rho must be positive and finite, got inf"),
-            (["--policy", "identity-scaled", "--scale", "nan"], "M has non-finite entries"),
-            (["--policy", "identity-scaled", "--scale", "inf"], "M has non-finite entries"),
+            # M = scale * I: these two rows keep the ids they had when the
+            # refusal was the check on M's entries
+            pytest.param(
+                ["--policy", "identity-scaled", "--scale", "nan"],
+                "scale must be finite, got nan",
+                id="flags2-M has non-finite entries",
+            ),
+            pytest.param(
+                ["--policy", "identity-scaled", "--scale", "inf"],
+                "scale must be finite, got inf",
+                id="flags3-M has non-finite entries",
+            ),
             (["--margin", "nan"], "margin must be finite"),
         ],
     )
@@ -384,6 +401,64 @@ class TestNonFiniteConfig:
         assert message in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+def smooth_h_sigma_path(path):
+    # smooth-prox-al linearizes h, so h may not declare strong convexity
+    h_term = Quadratic(H=np.eye(3), q=np.zeros(3), strong_convexity=0.5)
+    h = SmoothTerm(term=h_term, lipschitz_grad=1.0)
+    f = Quadratic(H=np.eye(3), q=np.ones(3), strong_convexity=1.0)
+    save_problem(ConstrainedProblem(f=f, A=[[1.0, 1.0, 0.0]], b=[1.0], smooth=h), path)
+
+
+def mixed_regime_path(path):
+    # pcpm treats both blocks the same: sigma_f = 1 with sigma_g = 0
+    f = Quadratic(H=np.eye(2), q=np.zeros(2), strong_convexity=1.0)
+    g = Quadratic(H=np.zeros((2, 2)), q=np.ones(2))
+    save_problem(BlockProblem(f_term=f, g_term=g, A=np.eye(2), B=np.eye(2), b=[1.0, 2.0]), path)
+
+
+def gen_path(*args):
+    def write(path):
+        assert main(["gen", *args, "--seed", "1", "--out", str(path)]) == 0
+    return write
+
+
+# map kind, problem writer, and the refusal of a kind that does not apply
+INAPPLICABLE = [
+    ("prox-admm", gen_path("eq-qp", "--n", "6", "--m", "2"),
+     "prox-admm requires a two-block problem"),
+    ("smooth-lin-al", gen_path("eq-qp", "--n", "6", "--m", "2"),
+     "smooth-lin-al requires a smooth objective part"),
+    ("smooth-prox-al", smooth_h_sigma_path,
+     "smooth-prox-al handles the smooth part by gradient linearization; "
+     "its declared strong-convexity contribution must be zero"),
+    ("chambolle-pock", gen_path("block-qp", "--n", "8", "--m", "3"),
+     "chambolle-pock requires the first block map A = I"),
+    ("pcpm", mixed_regime_path,
+     "pcpm treats both blocks the same: sigma_f and sigma_g must share the regime "
+     "(both zero or both positive)"),
+]
+
+
+@pytest.mark.parametrize("kind,write,message", INAPPLICABLE, ids=[c[0] for c in INAPPLICABLE])
+def test_inapplicable_kind_is_refused(tmp_path, capsys, kind, write, message):
+    # certify and solve refuse in one line before any output or file; a sweep
+    # row names the same refusal
+    path = tmp_path / "p.json"
+    write(path)
+    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    for command in (["certify"], ["solve", "--iters", "20", "--out", str(out)]):
+        rc = main([*command, "--problem", str(path), "--map", kind])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+    report = tmp_path / "sweep.json"
+    assert main(["sweep", "--problem", str(path), "--maps", kind, "--out", str(report)]) == 0
+    with open(report) as fh:
+        (row,) = json.load(fh)["rows"]
+    assert row == {"map": kind, "mode": "classic", "status": f"skipped: {message}"}
 
 
 class TestVerify:
@@ -1082,13 +1157,13 @@ class TestSweep:
     def test_row_certifies_once(self, qp_path, capsys, monkeypatch):
         # the row's report reads the certificate of the plan its run stepped
         calls = []
-        spec = maps.KINDS["prox-lin-al"]
+        formula = maps._certify
 
         def counted(*args):
             calls.append(1)
-            return spec.certify(*args)
+            return formula(*args)
 
-        monkeypatch.setitem(maps.KINDS, "prox-lin-al", dataclasses.replace(spec, certify=counted))
+        monkeypatch.setattr(maps, "_certify", counted)
         argv = ["sweep", "--problem", qp_path, "--maps", "prox-lin-al", "--iters", "50"]
         assert main(argv) == 0
         assert "condition-P=met" in capsys.readouterr().out

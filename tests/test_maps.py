@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -215,10 +214,11 @@ class TestCertificates:
         assert np.count_nonzero(cert.P[:n1, n1:]) == 0
 
     def test_smooth_kind_requires_smooth_part(self):
+        # the kind does not apply, so no configuration is built for it
         p = small_qp()
-        cfg = make_config("smooth-prox-al", p, rho=1.0)
-        with pytest.raises(ConfigError, match="smooth"):
-            certificate(cfg, p)
+        for kind in ("smooth-prox-al", "smooth-lin-al"):
+            with pytest.raises(ConfigError, match=f"^{kind} requires a smooth objective part$"):
+                make_config(kind, p, rho=1.0)
 
     def test_exact_kind_rejects_coupled_nonsmooth(self):
         f = L1(weight=1.0, dim=2)
@@ -256,17 +256,44 @@ class TestCertificates:
         cfg = make_config("prox-al", p, rho=1.0, policy="identity-scaled", scale=3.0)
         assert_allclose(cfg.M, 3.0 * np.eye(p.n))
 
+    @pytest.mark.parametrize("scale", [True, "2"])
+    def test_scale_must_be_a_number(self, scale):
+        # a bool is not read as the number 1, nor a string as 2
+        p = small_qp()
+        with pytest.raises(TypeError, match=f"^scale must be a number, got {scale!r}$"):
+            make_config("prox-lin-al", p, rho=1.0, policy="identity-scaled", scale=scale)
+
+    @pytest.mark.parametrize("n,m", [(8, 5), (12, 4)])
+    @pytest.mark.parametrize("rho", [1.0, 0.7])
+    def test_chambolle_pock_oracle(self, n, m, rho):
+        # the shared formula gives chambolle-pock delta = 1 - c, c = rho alpha
+        # lambda_max(B'B), to 2 ulp of [0.5, 1) (a difference from 1 is exact
+        # to eps = ulp(1)); P = [0, I / alpha] and Q = [0, 0] bitwise
+        for seed, alpha in itertools.product(range(10), (None, 0.05)):
+            prob = generate(GenSpec(family="block-qp", n=n, m=m, seed=seed, a_identity=True))
+            cfg = make_config("chambolle-pock", prob, rho=rho, alpha=alpha)
+            cert = certificate(cfg, prob)
+            B = prob.blocks[1][0]
+            c = rho * cfg.alpha * np.linalg.eigvalsh(B.T @ B)[-1]
+            assert abs(cert.delta - (1.0 - c)) <= 2 * np.spacing(0.5), (seed, alpha)
+            n2 = prob.n - m
+            P1, P2 = cert.block_P
+            assert np.array_equal(P1, np.zeros((m, m)))
+            assert np.array_equal(P2, (1.0 / cfg.alpha) * np.eye(n2))
+            Q1, Q2 = cert.block_Q
+            assert np.array_equal(Q1, np.zeros((m, m))) and np.array_equal(Q2, np.zeros((n2, n2)))
+
     def test_plan_computes_its_certificate_once(self, monkeypatch):
         # plan.cert is cached; a run reads it from the plan that steps, so
-        # the kind's certificate formula is evaluated once per run
+        # the certificate formula is evaluated once per run
         calls = []
-        spec = KINDS["prox-lin-al"]
+        formula = maps._certify
 
         def counted(*args):
             calls.append(args)
-            return spec.certify(*args)
+            return formula(*args)
 
-        monkeypatch.setitem(KINDS, "prox-lin-al", dataclasses.replace(spec, certify=counted))
+        monkeypatch.setattr(maps, "_certify", counted)
         p = small_qp()
         cfg = make_config("prox-lin-al", p, rho=1.0)
         plan = StepPlan(cfg, p)
@@ -570,7 +597,8 @@ def cert_problem(name):
 # kind -> (problem, auto-policy weights: the scale c of each M_i = c I, or
 # alpha; delta; block P; block Q; conditions as (name, margin, strict)) at
 # rho = 0.7, recorded from the implementation that wrote out each kind's
-# certificate formula in its own function.
+# certificate formula in its own function; chambolle-pock's conditions are
+# those of the shared formula, which also serves it.
 PINNED_CERTS = {
     "prox-al": (
         "single", (1.0,), 1.0,
@@ -627,7 +655,8 @@ PINNED_CERTS = {
         [[[0.0]], [[8.0, 0.0], [0.0, 8.0]]],
         [[[0.0]], [[0.0, 0.0], [0.0, 0.0]]],
         (
-            ("1 - rho alpha lambda_max(B'B) > 0", 0.125, True),
+            ("lambda_min(M1) >= 0", 0.0, False),
+            ("lambda_min(M2) - rho lambda_max(B'B) > 0", 1.0, True),
         ),
     ),
     "prox-jacobi": (
@@ -990,7 +1019,7 @@ CERT_SPECTRA = {
     "smooth-lin-al": 2,  # M - rho A'A, M - rho A'A - L I
     "prox-admm": 5,  # M1; M2, B'B, M2 + rho B'B, 0
     "prox-lin-admm": 4,  # M1; M2, B'B, 0
-    "chambolle-pock": 4,  # B'B, M1 = 0, M2, Q2 = 0
+    "chambolle-pock": 4,  # M1 = 0; M2, B'B, 0
     "prox-jacobi": 8,  # M_i, A_i'A_i, M_i + rho A_i'A_i, 0 for each block
     "pcpm": 6,  # M_i, A_i'A_i, 0 for each block
     "full-lin-admm": 4,  # M1 - rho A'A; M2, B'B, 0
