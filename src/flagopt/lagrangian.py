@@ -1,5 +1,4 @@
-"""Lagrangian, augmented Lagrangian, and the weighted Bregman-gap quantity
-Delta_P(u, v, w) = 0.5 (||u - v||_P^2 - ||u - w||_P^2).
+"""Lagrangian, augmented Lagrangian, and the weighted norm ||v||_P^2.
 
 Every function here takes one point, giving a float, or points stacked along
 leading axes, giving one value per point.
@@ -37,15 +36,4 @@ def quad_norm(P, v):
     """||v||_P^2 = v'Pv."""
     v = np.asarray(v, dtype=float)
     return rowdot(v, v @ np.asarray(P, dtype=float).T)
-
-
-def delta_P(P, u, v, w):
-    """0.5 (||u - v||_P^2 - ||u - w||_P^2), computed from the definition so it
-    stays valid for singular PSD P."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if not (u.shape[-1:] == v.shape[-1:] == w.shape[-1:]):
-        raise ConfigError("delta_P arguments must share a dimension")
-    return 0.5 * (quad_norm(P, u - v) - quad_norm(P, u - w))
 

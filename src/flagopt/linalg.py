@@ -163,7 +163,8 @@ class Pencil:
     [0, 1/c1], so each divisor is at least min(1, c/c1) > 0. When V(c1) has
     no Cholesky factor the pencil raises DegenerateSubproblemError: H0, K0
     >= 0 give null(H0 + c K0) = null(H0) & null(K0), so V(c) is then singular
-    at every c > 0. An eigh that fails raises NumericalError.
+    at every c > 0; one that overflows (V(c1) + V(c1)') raises ConfigError,
+    and an eigh that fails NumericalError.
     Every route goes through _refined: each solve is gated, and refined only
     when it fails the gate. Each factorization binds its route's inv(r, c)
     and apply(x, c) once, on the arrays the pencil holds (Li, V, W, lam),
@@ -179,7 +180,10 @@ class Pencil:
     def _factor(self, c):
         try:
             if self.route is None:
-                V = self.H0 + c * self.K0
+                with np.errstate(over="ignore", invalid="ignore"):
+                    V = self.H0 + c * self.K0
+                    if not np.isfinite(V + V.T).all():  # lambda_min symmetrizes V
+                        raise ConfigError(f"{self.name}: V(c) = H0 + c K0 overflows at c = {c:g}")
                 # ndarray.dot: at n <= 20 the @ operator's dispatch doubles the cost
                 Li = _inverse_factor(V)
                 Lt, Vt = Li.T, V.T

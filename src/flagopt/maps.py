@@ -37,21 +37,20 @@ weight 1 and no sigma term. nice_parts(plan, tau_t, ...) evaluates left minus
 right numerically, given z+, at one state and one xi, at one state and a
 (X, n) stack of xi, or at a stack of k states with X points each: the terms
 in z+ alone are computed once per state, the rest with matrix-matrix products.
-sample_niceness calls it once per chunk of states (SAMPLE_FLOATS bounds the
-chunk's stacked points), after one prim_step per distinct tau_t in the chunk,
-and counts only points with finite Psi(xi) (elsewhere the left side is -inf
-and nothing is tested). Every kind's certificate is
-the closed form (delta, P, Q) of its block flags (_certify), with every
-spectral margin recorded; _view first refuses a problem the kind does not
-apply to. Each distinct matrix the certificate reads is decomposed once,
-and it keeps each block's (lambda_min, lambda_max) of P_i and Q_i: the
+sample_niceness steps all its states with one prim_step per distinct tau_t,
+then calls nice_parts once per chunk of states (SAMPLE_FLOATS bounds only the
+chunk's stacked points), and counts only points with finite Psi(xi)
+(elsewhere the left side is -inf and nothing is tested). Every kind's
+certificate is the closed form (delta, P, Q) of its block flags (_certify),
+with every spectral margin recorded; _view first refuses a problem the kind
+does not apply to. Each distinct matrix the certificate reads is decomposed
+once, and it keeps each block's (lambda_min, lambda_max) of P_i and Q_i: the
 fast-rate gate p2_condition, next to _floor, reads lambda_max(P_i) there.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -60,7 +59,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, NotNiceError
-from .lagrangian import delta_P, eval_aug_lagrangian, quad_norm
+from .lagrangian import eval_aug_lagrangian, quad_norm
 from .problems import SmoothTerm, number
 from .prox import Subproblem
 
@@ -69,9 +68,9 @@ from .prox import Subproblem
 SAMPLED_TAUS = (1.0, 2.5, 7.0, 19.5, 60.0)
 STATE_SCALE = 2.0
 XI_SCALE = 1.5
-# sample_niceness steps its states in chunks whose stacked points hold at most
-# this many floats (64 KB), so one nice_parts call serves a chunk while peak
-# memory stays that of a single state's (xis, n) stack at large n
+# sample_niceness evaluates its states (drawn and stepped whole) in chunks whose
+# stacked points hold at most this many floats (64 KB): one nice_parts call a
+# chunk, while at large n the xi stack stays that of a single state's points
 SAMPLE_FLOATS = 8192
 
 
@@ -340,13 +339,14 @@ def _block_name(kind, i, blocks):
 
 def _pencil(spec, view, i, rho, M_i):
     """(H0, K0) of block i's V_i(c) = H0 + c K0 at c = tau_t; a single term
-    is shared, not copied."""
+    is shared, not copied, and an overflow left as inf for linalg.Pencil."""
     H0, K0 = ([], [M_i]) if spec.blocks[i].accelerated else ([M_i], [])
-    if spec.blocks[i].exact:
-        K0.append(rho * (view.ops[i].T @ view.ops[i]))
     if view.smooth is not None and not spec.smooth_linearized:
         H0.append(view.smooth.term.H)
-    return tuple(sum(X[1:], X[0]) if X else np.zeros_like(M_i) for X in (H0, K0))
+    with np.errstate(over="ignore"):
+        if spec.blocks[i].exact:
+            K0.append(rho * (view.ops[i].T @ view.ops[i]))
+        return tuple(sum(X[1:], X[0]) if X else np.zeros_like(M_i) for X in (H0, K0))
 
 
 class StepPlan:
@@ -473,6 +473,12 @@ def prim_step(plan, tau, z, lam):
     return new[0] if len(new) == 1 else np.concatenate(new, axis=-1)
 
 
+def _three_point(P, gap, d):
+    """Delta_P(xi, z, z+) from gap = xi - z+ and d = z+ - z (nice_parts)."""
+    Pd = d.dot(P.T)
+    return linalg.rowdot(gap, Pd) + 0.5 * linalg.rowdot(d, Pd)
+
+
 def nice_parts(plan, tau, z, lam, xi, z_next, delta=None):
     """(residual, scale) of the niceness inequality of the plan's map at the
     state (z, lambda), tau_t = tau, its step z_next = prim_step(plan, tau, z,
@@ -480,7 +486,9 @@ def nice_parts(plan, tau, z, lam, xi, z_next, delta=None):
     them (one value per row). States stack as well: z and z_next of shape
     (k, 1, n), lambda (k, 1, m) and tau (k, 1) test state j on the points
     xi[j] of a (k, X, n) stack, giving (k, X) values. The terms in z+ alone
-    are computed once per state; delta defaults to the certificate's."""
+    are computed once per state, as is P d, d = z+ - z, for Delta_P(xi, z, z+)
+    = <xi - z+, P d> + 0.5 ||d||_P^2: one product with P per state, not per
+    point, and exact for any PSD P. delta defaults to the certificate's."""
     cert, prob = plan.cert, plan.prob
     if delta is None:
         delta = cert.delta
@@ -503,12 +511,12 @@ def nice_parts(plan, tau, z, lam, xi, z_next, delta=None):
     bregman = q_term = sc_term = 0.0
     blocks = zip(plan.spec.blocks, plan.parts, plan.view.sigmas, cert.block_P, cert.block_Q)
     for block, part, sigma, P, Q in blocks:
-        xi_i, z_i, zn_i = xi[..., part], z[..., part], z_next[..., part]
+        gap, d = xi[..., part] - z_next[..., part], z_next[..., part] - z[..., part]
         w = tau if block.accelerated else 1.0
-        bregman += w * delta_P(P, xi_i, z_i, zn_i)
-        q_term += 0.5 * w * quad_norm(Q, zn_i - z_i)
+        bregman += w * _three_point(P, gap, d)
+        q_term += 0.5 * w * quad_norm(Q, d)
         if block.accelerated:
-            sc_term += 0.5 * sigma * np.sum((xi_i - zn_i) ** 2, axis=-1)
+            sc_term += 0.5 * sigma * np.sum(gap**2, axis=-1)
 
     rhs = bregman - q_term - sc_term - pen_term
     residual = lhs - rhs
@@ -548,11 +556,11 @@ def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None
 
     Draws `states` random (z, lambda, tau_t) tuples (tau_t cycles through
     SAMPLED_TAUS when the map's default p is 2, else tau_t = 1) and `xis`
-    feasible points per state. It walks the states in chunks of
-    max(1, SAMPLE_FLOATS // (xis n)): each chunk draws its states and points
-    at once (the same random streams as one state at a time), steps them
-    with one stacked prim_step per distinct tau_t, in order of first use,
-    and evaluates the chunk in one stacked nice_parts call. It returns the
+    feasible points per state. It draws all states at once, in O(states (n +
+    m)) floats and from the same random streams as one state at a time, steps
+    them with one stacked prim_step per distinct tau_t, in order of first use,
+    then evaluates chunks of max(1, SAMPLE_FLOATS // (xis n)) states in one
+    nice_parts call each on their points, drawn at once. It returns the
     worst residual both raw and relative to scale = 1 + sum of absolute
     inequality terms. A point outside the domain of Psi (where an indicator
     term is +inf) makes the left side -inf, so the inequality holds there
@@ -569,28 +577,25 @@ def sample_niceness(cfg, prob, states=100, xis=20, seed=0, delta=None, plan=None
     p = default_p(cfg, prob)
     rng = np.random.default_rng(seed)
     m, n = plan.A.shape
+    center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
+    # per state, n values of z then m of lambda: the stream of one draw each
+    draws = STATE_SCALE * rng.standard_normal((states, n + m))
+    z, lam = center + draws[:, :n], draws[:, n:]
+    tau = np.resize(SAMPLED_TAUS if p == 2 else 1.0, states)
+    z_next = np.empty_like(z)
+    # an overflow ends in an error: in linalg.Pencil (V(c)) or _refined (rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in dict.fromkeys(tau.tolist()):  # first-use order: each pencil factors as per state
+            rows = tau == t
+            z_next[rows] = prim_step(plan, t, z[rows], lam[rows])
     chunk = min(states, max(1, SAMPLE_FLOATS // (xis * n)))
     xi_gen = feasible_sampler(prob, seed=seed + 1, scale=XI_SCALE, size=chunk * xis)
-    center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
-    taus = itertools.cycle(SAMPLED_TAUS if p == 2 else (1.0,))
-
-    max_raw = -np.inf
-    max_scaled = -np.inf
-    checked = 0
+    checked, max_raw, max_scaled = 0, -np.inf, -np.inf
     for start in range(0, states, chunk):
-        k = min(chunk, states - start)
-        # per state, n values of z then m of lambda: the stream of one draw each
-        draws = rng.standard_normal((k, n + m))
-        z = center + STATE_SCALE * draws[:, :n]
-        lam = STATE_SCALE * draws[:, n:]
-        tau = list(itertools.islice(taus, k))
-        z_next = np.empty_like(z)  # first-use order: each pencil factors as per state
-        for t, rows in {t: np.equal(tau, t) for t in tau}.items():
-            z_next[rows] = prim_step(plan, t, z[rows], lam[rows])
+        s, k = slice(start, start + chunk), min(chunk, states - start)
         xi = next(xi_gen)[: k * xis].reshape(k, xis, n)
         residual, scale = nice_parts(
-            plan, np.array(tau)[:, None], z[:, None], lam[:, None], xi,
-            z_next=z_next[:, None], delta=delta,
+            plan, tau[s, None], z[s, None], lam[s, None], xi, z_next=z_next[s, None], delta=delta
         )
         tested = residual > -np.inf
         residual, scale = residual[tested], scale[tested]

@@ -2,9 +2,22 @@
 
 import numpy as np
 
-from flagopt import L1, Separable
+from flagopt import L1, ConfigError, Separable
+from flagopt.lagrangian import quad_norm
 from flagopt.linalg import rowdot, solve_spd
 from flagopt.prox import soft_threshold
+
+
+def delta_P(P, u, v, w):
+    """0.5 (||u - v||_P^2 - ||u - w||_P^2), computed from the definition so it
+    stays valid for singular PSD P: the reference for the three-point form
+    that nice_parts evaluates."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if not (u.shape[-1:] == v.shape[-1:] == w.shape[-1:]):
+        raise ConfigError("delta_P arguments must share a dimension")
+    return 0.5 * (quad_norm(P, u - v) - quad_norm(P, u - w))
 
 
 def delta_euclid(u, v, w):

@@ -21,7 +21,7 @@ from flagopt.driver import (
     run,
 )
 from flagopt.gen import GenSpec, generate
-from flagopt.lagrangian import delta_P, eval_lagrangian
+from flagopt.lagrangian import eval_lagrangian
 from flagopt.linalg import lambda_max
 from flagopt.maps import (
     MAP_KINDS,
@@ -50,7 +50,7 @@ from flagopt.rates import (
     verify_rates,
 )
 
-from helpers import delta_euclid
+from helpers import delta_P, delta_euclid
 
 BOUND_TOL = 1e-9
 

@@ -388,6 +388,8 @@ class TestNonFiniteConfig:
                 id="flags3-M has non-finite entries",
             ),
             (["--margin", "nan"], "margin must be finite"),
+            # finite, but rho A'A overflows the pencil the step factors
+            (["--rho", "1e308"], "prox-al: V(c) = H0 + c K0 overflows at c = 1"),
         ],
     )
     def test_refused_before_any_output(self, qp_path, tmp_path, capsys, command, flags, message):

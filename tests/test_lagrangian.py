@@ -22,13 +22,12 @@ from flagopt import (
     save_problem,
 )
 from flagopt.lagrangian import (
-    delta_P,
     eval_aug_lagrangian,
     eval_lagrangian,
     quad_norm,
 )
 
-from helpers import delta_euclid
+from helpers import delta_P, delta_euclid
 
 
 def scalar_problem():

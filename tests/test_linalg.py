@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from flagopt import DegenerateSubproblemError, NumericalError, linalg
+from flagopt import ConfigError, DegenerateSubproblemError, NumericalError, linalg
 from flagopt.linalg import Pencil, solve_spd
 
 
@@ -61,6 +61,23 @@ def test_fallback_keeps_degenerate_error():
         with pytest.raises(DegenerateSubproblemError, match="lambda_min 0.000e"):
             pencil.solve(np.ones(2), c)
     assert pencil.route is None
+
+
+@pytest.mark.parametrize(
+    "K0,c",
+    [
+        (np.diag([1.0, np.inf]), 1.0),  # K0 overflowed when it was formed
+        (np.array([[1.0, 0.9e308], [0.9e308, 1.0]]), 1.0),  # V(c) finite, V + V' not
+        (np.diag([1.0, 1e307]), 60.0),  # c K0 overflows
+    ],
+)
+def test_overflowing_pencil_is_one_config_error(K0, c):
+    # refused before any factorization, without a warning, naming the leaf and c
+    pencil = Pencil(np.eye(2), K0, "leaf")
+    with pytest.raises(ConfigError) as exc:
+        pencil.solve(np.ones(2), c)
+    assert str(exc.value) == f"leaf: V(c) = H0 + c K0 overflows at c = {c:g}"
+    assert pencil.route is None and pencil.counts["cholesky"] == 0
 
 
 def test_failed_eigh_is_one_numerical_error(monkeypatch):

@@ -34,7 +34,7 @@ from flagopt.maps import (
     sample_niceness,
 )
 from flagopt.problems import flatten_block
-from helpers import dense_prim_step, dense_subproblem_solve
+from helpers import delta_P, dense_prim_step, dense_subproblem_solve
 
 
 def one_d_problem(sigma=1.0, b=1.0):
@@ -910,10 +910,12 @@ def test_chunked_sampling_matches_a_per_state_loop(kind, name, chunk, monkeypatc
 @pytest.mark.parametrize("floats", [maps.SAMPLE_FLOATS, 5 * 6 * 12])
 @pytest.mark.parametrize("kind,name", [("prox-lin-al", "eq-qp"), ("prox-jacobi", "block")])
 def test_prim_step_receives_the_per_state_draws(kind, name, floats, monkeypatch):
-    # the states drawn a chunk at a time are bitwise those drawn one at a
-    # time: n normal values for z, then m for lambda, and tau_t in turn. A
-    # chunk steps them in at most one stacked call per distinct tau_t; put
-    # back in state order, the rows of the calls are the per-state draws
+    # the states drawn at once are bitwise those drawn one at a time: n
+    # normal values for z, then m for lambda, and tau_t in turn. They are
+    # stepped in one stacked call per distinct tau_t over all states, in
+    # order of first use, whatever the chunk of the nice_parts calls (floats:
+    # one chunk, or five states a chunk); put back in state order, the rows
+    # of the calls are the per-state draws
     prob = pin_problem(name)
     cfg = make_config(kind, prob, rho=1.0)
     m, n = prob.m, prob.n
@@ -928,21 +930,13 @@ def test_prim_step_receives_the_per_state_draws(kind, name, floats, monkeypatch)
     sample_niceness(cfg, prob, states=13, xis=6, seed=4)
     cycle = itertools.cycle(maps.SAMPLED_TAUS if default_p(cfg, prob) == 2 else (1.0,))
     taus = list(itertools.islice(cycle, 13))
-    chunk = max(1, floats // (6 * n))
+    assert [tau for tau, _, _ in seen] == list(dict.fromkeys(taus))
     z, lam = np.full((13, n), np.nan), np.full((13, m), np.nan)
-    calls = iter(seen)
-    for start in range(0, 13, chunk):
-        states = range(start, min(start + chunk, 13))
-        left, stepped = set(states), set()
-        while left:
-            tau, z_rows, lam_rows = next(calls)
-            assert type(tau) is float and tau not in stepped
-            stepped.add(tau)
-            rows = [j for j in states if taus[j] == tau]
-            assert z_rows.shape == (len(rows), n) and lam_rows.shape == (len(rows), m)
-            z[rows], lam[rows] = z_rows, lam_rows
-            left -= set(rows)
-    assert next(calls, None) is None
+    for tau, z_rows, lam_rows in seen:
+        assert type(tau) is float
+        rows = [j for j in range(13) if taus[j] == tau]
+        assert z_rows.shape == (len(rows), n) and lam_rows.shape == (len(rows), m)
+        z[rows], lam[rows] = z_rows, lam_rows
     rng = np.random.default_rng(4)
     center = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
     for j in range(13):
@@ -1006,6 +1000,40 @@ def test_stacked_states_match_each_state(kind, name):
             plan, np.array(taus)[:, None], z[:, None], lam[:, None], bad, z_next=z_next[:, None]
         )
     assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("kind,name", sorted(PINNED_SAMPLING))
+def test_bregman_term_is_the_definition(kind, name, monkeypatch):
+    # nice_parts takes Delta_P(xi, z, z+) of each block in the three-point
+    # form; it is the definition 0.5 (||xi - z||_P^2 - ||xi - z+||_P^2) at
+    # every point, and exactly 0 on a zero block of P (chambolle-pock's first)
+    prob = pin_problem(name)
+    cfg = make_config(kind, prob, rho=1.0)
+    plan = StepPlan(cfg, prob)
+    m, n = plan.A.shape
+    three_point, terms = maps._three_point, []
+
+    def recorded(*args):
+        terms.append(three_point(*args))
+        return terms[-1]
+
+    monkeypatch.setattr(maps, "_three_point", recorded)
+    rng = np.random.default_rng(8)
+    stack = next(feasible_sampler(prob, seed=9, scale=1.5, size=6))
+    if kind == "chambolle-pock":
+        assert not plan.cert.block_P[0].any()
+    for tau in (1.0, 19.5):
+        z, lam = rng.standard_normal(n), rng.standard_normal(m)
+        z_next = prim_step(plan, tau, z, lam)
+        terms.clear()
+        nice_parts(plan, tau, z, lam, stack, z_next=z_next)
+        assert len(terms) == len(plan.parts)
+        for part, P, got in zip(plan.parts, plan.cert.block_P, terms):
+            want = delta_P(P, stack[:, part], z[part], z_next[part])
+            assert got.shape == (6,)
+            if not P.any():
+                assert not got.any() and not want.any()
+            assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 # eigvalsh calls per certificate: one per distinct matrix it reads. P = Q on
