@@ -6,12 +6,18 @@ One outer iteration at sequence value t_k with penalty rho_k = rho t_k^{p-1}:
     z^{k+1}  = PrimalMap_{t_k}(z^k, lambda^k)
     y^{k+1}  = y^k + mu rho_k (A z^{k+1} - b)
     x^{k+1}  = (1 - 1/t_k) x^k + (1/t_k) z^{k+1}      (non-ergodic modes)
+    x^{k+1}  = x^k + tau_k z^{k+1},  x^0 = 0          (ergodic mode)
 
 classic mode runs p = 1 with t_k = k + 1; fast mode runs p = 2 with the
 accelerated sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and requires the
-strong convexity the map's analysis exploits. ergodic mode drops the x
-sequence and the multiplier extrapolation (lambda^k = y^k) and reports the
-weighted average of the z iterates instead.
+strong convexity the map's analysis exploits. ergodic mode drops the
+multiplier extrapolation (lambda^k = y^k); its x is the weighted sum
+sum_j tau_j z^{j+1} (tau_j = t_j^{p-1}), and the run reports that sum over
+ergodic_weight_sum, the weighted average of the z iterates.
+
+A state is one start, z and x (n,) with y (m,), or a stack of starts at one
+t_k, z and x (k, n) with y (k, m); flag_iterate steps either through the
+same lines. run() records one start.
 """
 
 from __future__ import annotations
@@ -122,64 +128,52 @@ def resolve_params(prob, params, plan=None):
 
 @dataclass(frozen=True, eq=False)
 class FlagState:
+    """The state (z, y, x) after k iterations, with t the sequence value the
+    next iteration uses: one start or a stack of starts (module docstring).
+    x is the running average of the z iterates in fast and classic mode and
+    their weighted sum sum_j tau_j z^{j+1} (zeros at k = 0) in ergodic mode."""
+
     k: int
     t: float
     z: np.ndarray
     y: np.ndarray
-    x: np.ndarray | None
-    zbar_acc: np.ndarray | None = None
+    x: np.ndarray
 
 
-def initial_state(prob, params, resolved):
+def initial_state(params, resolved):
+    """The one-start state at k = 0 of the resolved plan's problem: z0
+    defaults to its feasible point (zeros when absent), y0 to zeros."""
+    prob = resolved.plan.prob
     m, n = resolved.plan.A.shape
     z0 = params.z0
     if z0 is None:
-        z0 = prob.feasible_point.copy() if prob.feasible_point is not None else np.zeros(n)
+        z0 = prob.feasible_point if prob.feasible_point is not None else np.zeros(n)
     y0 = params.y0 if params.y0 is not None else np.zeros(m)
     if z0.shape != (n,):
         raise ConfigError(f"z0 has shape {z0.shape}, expected ({n},)")
     if y0.shape != (m,):
         raise ConfigError(f"y0 has shape {y0.shape}, expected ({m},)")
-    ergodic = resolved.mode == "ergodic"
-    return FlagState(
-        k=0,
-        t=1.0,
-        z=z0.copy(),
-        y=y0.copy(),
-        x=None if ergodic else z0.copy(),
-        zbar_acc=np.zeros(n) if ergodic else None,
-    )
+    x0 = np.zeros(n) if resolved.mode == "ergodic" else z0.copy()
+    return FlagState(0, 1.0, z0.copy(), y0.copy(), x0)
 
 
-def flag_iterate(state, resolved, prob):
-    """One outer iteration under the resolved params; returns the successor
-    state."""
-    p, mu = resolved.p, resolved.mu
-    A = resolved.plan.A
-    b = prob.b
+def flag_iterate(state, resolved):
+    """One outer iteration under the resolved params, of one start or of each
+    row of a stack of starts; returns the successor state."""
+    p, mu, plan = resolved.p, resolved.mu, resolved.plan
+    At, neg_b = plan.A.T, plan.neg_b
     t_k = state.t
     tau = t_k ** (p - 1)
     rho_k = resolved.rho * tau
-    if resolved.mode == "ergodic":
-        lam = state.y
-    else:
-        lam = compute_lambda(state.y, rho_k, t_k, A.dot(state.x) - b)
-    z_new = prim_step(resolved.plan, tau, state.z, lam)
-    y_new = state.y + mu * rho_k * (A.dot(z_new) - b)
-    if resolved.mode == "ergodic":
-        x_new = None
-        acc = state.zbar_acc + tau * z_new
+    ergodic = resolved.mode == "ergodic"
+    lam = state.y if ergodic else compute_lambda(state.y, rho_k, t_k, state.x.dot(At) + neg_b)
+    z_new = prim_step(plan, tau, state.z, lam)
+    y_new = state.y + mu * rho_k * (z_new.dot(At) + neg_b)
+    if ergodic:
+        x_new = state.x + tau * z_new
     else:
         x_new = (1.0 - 1.0 / t_k) * state.x + (1.0 / t_k) * z_new
-        acc = None
-    return FlagState(
-        k=state.k + 1,
-        t=next_t(t_k, p),
-        z=z_new,
-        y=y_new,
-        x=x_new,
-        zbar_acc=acc,
-    )
+    return FlagState(state.k + 1, next_t(t_k, p), z_new, y_new, x_new)
 
 
 def ergodic_weight_sum(t, p):
@@ -259,10 +253,11 @@ class _Recorder:
     """The columns of one run's trajectory, evaluated CHUNK rows at a time.
 
     add() keeps each FlagState that flag_iterate returned (its arrays are new
-    on every step); flush() stacks the kept states' x^k (the running average
-    in ergodic mode), z^k and y^k, evaluates the chunk's t, rho_k, psi, feas,
-    y_norm and s_k columns as stacks (one eval_objective and one product with
-    A' per point sequence), and then runs the finiteness guard on them."""
+    on every step); flush() stacks the kept states' x^k (z^0 at row 0; in
+    ergodic mode the weighted sum over its weights), z^k and y^k, evaluates
+    the chunk's t, rho_k, psi, feas, y_norm and s_k columns as stacks (one
+    eval_objective and one product with A' per point sequence), and then runs
+    the finiteness guard on them."""
 
     def __init__(self, prob, resolved, N, reference):
         self.prob, self.resolved, self.reference = prob, resolved, reference
@@ -296,11 +291,9 @@ class _Recorder:
         out["rho_k"][rows] = [rho * tk ** (p - 1) for tk in t]
         # row k >= 1 came from the step at t_{k-1}, the t of the row before
         t_used = [float(out["t"][lo - 1]) if lo else 0.0] + t[:-1]
-        if not self.ergodic:
-            x = np.stack([st.x for st in states])
-        else:
+        x = np.stack([st.x if st.k else st.z for st in states])
+        if self.ergodic:
             # row 0 is z^0; row k >= 1 the weighted average of z^1..z^k
-            x = np.stack([st.zbar_acc if st.k else st.z for st in states])
             avg = slice(1 if lo == 0 else 0, None)
             x[avg] /= ergodic_weight_sum(np.array(t_used[avg]), p)[:, None]
         r = x @ self.At - prob.b
@@ -342,7 +335,7 @@ def run(prob, params, reference=None, plan=None):
     returned.
     """
     resolved = resolve_params(prob, params, plan)
-    state = start = initial_state(prob, params, resolved)
+    state = start = initial_state(params, resolved)
     mode = resolved.mode
     N = params.iters
     rec = _Recorder(prob, resolved, N, reference)
@@ -353,7 +346,7 @@ def run(prob, params, reference=None, plan=None):
         try:
             rec.add(state)
             for _ in range(N):
-                state = flag_iterate(state, resolved, prob)
+                state = flag_iterate(state, resolved)
                 rec.add(state)
         except Exception:
             rec.flush()  # a non-finite row before the failing step wins

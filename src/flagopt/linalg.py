@@ -31,22 +31,31 @@ def check_symmetric(M, name="matrix"):
         raise ConfigError(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ConfigError(f"{name} has non-finite entries")
-    resid = float(np.max(np.abs(M - M.T), initial=0.0))
+    # entries near the float limit overflow here: refused, not warned
+    with np.errstate(over="ignore"):
+        resid = float(np.max(np.abs(M - M.T), initial=0.0))
+        S = 0.5 * (M + M.T)
     if resid > SYM_TOL * max(1.0, float(np.max(np.abs(M), initial=0.0))):
         raise ConfigError(f"{name} is not symmetric (residual {resid:.3e})")
-    return 0.5 * (M + M.T)
+    if not np.isfinite(S).all():
+        raise ConfigError(f"{name} overflows when symmetrized")
+    return S
 
 
-def eigvalsh(S):
-    """The ascending eigenvalues of the symmetric S (one 0 when S is empty)."""
+def eigvalsh(S, name="matrix"):
+    """The ascending eigenvalues of the symmetric S (one 0 when S is empty);
+    NumericalError naming `name` when LAPACK fails on S."""
     # the whole spectrum: LAPACK's index-subset drivers fail ("Internal Error")
     # on some matrices whose extreme eigenvalue is repeated
-    return np.linalg.eigvalsh(S) if S.shape[0] else np.zeros(1)
+    try:
+        return np.linalg.eigvalsh(S) if S.shape[0] else np.zeros(1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{name}: eigvalsh failed ({exc})") from None
 
 
 def spectrum(M, name="matrix"):
     """The eigenvalues of the symmetric M, ascending (check_symmetric first)."""
-    return eigvalsh(check_symmetric(M, name))
+    return eigvalsh(check_symmetric(M, name), name)
 
 
 def lambda_min(M):
@@ -66,7 +75,7 @@ def require_psd(eigs, name="matrix"):
 
 def check_psd(M, name="matrix"):
     M = check_symmetric(M, name)
-    require_psd(eigvalsh(M), name)
+    require_psd(eigvalsh(M, name), name)
     return M
 
 

@@ -168,8 +168,8 @@ class _View(NamedTuple):
 
 class _Spectra(dict):
     """The spectrum of each distinct array one certificate reads, decomposed
-    once (linalg.spectrum, which names the array `name` on a failed symmetry
-    check); each entry holds its array, so no id is reused meanwhile."""
+    once (linalg.spectrum, whose errors name the array `name`); each entry
+    holds its array, so no id is reused meanwhile."""
 
     def __call__(self, X, name="matrix"):
         if id(X) not in self:
@@ -209,18 +209,23 @@ def _certify(spec, rho, M, G, L, spectra):
     """
     P, Q, conds, costs = [], [], [], []
     for i, (block, name) in enumerate(zip(spec.blocks, _weight_names(len(M)))):
+        k, op = name[1:], "AB"[i]
         if i == 0 and not spec.jacobi:
-            P_i = M[i] if block.exact else M[i] - rho * G[i]
-            Q_i = P_i - L * np.eye(len(P_i)) if spec.smooth_linearized else P_i
+            with np.errstate(over="ignore"):  # a huge rho: refused just below
+                P_i = M[i] if block.exact else M[i] - rho * G[i]
+                Q_i = P_i - L * np.eye(len(P_i)) if spec.smooth_linearized else P_i
+            _require_finite(rho, (f"P{k}", P_i), (f"Q{k}", Q_i))
             name += "" if block.exact else " - rho A'A"
             name += " - L I" if spec.smooth_linearized else ""
-            margin = float(spectra(Q_i)[0])
+            margin = float(spectra(Q_i, f"certificate Q{k}")[0])
             conds.append(Condition(f"lambda_min({name}) >= 0", margin, strict=False))
         else:
-            lam, rl = float(spectra(M[i])[0]), rho * float(spectra(G[i])[-1])
-            P_i = M[i] + rho * G[i] if block.exact else M[i]
+            lam, rl = float(spectra(M[i], name)[0]), rho * float(spectra(G[i], f"{op}'{op}")[-1])
+            with np.errstate(over="ignore"):
+                P_i = M[i] + rho * G[i] if block.exact else M[i]
+            _require_finite(rho, (f"P{k}", P_i), (f"rho lambda_max({op}'{op})", rl))
             Q_i = np.zeros_like(M[i])
-            f, op = _floor(spec, block), "AB"[i]
+            f = _floor(spec, block)
             coef = f" - {'rho' if f == 1 else '2 rho'} lambda_max({op}'{op})" if f else ""
             conds.append(Condition(f"lambda_min({name}){coef} > 0", lam - f * rl if f else lam))
             costs.append((rl / (rl + lam) if block.exact else rl / lam) if lam > 0 else 1.0)
@@ -228,6 +233,13 @@ def _certify(spec, rho, M, G, L, spectra):
         Q.append(Q_i)
     delta = 1.0 - (2.0 if spec.jacobi else 1.0) * max(costs) if costs else 1.0
     return delta, P, Q, conds
+
+
+def _require_finite(rho, *named):
+    """ConfigError naming the first (name, value) not finite at the base rho."""
+    for name, X in named:
+        if not np.isfinite(X).all():
+            raise ConfigError(f"certificate {name} is not finite at rho = {rho:g}")
 
 
 @dataclass(frozen=True)

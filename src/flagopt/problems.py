@@ -81,7 +81,7 @@ class Quadratic:
 
     def __post_init__(self):
         H = linalg.check_symmetric(_finite(self.H, 2, "H"), "H")
-        eigs = linalg.eigvalsh(H)  # one decomposition: both checks and lambda_max
+        eigs = linalg.eigvalsh(H, "H")  # one decomposition: both checks and lambda_max
         linalg.require_psd(eigs, "H")
         q = _finite(self.q, 1, "q")
         if H.shape[0] != q.shape[0]:

@@ -253,11 +253,11 @@ def _long_run_route(sp):
     cfg = make_config("prox-lin-al", sp, rho=1.0)
     params = RunParams(cfg=cfg, mode="classic", iters=1, mu=1.0)
     resolved = resolve_params(sp, params)
-    state = initial_state(sp, params, resolved)
+    state = initial_state(params, resolved)
     A, b = sp.A, sp.b
     for _ in range(LONG_RUN_CAP):
         prev_z = state.z
-        state = flag_iterate(state, resolved, sp)
+        state = flag_iterate(state, resolved)
         move = float(np.linalg.norm(state.z - prev_z))
         feas = float(np.linalg.norm(A @ state.z - b))
         if move <= 1e-10 * (1.0 + float(np.linalg.norm(state.z))) and feas <= sp.feas_tol:

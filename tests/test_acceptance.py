@@ -271,14 +271,14 @@ def max_pillar_residual(prob, cfg, mode, iters, ref):
         r = A @ v - b
         return float(r @ r)
 
-    state = initial_state(prob, params, resolved)
+    state = initial_state(params, resolved)
     t_prev = 0.0
     worst = -np.inf
     for _ in range(iters):
         t_k = state.t
         rho_k = rho * t_k ** (p - 1)
         tau_k = t_k ** (p - 1)
-        nxt = flag_iterate(state, resolved, prob)
+        nxt = flag_iterate(state, resolved)
         dual = delta_euclid(eta, state.y, nxt.y)
         if mode == "ergodic":
             w = A @ nxt.z - b

@@ -368,6 +368,25 @@ class TestCertify:
         assert "lambda_min(M2) - rho lambda_max(B'B) > 0" in capsys.readouterr().err
 
 
+# problem, map kind, policy, and the refusal of --rho 1e308
+HUGE_RHO = [
+    ("block-qp --n 12 --m 4 --seed 2", "prox-admm", "auto",
+     "certificate P2 is not finite at rho = 1e+308"),
+    ("block-qp --n 12 --m 4 --seed 2", "prox-admm", "identity-scaled",
+     "certificate P2 is not finite at rho = 1e+308"),
+    ("block-qp --n 12 --m 4 --seed 2", "prox-jacobi", "identity-scaled",
+     "certificate rho lambda_max(A'A) is not finite at rho = 1e+308"),
+    ("eq-qp --n 10 --m 3 --seed 1", "prox-lin-al", "identity-scaled",
+     "certificate P is not finite at rho = 1e+308"),
+    ("smooth-composite --n 12 --m 4 --seed 1", "smooth-lin-al", "identity-scaled",
+     "certificate Q overflows when symmetrized"),
+    ("block-qp --n 12 --m 4 --sigma 0 --seed 2", "full-lin-admm", "identity-scaled",
+     "certificate Q1 overflows when symmetrized"),
+    ("lasso-split --n 10 --m 6 --seed 1", "prox-lin-admm", "auto",
+     "M2 overflows when symmetrized"),
+]
+
+
 class TestNonFiniteConfig:
     @pytest.mark.parametrize("command", ["certify", "solve"])
     @pytest.mark.parametrize(
@@ -402,6 +421,25 @@ class TestNonFiniteConfig:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    # finite, but rho A_i'A_i overflows the certificate (or the auto weight
+    # built from it): refused naming the matrix, without a warning
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize(
+        "problem,kind,policy,message", HUGE_RHO, ids=[f"{c[1]}-{c[2]}" for c in HUGE_RHO]
+    )
+    def test_huge_rho_is_one_line(
+        self, tmp_path, capsys, command, problem, kind, policy, message
+    ):
+        path, out = tmp_path / "p.json", tmp_path / "t.csv"
+        assert main(["gen", *problem.split(), "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = [command, "--problem", str(path), "--map", kind, "--policy", policy]
+        argv += ["--rho", "1e308"] + (["--out", str(out)] if command == "solve" else [])
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"error: {message}\n")
         assert not out.exists()
 
 

@@ -27,7 +27,7 @@ from flagopt.driver import (
 )
 from flagopt.gen import GenSpec, generate
 from flagopt.lagrangian import eval_lagrangian
-from flagopt.maps import MapConfig, StepPlan, make_config, prim_step
+from flagopt.maps import MAP_KINDS, MapConfig, StepPlan, make_config, prim_step
 from flagopt.problems import eval_objective
 
 
@@ -144,8 +144,8 @@ class TestIteration:
         p = make_qp()
         params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), mode="fast")
         r = resolve_params(p, params)
-        s0 = initial_state(p, params, r)
-        s1 = flag_iterate(s0, r, p)
+        s0 = initial_state(params, r)
+        s1 = flag_iterate(s0, r)
         assert_allclose(s1.x, s1.z)
         assert s1.k == 1 and s1.t == next_t(1.0, 2)
 
@@ -153,20 +153,106 @@ class TestIteration:
         p = make_qp()
         params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), mode="fast")
         r = resolve_params(p, params)
-        s = initial_state(p, params, r)
+        s = initial_state(params, r)
         for _ in range(4):
             t_k = s.t
             prev_x = s.x
-            s = flag_iterate(s, r, p)
+            s = flag_iterate(s, r)
             assert_allclose(s.x, (1 - 1 / t_k) * prev_x + (1 / t_k) * s.z)
 
     def test_dual_update(self):
         p = make_qp()
         params = RunParams(cfg=make_config("prox-lin-al", p, rho=2.0), mode="classic", mu=0.5)
         r = resolve_params(p, params)
-        s0 = initial_state(p, params, r)
-        s1 = flag_iterate(s0, r, p)
+        s0 = initial_state(params, r)
+        s1 = flag_iterate(s0, r)
         assert_allclose(s1.y, 0.5 * 2.0 * (p.A @ s1.z - p.b))
+
+    def test_the_plan_holds_the_only_problem(self):
+        # b and the default z0 come from the resolved plan's problem; another
+        # problem with a feasible b' cannot be passed beside it
+        p = make_qp()
+        params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0))
+        r = resolve_params(p, params)
+        s0 = initial_state(params, r)
+        assert np.array_equal(s0.z, p.feasible_point) and s0.z is not p.feasible_point
+        x_other = p.feasible_point + 1.0
+        other = dataclasses.replace(p, b=p.A @ x_other, feasible_point=x_other)
+        with pytest.raises(TypeError):
+            flag_iterate(s0, r, other)
+        with pytest.raises(TypeError):
+            initial_state(other, params, r)
+
+
+# every kind on every family it applies to, in each mode it certifies
+STACK_SPECS = {
+    "eq-qp": GenSpec(family="eq-qp", n=10, m=3, seed=1),
+    "smooth-composite": GenSpec(family="smooth-composite", n=12, m=4, seed=1),
+    "block-qp": GenSpec(family="block-qp", n=12, m=4, seed=2),
+    "block-qp-sigma0": GenSpec(family="block-qp", n=12, m=4, sigma=0.0, seed=2),
+    "block-qp-a-identity": GenSpec(family="block-qp", n=12, m=4, seed=2, a_identity=True),
+    "lasso-split": GenSpec(family="lasso-split", n=10, m=6, seed=1),
+}
+
+
+def stack_cases():
+    cases = []
+    for name, spec in STACK_SPECS.items():
+        prob = generate(spec)
+        for kind in MAP_KINDS:
+            for mode in driver.MODES:
+                try:
+                    cfg = make_config(kind, prob, rho=1.0)
+                    resolve_params(prob, RunParams(cfg=cfg, mode=mode))
+                except ConfigError:
+                    continue
+                cases.append((name, kind, mode))
+    return cases
+
+
+STACK_CASES = stack_cases()
+
+
+class TestStackedStep:
+    ITERS = 30
+
+    def test_cases_cover_every_kind_and_mode(self):
+        assert {kind for _, kind, _ in STACK_CASES} == set(MAP_KINDS)
+        assert {mode for *_, mode in STACK_CASES} == set(driver.MODES)
+        assert len(STACK_CASES) == 67
+
+    @pytest.mark.parametrize("name,kind,mode", STACK_CASES)
+    def test_stack_steps_each_start(self, name, kind, mode):
+        # k = 5 starts stepped as one stack match the one-start steps to 1e-12
+        # relative; a (1, n) stack is bitwise the one-start step; in ergodic
+        # mode x is the weighted sum of the z iterates, sum_j tau_j z^{j+1}
+        prob = generate(STACK_SPECS[name])
+        cfg = make_config(kind, prob, rho=1.0)
+        rng = np.random.default_rng(7)
+        Z = prob.feasible_point + rng.standard_normal((5, prob.n))
+        Y = rng.standard_normal((5, prob.m))
+        r = resolve_params(prob, RunParams(cfg=cfg, mode=mode))
+        singles = [
+            initial_state(RunParams(cfg=cfg, mode=mode, z0=z0, y0=y0), r) for z0, y0 in zip(Z, Y)
+        ]
+        X = np.zeros_like(Z) if mode == "ergodic" else Z.copy()
+        stack = FlagState(0, 1.0, Z, Y, X)
+        one = FlagState(0, 1.0, Z[:1], Y[:1], X[:1].copy())
+        sums = np.zeros_like(Z)
+        for _ in range(self.ITERS):
+            tau = stack.t ** (r.p - 1)
+            stack, one = flag_iterate(stack, r), flag_iterate(one, r)
+            singles = [flag_iterate(s, r) for s in singles]
+            assert stack.z.shape == Z.shape and stack.y.shape == Y.shape
+            for f in ("z", "y", "x"):
+                want = np.array([getattr(s, f) for s in singles])
+                got = getattr(stack, f)
+                scale = 1.0 + np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (f, stack.k)
+                assert np.array_equal(getattr(one, f)[0], want[0]), (f, stack.k)
+            sums = sums + tau * np.array([s.z for s in singles])
+            if mode == "ergodic":
+                assert np.array_equal(np.array([s.x for s in singles]), sums)
 
 
 class TestRun:
@@ -218,11 +304,11 @@ class TestRun:
         ref = SimpleNamespace(y_star=np.linspace(-1.0, 1.0, 4), psi_star=0.25, c=1.0)
         traj = run(p, params, reference=ref)
         resolved = resolve_params(p, params)
-        state = initial_state(p, params, resolved)
+        state = initial_state(params, resolved)
         xs, aug = [state.x], [0.0]
         for _ in range(params.iters):
             t_used = state.t
-            state = flag_iterate(state, resolved, p)
+            state = flag_iterate(state, resolved)
             xs.append(state.x)
             aug.append(resolved.rho * t_used**2)
         aug = np.array(aug)
@@ -245,12 +331,12 @@ class TestRun:
         )
         r = resolve_params(p, params)
         traj = run(p, params)
-        s = initial_state(p, params, r)
+        s = initial_state(params, r)
         acc = np.zeros(p.n)
         wsum = 0.0
         for i in range(6):
             t_k = s.t
-            s = flag_iterate(s, r, p)
+            s = flag_iterate(s, r)
             acc += t_k * s.z
             wsum = t_k * t_k
             assert_allclose(traj.psi_x[i + 1], p.psi(acc / wsum), rtol=1e-12)
@@ -366,17 +452,17 @@ class TestRun:
         params = RunParams(cfg=make_config("prox-lin-al", p, rho=1.0), mode=mode, iters=iters)
         traj = run(p, params, reference=ref)
         r = resolve_params(p, params)
-        s = initial_state(p, params, r)
+        s = initial_state(params, r)
         rows = {c: [] for c in ("psi_x", "feas_x", "psi_z", "feas_z", "y_norm", "s_k")}
         t_used = 0.0
         for i in range(iters + 1):
             if i:
                 t_used = s.t
-                s = flag_iterate(s, r, p)
+                s = flag_iterate(s, r)
             if mode != "ergodic":
                 x = s.x
             else:
-                x = s.z if i == 0 else s.zbar_acc / ergodic_weight_sum(t_used, r.p)
+                x = s.z if i == 0 else s.x / ergodic_weight_sum(t_used, r.p)
             res = p.A @ x - p.b
             aug = r.rho * t_used**r.p if i else 0.0
             rows["psi_x"].append(eval_objective(p, x))

@@ -94,6 +94,26 @@ def test_failed_eigh_is_one_numerical_error(monkeypatch):
     assert "\n" not in str(exc.value)
 
 
+def test_overflowing_symmetrization_is_one_config_error():
+    # a finite symmetric matrix whose M + M' overflows is refused by name,
+    # without a warning, before eigvalsh sees an inf
+    M = np.array([[1e308, 1.0], [1.0, 1.0]])
+    for check in (linalg.check_symmetric, linalg.spectrum, linalg.check_psd):
+        with pytest.raises(ConfigError) as exc:
+            check(M, "M2")
+        assert str(exc.value) == "M2 overflows when symmetrized"
+
+
+def test_failed_eigvalsh_is_one_numerical_error(monkeypatch):
+    def fail(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericalError) as exc:
+        linalg.spectrum(np.eye(3), "certificate Q")
+    assert str(exc.value) == "certificate Q: eigvalsh failed (Eigenvalues did not converge)"
+
+
 def test_ill_conditioned_end_is_not_used():
     # K0 has condition number 1e14; the reduction factors only V(c1), so
     # the solve stays as accurate as with a well-conditioned K0
